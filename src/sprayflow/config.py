@@ -80,6 +80,8 @@ class ScenarioConfig:
             raise ConfigError("mesh must be at least 8 cells per axis")
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigError("dt and t_end must be positive")
+        if self.cfl_factor <= 0:
+            raise ConfigError(f"cfl_factor must be positive, got {self.cfl_factor}")
 
 
 _EXP_FLOAT_KEYS = {

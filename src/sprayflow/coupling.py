@@ -139,13 +139,19 @@ def coupled_step(
     dt: float,
     ledger: EnergyLedger | None = None,
     forcing: VelocityField | None = None,
+    cfl_factor: float = 1.0,
 ) -> tuple[FluidState, ParticleEnsemble, LedgerRow]:
-    """One Lie-split step: deposit, drag, fluid step, particle push (new u)."""
+    """One Lie-split step: deposit, drag, fluid step, particle push (new u).
+
+    The fluid step is refused when dt exceeds cfl_factor times its CFL bound.
+    """
     e_before = state.velocity.energy() + particles.kinetic_energy()
 
     moments = deposit(particles)
     drag = drag_force(moments, state.velocity)
-    new_state, diag = fluid_step(ops, state, law, dt, drag=drag, forcing=forcing)
+    new_state, diag = fluid_step(
+        ops, state, law, dt, drag=drag, forcing=forcing, cfl_factor=cfl_factor
+    )
     d_drag = drag_dissipation_exact(particles, new_state.velocity, dt)
     new_particles = advance(particles, new_state.velocity, dt)
 

@@ -8,14 +8,19 @@ Layout (nx x ny cells, spacing h):
 Wall-normal face velocities are identically zero (no-slip); tangential ghost
 values mirror through the wall (u = 0 on the boundary).
 
-Two structural identities are engineered to hold to machine precision:
+Three structural identities are engineered to hold to machine precision:
 
 * the convective term is the flux-divergence form minus half the velocity
   times the interpolated cell divergence, which makes <conv(u), u> vanish
   identically (skew symmetry, no div-free requirement);
 * the stress divergence is defined as minus the exact adjoint of the
   cell-centered symmetric gradient, so <-div S, u> = sum S:Du h^2 is a matrix
-  transpose identity, not a discretization accident.
+  transpose identity, not a discretization accident;
+* the Leray projection subtracts the wall-masked face gradient of a
+  multiplier phi that solves the Neumann 5-point Poisson problem to roundoff:
+  a type-II DCT diagonalises that operator (Schumann & Sweet 1976), so the
+  solve is one forward and one inverse transform.  phi is normalised to
+  zero mean.
 
 Symmetric tensors are packed as (nx, ny, 3) = (a11, a22, a12).
 """
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.fft import dctn, idctn
 
 from .grid import Grid
 from .rheology import StressLaw
@@ -132,7 +137,7 @@ def _centered_mirror(n: int, h: float) -> sp.csr_matrix:
 
 
 class FluidOps:
-    """Per-mesh sparse operators: sym-gradient, its adjoint, projection."""
+    """Per-mesh operators: sparse sym-gradient and its adjoint, DCT projection."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -154,23 +159,14 @@ class FluidOps:
         )
         self._Gt = self._G.T.tocsr()
 
-        # divergence D: faces -> cells, and Neumann Poisson A = D M D^T
-        du = sp.kron(_diff(nx, h), iu, format="csr")
-        dv = sp.kron(iv, _diff(ny, h), format="csr")
-        self._D = sp.hstack([du, dv], format="csr")
-        interior = np.ones(nu + nv)
-        um = np.ones((nx + 1, ny))
-        um[0, :] = um[-1, :] = 0.0
-        vm = np.ones((nx, ny + 1))
-        vm[:, 0] = vm[:, -1] = 0.0
-        interior = np.concatenate([um.ravel(), vm.ravel()])
-        self._face_mask = interior
-        M = sp.diags(interior)
-        A = (self._D @ M @ self._D.T).tocsc()
-        # pin the nullspace: adding e0 e0^T leaves exact solutions exact
-        # whenever the right-hand side is mean-free
-        e0 = sp.csc_matrix(([1.0], ([0], [0])), shape=A.shape)
-        self._poisson = splu((A + e0).tocsc())
+        # the projection's operator -div grad (wall faces masked) is the
+        # Neumann 5-point Laplacian, diagonal in the type-II DCT basis;
+        # the constant mode gets 1/inf = 0, so phi has zero mean
+        lam_x = 2.0 * (1.0 - np.cos(np.pi * np.arange(nx) / nx)) / h**2
+        lam_y = 2.0 * (1.0 - np.cos(np.pi * np.arange(ny) / ny)) / h**2
+        lam = lam_x[:, None] + lam_y[None, :]
+        lam[0, 0] = np.inf
+        self._inv_lam = 1.0 / lam
 
     # -- differential operators ---------------------------------------------
 
@@ -181,7 +177,17 @@ class FluidOps:
         return np.moveaxis(g.reshape(3, nx, ny), 0, -1)
 
     def divergence(self, vel: VelocityField) -> np.ndarray:
-        return (self._D @ vel.as_vector()).reshape(self.grid.nx, self.grid.ny)
+        """Cell-centered divergence of face velocities, shape (nx, ny)."""
+        h = self.grid.h
+        return (vel.u[1:, :] - vel.u[:-1, :]) / h + (vel.v[:, 1:] - vel.v[:, :-1]) / h
+
+    def gradient(self, phi: np.ndarray) -> VelocityField:
+        """Face gradient of a cell scalar; wall-normal faces are zero."""
+        h = self.grid.h
+        out = VelocityField.zeros(self.grid)
+        out.u[1:-1, :] = (phi[1:, :] - phi[:-1, :]) / h
+        out.v[:, 1:-1] = (phi[:, 1:] - phi[:, :-1]) / h
+        return out
 
     def stress_divergence_of(self, stress_packed: np.ndarray) -> VelocityField:
         """Face-centered div of a packed cell tensor, exact adjoint of sym_gradient."""
@@ -229,14 +235,19 @@ class FluidOps:
     # -- projection ----------------------------------------------------------
 
     def project(self, vel: VelocityField) -> tuple[VelocityField, np.ndarray]:
-        """Discrete Leray projection; returns (div-free field, multiplier phi)."""
-        rhs = -(self._D @ vel.as_vector())
-        rhs = rhs - rhs.mean()
-        phi = self._poisson.solve(rhs)
-        corr = self._face_mask * (self._D.T @ phi)
-        out = VelocityField.from_vector(self.grid, vel.as_vector() + corr)
+        """Discrete Leray projection; returns (div-free field, multiplier phi).
+
+        phi solves the Neumann problem lap phi = div u by one DCT-II
+        diagonal solve, and the field returned is u - grad phi.  phi is
+        normalised to zero mean; versions that pinned phi[0, 0] = 0 instead
+        wrote pressure snapshots (p_*.vkf) that differ by a constant.
+        """
+        rhs = -self.divergence(vel)
+        phi = idctn(dctn(rhs, type=2, norm="ortho") * self._inv_lam, type=2, norm="ortho")
+        grad = self.gradient(phi)
+        out = VelocityField(self.grid, vel.u - grad.u, vel.v - grad.v)
         out.enforce_walls()
-        return out, phi.reshape(self.grid.nx, self.grid.ny)
+        return out, phi
 
     # -- time stepping -------------------------------------------------------
 

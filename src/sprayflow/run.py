@@ -124,7 +124,9 @@ def run_scenario(cfg: ScenarioConfig, outdir: str | None = None) -> RunResult:
     n_steps = int(round(cfg.t_end / cfg.dt))
     try:
         for step in range(n_steps):
-            state, particles, _ = coupled_step(ops, state, particles, law, cfg.dt, ledger)
+            state, particles, _ = coupled_step(
+                ops, state, particles, law, cfg.dt, ledger, cfl_factor=cfg.cfl_factor
+            )
             if cfg.output_every and (step + 1) % cfg.output_every == 0:
                 _write_state(outdir, f"{step + 1:06d}", state, particles, cfg.d)
     finally:

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from sprayflow.cli import main
 from sprayflow.config import ConfigError, load_config, module_rng
+from sprayflow.fluid import CFLViolation
+from sprayflow.run import run_scenario
 from sprayflow.snapshots import (
     KIND_PARTICLES,
     KIND_SCALAR,
@@ -190,6 +192,35 @@ def test_run_cfl_blowup_exit_3(tmp_path):
         "[fluid]\ninitial = stream_bump\namplitude = 0.1\n"
     )
     assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 3
+
+
+def _resting_fluid_ini(path, cfl_factor):
+    # at rest, with s = 2 and nu0 = 0.5 on a 16^2 mesh, the CFL bound is the
+    # diffusive h^2 / (2 nu0) = 3.90625e-3; dt = 3e-3 lies between 0.5x and 1x
+    path.write_text(
+        "[domain]\nnx = 16\nny = 16\n"
+        f"[run]\nt_end = 0.006\ndt = 0.003\ncfl_factor = {cfl_factor}\n"
+        "[exponent]\npreset = constant\nvalue = 2.0\n"
+        "[rheology]\nnu0 = 0.5\nnu1 = 0.0\n"
+    )
+    return path
+
+
+def test_run_honours_cfl_factor(tmp_path):
+    loose = _resting_fluid_ini(tmp_path / "loose.ini", 1.0)
+    assert run_cli(["run", "--config", str(loose), "--output", str(tmp_path / "a")]) == 0
+    tight = _resting_fluid_ini(tmp_path / "tight.ini", 0.5)
+    with pytest.raises(CFLViolation):
+        run_scenario(load_config(tight), outdir=str(tmp_path / "b"))
+    assert run_cli(["run", "--config", str(tight), "--output", str(tmp_path / "c")]) == 3
+
+
+@pytest.mark.parametrize("cfl_factor", [0.0, -0.5])
+def test_config_rejects_nonpositive_cfl_factor(tmp_path, cfl_factor):
+    p = _resting_fluid_ini(tmp_path / "bad.ini", cfl_factor)
+    with pytest.raises(ConfigError):
+        load_config(p)
+    assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
 
 
 def test_run_bad_exponent_exit_4(tmp_path):

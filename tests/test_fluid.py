@@ -4,6 +4,7 @@ Leray projection contracts."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from sprayflow.exponent import constant_field, sinusoidal_field
@@ -171,13 +172,44 @@ def test_projection_leaves_divfree_unchanged():
 def test_projection_annihilates_gradients():
     # discrete gradient of a cell scalar with masked wall faces is pure-gradient
     rng = np.random.default_rng(5)
-    phi = rng.standard_normal(GRID.ncells)
-    gvec = OPS._face_mask * (OPS._D.T @ phi)
-    gfield = VelocityField.from_vector(GRID, gvec)
+    phi = rng.standard_normal((GRID.nx, GRID.ny))
+    gfield = OPS.gradient(phi)
     proj, _ = OPS.project(gfield)
     scale = max(gfield.max_speed(), 1.0)
     assert np.abs(proj.u).max() <= 1e-10 * scale
     assert np.abs(proj.v).max() <= 1e-10 * scale
+
+
+def test_projection_non_square_mesh():
+    # nx != ny, so swapping the x and y eigenvalues of the solve would fail
+    grid = Grid(16, 24, 1.0, 1.5)
+    ops = FluidOps(grid)
+    nx, ny, h = grid.nx, grid.ny, grid.h
+    vel = random_noslip(9, grid=grid)
+    proj, phi = ops.project(vel)
+
+    speed = proj.max_speed()
+    assert np.abs(ops.divergence(proj)).max() <= 1e-10 * speed / h
+    again, _ = ops.project(proj)
+    scale = max(speed, 1.0)
+    assert np.abs(again.u - proj.u).max() <= 1e-10 * scale
+    assert np.abs(again.v - proj.v).max() <= 1e-10 * scale
+
+    # reference: phi solves D M D^T phi = -D u, assembled here as sparse
+    # matrices with D the face-to-cell divergence and M masking wall faces
+    def diff(n):
+        return sp.diags([-np.ones(n), np.ones(n)], [0, 1], shape=(n, n + 1)) / h
+
+    D = sp.hstack([sp.kron(diff(nx), sp.identity(ny)),
+                   sp.kron(sp.identity(nx), diff(ny))], format="csr")
+    um = np.ones((nx + 1, ny))
+    um[[0, -1], :] = 0.0
+    vm = np.ones((nx, ny + 1))
+    vm[:, [0, -1]] = 0.0
+    A = D @ sp.diags(np.concatenate([um.ravel(), vm.ravel()])) @ D.T
+    rhs = -(D @ vel.as_vector())
+    residual = np.abs(A @ phi.ravel() - rhs).max()
+    assert residual <= 1e-10 * np.abs(rhs).max()
 
 
 # -- time stepping ------------------------------------------------------------
