@@ -82,12 +82,37 @@ class ScenarioConfig:
             raise ConfigError("dt and t_end must be positive")
         if self.cfl_factor <= 0:
             raise ConfigError(f"cfl_factor must be positive, got {self.cfl_factor}")
+        n_steps = round(self.t_end / self.dt)
+        if abs(n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ConfigError(
+                f"dt = {self.dt} does not divide t_end = {self.t_end}: "
+                f"{n_steps} steps end at t = {n_steps * self.dt}"
+            )
 
 
 _EXP_FLOAT_KEYS = {
     "value", "base", "amplitude", "switch_time",
     "value_before", "base_after", "amplitude_after",
 }
+
+# every key load_config reads, per section; anything else is a config error
+_SECTION_KEYS = {
+    "domain": {"nx", "ny", "lx", "ly"},
+    "run": {"t_end", "dt", "seed", "cfl_factor", "output_every", "output_dir"},
+    "exponent": {"preset"} | _EXP_FLOAT_KEYS,
+    "rheology": {"nu0", "nu1", "theta"},
+    "kinetic": {"preset", "n_particles", "mass", "vmax", "temperature"},
+    "fluid": {"initial", "amplitude"},
+}
+
+
+def _check_known_keys(cp: configparser.ConfigParser, path) -> None:
+    for name in cp.sections():
+        if name not in _SECTION_KEYS:
+            raise ConfigError(f"unknown section [{name}] in {path}")
+        unknown = sorted(set(cp[name]) - _SECTION_KEYS[name])
+        if unknown:
+            raise ConfigError(f"unknown key(s) {', '.join(unknown)} in [{name}] of {path}")
 
 
 def load_config(path) -> ScenarioConfig:
@@ -98,6 +123,7 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
+    _check_known_keys(cp, path)
     try:
         dom = cp["domain"]
         grid = Grid(

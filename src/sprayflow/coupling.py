@@ -32,6 +32,7 @@ from .kinetic import (
     deposit,
     drag_dissipation_exact,
     interpolate_velocity,
+    row_dot,
 )
 from .rheology import StressLaw
 
@@ -115,9 +116,9 @@ def exchange_audit(
         return 0.0, 0.0, 0.0
     uk = np.zeros_like(p.V) if vel is None else interpolate_velocity(vel, p.X)
     rel = uk - p.V
-    w_f = -float(np.sum(p.w * np.sum(rel * uk, axis=1))) * dt
-    w_p = float(np.sum(p.w * np.sum(rel * p.V, axis=1))) * dt
-    dissipation = -float(np.sum(p.w * np.sum(rel**2, axis=1))) * dt
+    w_f = -float(np.sum(p.w * row_dot(rel, uk))) * dt
+    w_p = float(np.sum(p.w * row_dot(rel, p.V))) * dt
+    dissipation = -float(np.sum(p.w * row_dot(rel, rel))) * dt
     return w_f, w_p, dissipation
 
 
@@ -155,8 +156,9 @@ def coupled_step(
     d_drag = drag_dissipation_exact(particles, new_state.velocity, dt)
     new_particles = advance(particles, new_state.velocity, dt)
 
-    e_after = new_state.velocity.energy() + new_particles.kinetic_energy()
-    res = audit_step(e_before, e_after, diag.stress_dissipation, d_drag)
+    e_fluid = new_state.velocity.energy()
+    e_kin = new_particles.kinetic_energy()
+    res = audit_step(e_before, e_fluid + e_kin, diag.stress_dissipation, d_drag)
 
     w_f, w_p, dis = exchange_audit(particles, new_state.velocity, dt)
     defect = abs(w_f + w_p - dis)
@@ -164,8 +166,8 @@ def coupled_step(
     prev = ledger.last if ledger and ledger.rows else None
     row = LedgerRow(
         t=new_state.time,
-        E_fluid=new_state.velocity.energy(),
-        E_kin=new_particles.kinetic_energy(),
+        E_fluid=e_fluid,
+        E_kin=e_kin,
         D_stress_cum=(prev.D_stress_cum if prev else 0.0) + diag.stress_dissipation,
         D_drag_cum=(prev.D_drag_cum if prev else 0.0) + d_drag,
         residual_cum=(prev.residual_cum if prev else 0.0) + res,

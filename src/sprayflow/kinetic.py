@@ -12,9 +12,12 @@ The per-step drag ODE dV/dt = u_k - V with u_k frozen is integrated exactly:
 so the drag never limits the step size, and free decay (u = 0) contracts
 kinetic energy by exactly e^{-2 dt} per step.
 
-Deposition and velocity interpolation share one bilinear (cloud-in-cell)
-kernel on cell centers with index clamping at the walls; the shared kernel is
-what makes the drag energy exchange antisymmetric in the coupling audit.
+Deposition (density and momentum) and velocity interpolation share one
+bilinear (cloud-in-cell) kernel on cell centers with index clamping at the
+walls.  Each call builds the stencil once, as flat indices of the four corner
+cells plus the x/y fractions, and every gather and scatter at those positions
+reads it; the shared kernel is what makes the drag energy exchange
+antisymmetric in the coupling audit.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ _MAX_REFLECTIONS = 100
 
 class EscapeError(RuntimeError):
     """A particle failed to return inside the domain after many reflections."""
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of two (n, 2) arrays."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
 
 
 @dataclass
@@ -50,7 +58,7 @@ class ParticleEnsemble:
         return float(np.sum(self.w))
 
     def kinetic_energy(self) -> float:
-        return 0.5 * float(np.sum(self.w * np.sum(self.V**2, axis=1)))
+        return 0.5 * float(np.sum(self.w * row_dot(self.V, self.V)))
 
     def copy(self) -> "ParticleEnsemble":
         return ParticleEnsemble(
@@ -63,7 +71,6 @@ class MomentFields:
     grid: Grid
     rho: np.ndarray   # (nx, ny) number density, integral of f over v
     j: np.ndarray     # (nx, ny, 2) momentum density
-    e2: np.ndarray    # (nx, ny) second moment, integral of |v|^2 f
 
 
 # -- initial data -----------------------------------------------------------
@@ -103,7 +110,7 @@ def sample_initial(
         V = rng.normal(0.0, np.sqrt(temperature), size=(n_particles, 2))
         fval = (
             mass / area / (2.0 * np.pi * temperature)
-            * np.exp(-np.sum(V**2, axis=1) / (2.0 * temperature))
+            * np.exp(-row_dot(V, V) / (2.0 * temperature))
         )
     else:
         raise ValueError(f"unknown initial-data preset: {preset!r}")
@@ -118,67 +125,68 @@ def sample_initial(
 # -- shared bilinear kernel --------------------------------------------------
 
 def _cic(grid: Grid, X: np.ndarray):
-    """Cell-center bilinear stencil: indices (i0, i1, j0, j1) and x/y fractions.
+    """Cell-center bilinear stencil: flat corner indices and x/y fractions.
 
-    Indices are clamped at the walls, which folds the half-cell overflow back
-    onto the boundary cell: the four weights still sum to one, so deposition
-    conserves mass exactly and interpolation reproduces constants.
+    Returns (k00, k10, k01, k11, fx, fy), where k_ab indexes cell
+    (i0 + a, j0 + b) of a raveled (nx, ny) array.  Indices are clamped at the
+    walls, which folds the half-cell overflow back onto the boundary cell: the
+    four weights still sum to one, so deposition conserves mass exactly and
+    interpolation reproduces constants.  One stencil serves every gather and
+    scatter at the same positions.
     """
-    gx = X[:, 0] / grid.h - 0.5
-    gy = X[:, 1] / grid.h - 0.5
-    ix = np.floor(gx).astype(int)
-    iy = np.floor(gy).astype(int)
-    fx = gx - ix
-    fy = gy - iy
-    i0 = np.clip(ix, 0, grid.nx - 1)
-    i1 = np.clip(ix + 1, 0, grid.nx - 1)
+    fx = X[:, 0] / grid.h - 0.5
+    fy = X[:, 1] / grid.h - 0.5
+    ix = np.floor(fx).astype(np.intp)
+    iy = np.floor(fy).astype(np.intp)
+    fx -= ix
+    fy -= iy
+    # the upper indices reuse the buffers of ix and iy, which lowers the peak
+    # memory of every particle call by two (n,) arrays
+    r0 = np.clip(ix, 0, grid.nx - 1) * grid.ny
+    r1 = np.clip(ix + 1, 0, grid.nx - 1, out=ix) * grid.ny
     j0 = np.clip(iy, 0, grid.ny - 1)
-    j1 = np.clip(iy + 1, 0, grid.ny - 1)
-    return i0, i1, j0, j1, fx, fy
+    j1 = np.clip(iy + 1, 0, grid.ny - 1, out=iy)
+    return r0 + j0, r1 + j0, r0 + j1, r1 + j1, fx, fy
 
 
-def _gather(grid: Grid, field: np.ndarray, X: np.ndarray) -> np.ndarray:
-    i0, i1, j0, j1, fx, fy = _cic(grid, X)
+def _gather(stencil, field: np.ndarray) -> np.ndarray:
+    k00, k10, k01, k11, fx, fy = stencil
+    f = field.ravel()
     return (
-        field[i0, j0] * (1 - fx) * (1 - fy)
-        + field[i1, j0] * fx * (1 - fy)
-        + field[i0, j1] * (1 - fx) * fy
-        + field[i1, j1] * fx * fy
+        f[k00] * (1 - fx) * (1 - fy)
+        + f[k10] * fx * (1 - fy)
+        + f[k01] * (1 - fx) * fy
+        + f[k11] * fx * fy
     )
 
 
-def _scatter(grid: Grid, X: np.ndarray, values: np.ndarray) -> np.ndarray:
-    i0, i1, j0, j1, fx, fy = _cic(grid, X)
-    out = np.zeros(grid.nx * grid.ny)
-    ny = grid.ny
-    for idx, jdx, wgt in (
-        (i0, j0, (1 - fx) * (1 - fy)),
-        (i1, j0, fx * (1 - fy)),
-        (i0, j1, (1 - fx) * fy),
-        (i1, j1, fx * fy),
-    ):
-        np.add.at(out, idx * ny + jdx, values * wgt)
+def _scatter(grid: Grid, stencil, values: np.ndarray) -> np.ndarray:
+    k00, k10, k01, k11, fx, fy = stencil
+    out = np.zeros(grid.ncells)
+    np.add.at(out, k00, values * ((1 - fx) * (1 - fy)))
+    np.add.at(out, k10, values * (fx * (1 - fy)))
+    np.add.at(out, k01, values * ((1 - fx) * fy))
+    np.add.at(out, k11, values * (fx * fy))
     return out.reshape(grid.nx, grid.ny)
 
 
 def interpolate_velocity(vel: VelocityField, X: np.ndarray) -> np.ndarray:
     """Fluid velocity at particle positions via the shared bilinear kernel."""
     uc, vc = vel.cell_centered()
-    return np.column_stack([
-        _gather(vel.grid, uc, X),
-        _gather(vel.grid, vc, X),
-    ])
+    stencil = _cic(vel.grid, X)
+    return np.column_stack([_gather(stencil, uc), _gather(stencil, vc)])
 
 
 def deposit(particles: ParticleEnsemble) -> MomentFields:
-    """Cloud-in-cell moments: density, momentum, second moment per cell."""
-    g = particles.grid
+    """Cloud-in-cell density and momentum per cell, from one shared stencil."""
+    p = particles
+    g = p.grid
     inv_vol = 1.0 / g.cell_volume
-    rho = _scatter(g, particles.X, particles.w) * inv_vol
-    jx = _scatter(g, particles.X, particles.w * particles.V[:, 0]) * inv_vol
-    jy = _scatter(g, particles.X, particles.w * particles.V[:, 1]) * inv_vol
-    e2 = _scatter(g, particles.X, particles.w * np.sum(particles.V**2, axis=1)) * inv_vol
-    return MomentFields(g, rho, np.stack([jx, jy], axis=-1), e2)
+    stencil = _cic(g, p.X)
+    rho = _scatter(g, stencil, p.w) * inv_vol
+    jx = _scatter(g, stencil, p.w * p.V[:, 0]) * inv_vol
+    jy = _scatter(g, stencil, p.w * p.V[:, 1]) * inv_vol
+    return MomentFields(g, rho, np.stack([jx, jy], axis=-1))
 
 
 # -- dynamics ----------------------------------------------------------------
@@ -255,5 +263,5 @@ def drag_dissipation_exact(particles: ParticleEnsemble, vel: VelocityField | Non
         uk = np.zeros_like(p.V)
     else:
         uk = interpolate_velocity(vel, p.X)
-    rel2 = np.sum((p.V - uk) ** 2, axis=1)
-    return float(np.sum(p.w * rel2)) * (1.0 - np.exp(-2.0 * dt)) / 2.0
+    rel = p.V - uk
+    return float(np.sum(p.w * row_dot(rel, rel))) * (1.0 - np.exp(-2.0 * dt)) / 2.0

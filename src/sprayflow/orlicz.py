@@ -116,9 +116,3 @@ def holder_pairing(phi, psi, s, weights, comp_weights=None) -> float:
         raise AssertionError(f"Hoelder pairing ratio {ratio} exceeds 2")
     return ratio
 
-
-def spacetime_weights(field, grid=None) -> np.ndarray:
-    """(nslabs, nx, ny) quadrature weights h^2 * slab duration for a field."""
-    grid = grid or field.grid
-    dur = field.durations()
-    return dur[:, None, None] * np.full((grid.nx, grid.ny), grid.cell_volume)

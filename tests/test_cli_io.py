@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import os
 
@@ -219,6 +220,32 @@ def test_run_honours_cfl_factor(tmp_path):
 def test_config_rejects_nonpositive_cfl_factor(tmp_path, cfl_factor):
     p = _resting_fluid_ini(tmp_path / "bad.ini", cfl_factor)
     with pytest.raises(ConfigError):
+        load_config(p)
+    assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
+
+
+def test_config_rejects_dt_not_dividing_t_end(tmp_path):
+    # 0.1 / 0.03 = 3.33 steps: the run would silently stop at t = 0.09
+    p = tmp_path / "uneven.ini"
+    p.write_text("[domain]\nnx = 16\nny = 16\n[run]\nt_end = 0.1\ndt = 0.03\n")
+    with pytest.raises(ConfigError, match="divide"):
+        load_config(p)
+    assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
+    base = load_config(_resting_fluid_ini(tmp_path / "even.ini", 1.0))
+    with pytest.raises(ConfigError):
+        dataclasses.replace(base, dt=0.004)
+
+
+@pytest.mark.parametrize("extra", [
+    "[kinetic]\npreset = maxwellian\ntemperatur = 0.1\n",
+    "[exponent]\npreset = constant\nvalue = 2.0\namplitud = 0.1\n",
+    "[fluid]\ninitial = rest\namplitde = 0.1\n",
+    "[kinetics]\npreset = uniform\n",
+], ids=["kinetic-key", "exponent-key", "fluid-key", "section"])
+def test_config_rejects_unknown_keys(tmp_path, extra):
+    p = tmp_path / "typo.ini"
+    p.write_text("[domain]\nnx = 16\nny = 16\n[run]\nt_end = 0.01\ndt = 0.005\n" + extra)
+    with pytest.raises(ConfigError, match="unknown"):
         load_config(p)
     assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
 

@@ -22,7 +22,7 @@ OPS = FluidOps(GRID)
 def constant_moments(rho, jx, jy, grid=GRID):
     r = np.full((grid.nx, grid.ny), float(rho))
     j = np.stack([np.full_like(r, float(jx)), np.full_like(r, float(jy))], axis=-1)
-    return MomentFields(grid, r, j, np.zeros_like(r))
+    return MomentFields(grid, r, j)
 
 
 def uniform_u(ux, uy, grid=GRID):

@@ -41,7 +41,7 @@ def test_zero_preset_empty():
     p = sample_initial(GRID, "zero", 100, mass=1.0)
     assert p.n == 0
     m = deposit(p)
-    assert np.all(m.rho == 0.0) and np.all(m.j == 0.0) and np.all(m.e2 == 0.0)
+    assert np.all(m.rho == 0.0) and np.all(m.j == 0.0)
     assert p.kinetic_energy() == 0.0
 
 
@@ -201,3 +201,46 @@ def test_interpolation_reproduces_constants_everywhere():
     uk = interpolate_velocity(vel, X)
     np.testing.assert_allclose(uk[:, 0], 0.7, rtol=1e-14)
     np.testing.assert_allclose(uk[:, 1], -0.4, rtol=1e-14)
+
+
+def test_deposit_is_adjoint_of_interpolation():
+    # h^2 sum_cells rho * u_c = sum_particles w * u_k holds exactly when the
+    # scatter and the gather use one stencil, clamped corners included
+    g = Grid(12, 20, 0.6, 1.0)  # h = 0.05, non-square domain
+    h = g.h
+    rng = np.random.default_rng(12)
+    vel = VelocityField(g, 1.0 + rng.standard_normal((g.nx + 1, g.ny)),
+                        1.0 + rng.standard_normal((g.nx, g.ny + 1)))
+
+    def near(lo, size):  # within half a cell of the lower wall/corner
+        return lo + rng.uniform(1e-3 * h, 0.5 * h, size)
+
+    k = 8
+    along_x = rng.uniform(0.0, g.lx, k)
+    along_y = rng.uniform(0.0, g.ly, k)
+    X = np.vstack([
+        rng.uniform((0.0, 0.0), (g.lx, g.ly), size=(200, 2)),
+        np.column_stack([near(0.0, k), along_y]),           # left wall
+        np.column_stack([g.lx - near(0.0, k), along_y]),    # right wall
+        np.column_stack([along_x, near(0.0, k)]),           # bottom wall
+        np.column_stack([along_x, g.ly - near(0.0, k)]),    # top wall
+        np.column_stack([near(0.0, k), near(0.0, k)]),      # corners
+        np.column_stack([g.lx - near(0.0, k), g.ly - near(0.0, k)]),
+        np.column_stack([near(0.0, k), g.ly - near(0.0, k)]),
+        np.column_stack([g.lx - near(0.0, k), near(0.0, k)]),
+    ])
+    assert np.all(g.contains(X))
+    n = X.shape[0]
+    w = rng.uniform(0.1, 1.0, n)
+    V = 1.0 + rng.standard_normal((n, 2))
+    p = ParticleEnsemble(g, X, V, w, np.ones(n))
+
+    m = deposit(p)
+    uk = interpolate_velocity(vel, X)
+    uc, vc = vel.cell_centered()
+    vol = g.cell_volume
+    mass_side = vol * np.sum(m.rho * uc)
+    np.testing.assert_allclose(mass_side, np.sum(w * uk[:, 0]), rtol=1e-13, atol=0)
+    momentum_side = vol * np.sum(m.j[..., 0] * uc + m.j[..., 1] * vc)
+    np.testing.assert_allclose(momentum_side, np.sum(w * np.sum(V * uk, axis=1)),
+                               rtol=1e-13, atol=0)
