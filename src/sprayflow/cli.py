@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 config/parse error, 3 numeric blow-up, 4 certificate
-(validation) failure.
+Exit codes: 0 success, 1 ledgers differ (ledger-diff), 2 config/parse error,
+3 numeric blow-up, 4 certificate (validation) failure.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, load_config
-from .coupling import EnergyLedger
+from .coupling import LEDGER_COLUMNS, EnergyLedger
 from .exponent import PRESETS, build_covering, validate as validate_field
 from .fluid import BlowUp, CFLViolation
 from .grid import Grid
@@ -23,6 +23,7 @@ from .run import CertificateFailure, build_scene, fitted_order, run_scenario
 from .snapshots import KIND_TENSOR, read_snapshot
 
 EXIT_OK = 0
+EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_CERTIFICATE = 4
@@ -155,6 +156,35 @@ def cmd_energy_report(args) -> int:
     return EXIT_OK
 
 
+LEDGER_RTOL = 1e-12
+
+
+def cmd_ledger_diff(args) -> int:
+    try:
+        a = EnergyLedger.read_csv(args.a)
+        b = EnergyLedger.read_csv(args.b)
+    except (OSError, ValueError) as exc:
+        print(f"cannot compare ledgers: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if len(a.rows) != len(b.rows):
+        print(f"row counts differ: {len(a.rows)} and {len(b.rows)}", file=sys.stderr)
+        return EXIT_CONFIG
+    agree = True
+    for col in LEDGER_COLUMNS:
+        ca = np.array([getattr(r, col) for r in a.rows])
+        cb = np.array([getattr(r, col) for r in b.rows])
+        diff = float(np.max(np.abs(ca - cb), initial=0.0))
+        scale = float(np.max(np.abs(ca), initial=0.0))
+        rel = diff / scale if scale > 0 else (0.0 if diff == 0 else np.inf)
+        agree &= rel <= LEDGER_RTOL  # False for NaN
+        print(f"{col}: max|a-b| = {diff:.3e}, relative to max|a| {rel:.3e}")
+    if not agree:
+        print(f"ledgers differ beyond {LEDGER_RTOL:g} relative")
+        return EXIT_MISMATCH
+    print(f"ledgers agree to {LEDGER_RTOL:g} relative")
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="sprayflow")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -188,6 +218,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("energy-report", help="fit residual convergence order from ledgers")
     p.add_argument("ledgers", nargs="+")
     p.set_defaults(fn=cmd_energy_report)
+
+    p = sub.add_parser("ledger-diff", help="per-column difference of two ledgers")
+    p.add_argument("a")
+    p.add_argument("b")
+    p.set_defaults(fn=cmd_ledger_diff)
 
     args = ap.parse_args(argv)
     return args.fn(args)

@@ -33,9 +33,21 @@ class ExponentSpec:
     preset: str
     params: dict = field(default_factory=dict)
 
-    def build(self, grid: Grid, t_end: float, d: int = 2) -> ExponentField:
+    def check(self, t_end: float, d: int = 2) -> None:
+        """Raise ConfigError unless the preset builds from these keys and values.
+
+        The preset is built on a one-cell mesh, so a key it does not take, a
+        key it needs and lacks, or a value it refuses (a switch time outside
+        (0, t_end)) is a config error here, not an exception from build().
+        """
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown exponent preset: {self.preset!r}")
+        try:
+            self.build(Grid(1, 1), t_end, d=d)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"[exponent] preset {self.preset!r}: {exc}") from exc
+
+    def build(self, grid: Grid, t_end: float, d: int = 2) -> ExponentField:
         return PRESETS[self.preset](grid, t_end, d=d, **self.params)
 
 
@@ -88,6 +100,7 @@ class ScenarioConfig:
                 f"dt = {self.dt} does not divide t_end = {self.t_end}: "
                 f"{n_steps} steps end at t = {n_steps * self.dt}"
             )
+        self.exponent.check(self.t_end, d=self.d)
 
 
 _EXP_FLOAT_KEYS = {

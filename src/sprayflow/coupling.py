@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fluid import FluidOps, FluidState, StepDiagnostics, VelocityField, fluid_step
+from .fluid import FluidOps, FluidState, VelocityField, fluid_step
 from .kinetic import (
     MomentFields,
     ParticleEnsemble,
@@ -50,7 +50,6 @@ class LedgerRow:
     # in-memory diagnostics, not part of the CSV schema
     residual_step: float = 0.0
     antisymmetry_defect: float = 0.0
-    exchange_work: float = 0.0
 
 
 @dataclass
@@ -76,10 +75,12 @@ class EnergyLedger:
         led = EnergyLedger()
         with open(path, newline="") as fh:
             rd = csv.reader(fh)
-            header = tuple(next(rd))
+            header = tuple(next(rd, ()))
             if header != LEDGER_COLUMNS:
                 raise ValueError(f"unexpected ledger columns: {header}")
             for rec in rd:
+                if len(rec) != len(LEDGER_COLUMNS):
+                    raise ValueError(f"ledger row {rd.line_num} has {len(rec)} fields")
                 led.append(LedgerRow(*(float(v) for v in rec)))
         return led
 
@@ -173,7 +174,6 @@ def coupled_step(
         residual_cum=(prev.residual_cum if prev else 0.0) + res,
         residual_step=res,
         antisymmetry_defect=defect,
-        exchange_work=w_f,
     )
     if ledger is not None:
         ledger.append(row)

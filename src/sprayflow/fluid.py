@@ -103,7 +103,6 @@ class StepDiagnostics:
     energy_before: float
     energy_after: float
     stress_dissipation: float   # sum S^theta : Du h^2 dt, pre-step field
-    drag_work: float            # dt <F_drag, u> in the grid inner product
     cfl_dt: float
 
 
@@ -293,16 +292,12 @@ def fluid_step(
 
     h2 = ops.grid.cell_volume
     d_stress = float(np.sum(stress * du * np.array([1.0, 1.0, 2.0]))) * h2 * dt
-    drag_work = 0.0
 
     rhs_u = -conv.u + sdiv.u
     rhs_v = -conv.v + sdiv.v
     if drag is not None:
         rhs_u = rhs_u + drag.u
         rhs_v = rhs_v + drag.v
-        drag_work = dt * h2 * (
-            float(np.sum(drag.u * vel.u)) + float(np.sum(drag.v * vel.v))
-        )
     if forcing is not None:
         rhs_u = rhs_u + forcing.u
         rhs_v = rhs_v + forcing.v
@@ -317,7 +312,6 @@ def fluid_step(
         energy_before=vel.energy(),
         energy_after=new_vel.energy(),
         stress_dissipation=d_stress,
-        drag_work=drag_work,
         cfl_dt=limit,
     )
     return FluidState(new_vel, state.time + dt, phi / dt), diag

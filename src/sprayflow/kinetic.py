@@ -13,11 +13,16 @@ so the drag never limits the step size, and free decay (u = 0) contracts
 kinetic energy by exactly e^{-2 dt} per step.
 
 Deposition (density and momentum) and velocity interpolation share one
-bilinear (cloud-in-cell) kernel on cell centers with index clamping at the
-walls.  Each call builds the stencil once, as flat indices of the four corner
-cells plus the x/y fractions, and every gather and scatter at those positions
-reads it; the shared kernel is what makes the drag energy exchange
-antisymmetric in the coupling audit.
+bilinear (cloud-in-cell) kernel on cell centers.  The cell-center coordinate
+is clamped at the walls, so a particle within half a cell of a wall gives that
+axis's whole weight to the wall cell; the kernel needs at least 2 cells per
+axis.  Each call builds the stencil once, as the flat index of the lower
+corner cell plus the four bilinear weights, and every gather and scatter at
+those positions reads it; the shared kernel is what makes the drag energy
+exchange antisymmetric in the coupling audit.
+
+Wall reflection finds the particles that left the domain in one pass and
+mirrors only those rows.
 """
 
 from __future__ import annotations
@@ -125,48 +130,64 @@ def sample_initial(
 # -- shared bilinear kernel --------------------------------------------------
 
 def _cic(grid: Grid, X: np.ndarray):
-    """Cell-center bilinear stencil: flat corner indices and x/y fractions.
+    """Cell-center bilinear stencil: lower-corner indices and four weights.
 
-    Returns (k00, k10, k01, k11, fx, fy), where k_ab indexes cell
-    (i0 + a, j0 + b) of a raveled (nx, ny) array.  Indices are clamped at the
-    walls, which folds the half-cell overflow back onto the boundary cell: the
-    four weights still sum to one, so deposition conserves mass exactly and
-    interpolation reproduces constants.  One stencil serves every gather and
-    scatter at the same positions.
+    Returns (k00, w00, w10, w01, w11).  k00 indexes the lower corner cell
+    (i0, j0) of a raveled (nx, ny) array; corner (i0 + a, j0 + b) sits
+    a * ny + b further on, so it is read through the offset view
+    f[a * ny + b:] at the same index, and w_ab is its weight.  The
+    cell-center coordinate is clamped to [0, n - 1] on each axis before it is
+    split into a lower index in [0, n - 2] and a fraction in [0, 1], so a
+    particle within half a cell of a wall puts that axis's whole weight on the
+    wall cell: the weights still sum to one, deposition conserves mass and
+    interpolation reproduces constants.  The index is clipped as well, so a
+    non-finite position never yields an out-of-range index.  One stencil
+    serves every gather and scatter at the same positions; it needs at least
+    2 cells per axis.
     """
-    fx = X[:, 0] / grid.h - 0.5
-    fy = X[:, 1] / grid.h - 0.5
-    ix = np.floor(fx).astype(np.intp)
-    iy = np.floor(fy).astype(np.intp)
-    fx -= ix
+    nx, ny = grid.nx, grid.ny
+    if nx < 2 or ny < 2:
+        raise ValueError(f"the CIC stencil needs at least 2 cells per axis, got {nx} x {ny}")
+    fx = X[:, 0] / grid.h
+    fx -= 0.5
+    np.clip(fx, 0.0, nx - 1, out=fx)
+    k00 = fx.astype(np.intp)
+    np.clip(k00, 0, nx - 2, out=k00)
+    fx -= k00
+    fy = X[:, 1] / grid.h
+    fy -= 0.5
+    np.clip(fy, 0.0, ny - 1, out=fy)
+    iy = fy.astype(np.intp)
+    np.clip(iy, 0, ny - 2, out=iy)
     fy -= iy
-    # the upper indices reuse the buffers of ix and iy, which lowers the peak
-    # memory of every particle call by two (n,) arrays
-    r0 = np.clip(ix, 0, grid.nx - 1) * grid.ny
-    r1 = np.clip(ix + 1, 0, grid.nx - 1, out=ix) * grid.ny
-    j0 = np.clip(iy, 0, grid.ny - 1)
-    j1 = np.clip(iy + 1, 0, grid.ny - 1, out=iy)
-    return r0 + j0, r1 + j0, r0 + j1, r1 + j1, fx, fy
+    k00 *= ny
+    k00 += iy
+    # w11, w10 and w00 reuse the buffers of fy, fx and 1 - fx: one array
+    # more than the fractions, so the stencil's peak memory stays low
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    w01 = gx * fy
+    w11 = np.multiply(fx, fy, out=fy)
+    w10 = np.multiply(fx, gy, out=fx)
+    w00 = np.multiply(gx, gy, out=gx)
+    return k00, w00, w10, w01, w11
 
 
 def _gather(stencil, field: np.ndarray) -> np.ndarray:
-    k00, k10, k01, k11, fx, fy = stencil
+    k00, w00, w10, w01, w11 = stencil
+    ny = field.shape[1]
     f = field.ravel()
-    return (
-        f[k00] * (1 - fx) * (1 - fy)
-        + f[k10] * fx * (1 - fy)
-        + f[k01] * (1 - fx) * fy
-        + f[k11] * fx * fy
-    )
+    return f[k00] * w00 + f[ny:][k00] * w10 + f[1:][k00] * w01 + f[ny + 1:][k00] * w11
 
 
 def _scatter(grid: Grid, stencil, values: np.ndarray) -> np.ndarray:
-    k00, k10, k01, k11, fx, fy = stencil
+    k00, w00, w10, w01, w11 = stencil
+    ny = grid.ny
     out = np.zeros(grid.ncells)
-    np.add.at(out, k00, values * ((1 - fx) * (1 - fy)))
-    np.add.at(out, k10, values * (fx * (1 - fy)))
-    np.add.at(out, k01, values * ((1 - fx) * fy))
-    np.add.at(out, k11, values * (fx * fy))
+    np.add.at(out, k00, values * w00)
+    np.add.at(out[ny:], k00, values * w10)
+    np.add.at(out[1:], k00, values * w01)
+    np.add.at(out[ny + 1:], k00, values * w11)
     return out.reshape(grid.nx, grid.ny)
 
 
@@ -196,32 +217,43 @@ def reflect(X: np.ndarray, V: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.nd
 
     Each wall crossing mirrors the overshoot and flips the normal velocity
     component (v* = v - 2(v.n)n per axis); corner overshoots get both axes
-    flipped.  |v| is preserved exactly.
+    flipped.  |v| is preserved exactly.  One pass over the ensemble finds the
+    rows outside [eps, L - eps] on either axis; only those rows are mirrored
+    and nudged, and every other row is returned as it came.  The inputs are
+    not modified.
     """
+    extents = (grid.lx, grid.ly)
+    eps = tuple(1e-12 * ell for ell in extents)
+    x, y = X[:, 0], X[:, 1]
+    rows = np.flatnonzero(
+        (x < eps[0]) | (x > extents[0] - eps[0]) | (y < eps[1]) | (y > extents[1] - eps[1])
+    )
     X = X.copy()
     V = V.copy()
-    extents = (grid.lx, grid.ly)
+    Xr = X[rows]
+    Vr = V[rows]
     for _ in range(_MAX_REFLECTIONS):
         outside = False
         for axis, ell in enumerate(extents):
-            lo = X[:, axis] < 0.0
+            lo = Xr[:, axis] < 0.0
             if lo.any():
-                X[lo, axis] = -X[lo, axis]
-                V[lo, axis] = -V[lo, axis]
+                Xr[lo, axis] = -Xr[lo, axis]
+                Vr[lo, axis] = -Vr[lo, axis]
                 outside = True
-            hi = X[:, axis] > ell
+            hi = Xr[:, axis] > ell
             if hi.any():
-                X[hi, axis] = 2.0 * ell - X[hi, axis]
-                V[hi, axis] = -V[hi, axis]
+                Xr[hi, axis] = 2.0 * ell - Xr[hi, axis]
+                Vr[hi, axis] = -Vr[hi, axis]
                 outside = True
         if not outside:
             break
     else:
         raise EscapeError("particle still outside after 100 reflections")
-    # a segment ending exactly on a wall is nudged inside (measure-zero event)
+    # a segment ending on or within eps of a wall is nudged inside
     for axis, ell in enumerate(extents):
-        eps = 1e-12 * ell
-        X[:, axis] = np.clip(X[:, axis], eps, ell - eps)
+        np.clip(Xr[:, axis], eps[axis], ell - eps[axis], out=Xr[:, axis])
+    X[rows] = Xr
+    V[rows] = Vr
     return X, V
 
 

@@ -250,6 +250,24 @@ def test_config_rejects_unknown_keys(tmp_path, extra):
     assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("keys", [
+    "preset = constant\nvalue = 2.5\nbase = 2.2\n",
+    "preset = sinusoidal\nbase = 2.2\nvalue = 2.5\n",
+    "preset = two_phase_switch\nswitch_time = 0.05\namplitude = 0.1\n",
+    "value = 2.5\nswitch_time = 0.05\n",
+    "preset = two_phase_switch\nvalue_before = 2.0\n",
+    "preset = two_phase_switch\nswitch_time = 0.5\n",
+], ids=["constant-base", "sinusoidal-value", "switch-amplitude", "default-preset",
+        "switch-missing-time", "switch-after-t-end"])
+def test_config_rejects_exponent_keys_the_preset_cannot_build(tmp_path, keys):
+    p = tmp_path / "mixed.ini"
+    p.write_text("[domain]\nnx = 16\nny = 16\n[run]\nt_end = 0.1\ndt = 0.01\n"
+                 "[exponent]\n" + keys)
+    with pytest.raises(ConfigError, match="preset"):
+        load_config(p)
+    assert run_cli(["validate", "--config", str(p)]) == 2
+
+
 def test_run_bad_exponent_exit_4(tmp_path):
     p = tmp_path / "low.ini"
     p.write_text(
@@ -275,3 +293,45 @@ def test_energy_report_fits_order(tmp_path, capsys):
     out = capsys.readouterr().out
     order = float(out.strip().splitlines()[-1].split(":")[1])
     assert order == pytest.approx(1.0, abs=1e-6)
+
+
+def _write_ledger(path, rows):
+    from sprayflow.coupling import EnergyLedger, LedgerRow
+
+    led = EnergyLedger()
+    for r in rows:
+        led.append(LedgerRow(*r))
+    led.write_csv(path)
+    return str(path)
+
+
+def test_ledger_diff_exit_codes(tmp_path, capsys):
+    base = np.array([[0.002 * (i + 1), 1.0 - 0.01 * i, 0.5, 0.1 * i, 0.2 * i, 1e-6 * i]
+                     for i in range(4)])
+    a = _write_ledger(tmp_path / "a.csv", base)
+    same = _write_ledger(tmp_path / "same.csv", base)
+    close, far = base.copy(), base.copy()
+    close[3, 5] += 1e-13 * 3e-6        # relative to the column's max |a| = 3e-6
+    far[3, 5] += 1e-11 * 3e-6
+    close = _write_ledger(tmp_path / "close.csv", close)
+    far = _write_ledger(tmp_path / "far.csv", far)
+    assert run_cli(["ledger-diff", a, same]) == 0
+    out = capsys.readouterr().out
+    assert "residual_cum: max|a-b| = 0.000e+00" in out
+    assert run_cli(["ledger-diff", a, close]) == 0
+    assert run_cli(["ledger-diff", a, far]) == 1
+    assert "residual_cum" in capsys.readouterr().out
+    blown = base.copy()
+    blown[3, 1] = np.nan
+    blown = _write_ledger(tmp_path / "blown.csv", blown)
+    assert run_cli(["ledger-diff", a, blown]) == 1
+
+    short = _write_ledger(tmp_path / "short.csv", base[:3])
+    assert run_cli(["ledger-diff", a, short]) == 2
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text(open(a).read().replace("E_kin", "E_kinetic"))
+    assert run_cli(["ledger-diff", a, str(renamed)]) == 2
+    extra = tmp_path / "extra.csv"
+    extra.write_text(open(a).read().rstrip("\n") + ",0.0\n")
+    assert run_cli(["ledger-diff", str(extra), a]) == 2
+    assert run_cli(["ledger-diff", a, str(tmp_path / "missing.csv")]) == 2

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sprayflow.fluid import VelocityField
 from sprayflow.grid import Grid
 from sprayflow.kinetic import (
+    _MAX_REFLECTIONS,
     EscapeError,
     ParticleEnsemble,
+    _cic,
     advance,
     deposit,
     drag_dissipation_exact,
@@ -16,6 +19,7 @@ from sprayflow.kinetic import (
 )
 
 GRID = Grid(16, 16)
+WALL_GRID = Grid(12, 20, 0.6, 1.0)  # h = 0.05, non-square domain
 
 
 def single(x, y, vx, vy, w=1.0, fv=1.0, grid=GRID):
@@ -155,6 +159,49 @@ def test_reflect_preserves_speed_and_interiority(x, y, vx, vy):
     assert GRID.contains(Xr)[0]
 
 
+def reflect_one(x, v, extents):
+    """Per-particle reference for reflect, in plain Python floats."""
+    x, v = list(x), list(v)
+    for _ in range(_MAX_REFLECTIONS):
+        outside = False
+        for a, ell in enumerate(extents):
+            if x[a] < 0.0:
+                x[a], v[a], outside = -x[a], -v[a], True
+            if x[a] > ell:
+                x[a], v[a], outside = 2.0 * ell - x[a], -v[a], True
+        if not outside:
+            break
+    else:
+        raise EscapeError("reference particle escaped")
+    for a, ell in enumerate(extents):
+        eps = 1e-12 * ell
+        x[a] = min(max(x[a], eps), ell - eps)
+    return x, v
+
+
+_UNIT = st.floats(min_value=-3.0, max_value=4.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    out=hnp.arrays(np.float64, (150, 2), elements=_UNIT),
+    inside=hnp.arrays(np.float64, (50, 2), elements=st.floats(min_value=0.0, max_value=1.0)),
+    V=hnp.arrays(np.float64, (200, 2), elements=st.floats(min_value=-5.0, max_value=5.0)),
+)
+def test_reflect_batch_matches_per_particle_loop(out, inside, V):
+    g = WALL_GRID
+    extents = (g.lx, g.ly)
+    # positions in [-3L, 4L] per axis, a quarter of them inside the domain
+    X = np.vstack([out, inside]) * extents
+    X0, V0 = X.copy(), V.copy()
+    Xr, Vr = reflect(X, V, g)
+    np.testing.assert_array_equal(X, X0)
+    np.testing.assert_array_equal(V, V0)
+    for i in range(X.shape[0]):
+        xe, ve = reflect_one(X[i], V[i], extents)
+        assert Xr[i].tolist() == xe and Vr[i].tolist() == ve, i
+
+
 def test_reflect_escape_guard():
     X = np.array([[1e4, 0.5]])
     V = np.array([[1.0, 0.0]])
@@ -203,44 +250,93 @@ def test_interpolation_reproduces_constants_everywhere():
     np.testing.assert_allclose(uk[:, 1], -0.4, rtol=1e-14)
 
 
-def test_deposit_is_adjoint_of_interpolation():
-    # h^2 sum_cells rho * u_c = sum_particles w * u_k holds exactly when the
-    # scatter and the gather use one stencil, clamped corners included
-    g = Grid(12, 20, 0.6, 1.0)  # h = 0.05, non-square domain
+def _wall_particles(g, rng, k=8):
+    """Random interior points plus k within half a cell of each wall and corner."""
     h = g.h
-    rng = np.random.default_rng(12)
-    vel = VelocityField(g, 1.0 + rng.standard_normal((g.nx + 1, g.ny)),
-                        1.0 + rng.standard_normal((g.nx, g.ny + 1)))
 
-    def near(lo, size):  # within half a cell of the lower wall/corner
-        return lo + rng.uniform(1e-3 * h, 0.5 * h, size)
+    def near(size):
+        return rng.uniform(1e-3 * h, 0.5 * h, size)
 
-    k = 8
     along_x = rng.uniform(0.0, g.lx, k)
     along_y = rng.uniform(0.0, g.ly, k)
     X = np.vstack([
         rng.uniform((0.0, 0.0), (g.lx, g.ly), size=(200, 2)),
-        np.column_stack([near(0.0, k), along_y]),           # left wall
-        np.column_stack([g.lx - near(0.0, k), along_y]),    # right wall
-        np.column_stack([along_x, near(0.0, k)]),           # bottom wall
-        np.column_stack([along_x, g.ly - near(0.0, k)]),    # top wall
-        np.column_stack([near(0.0, k), near(0.0, k)]),      # corners
-        np.column_stack([g.lx - near(0.0, k), g.ly - near(0.0, k)]),
-        np.column_stack([near(0.0, k), g.ly - near(0.0, k)]),
-        np.column_stack([g.lx - near(0.0, k), near(0.0, k)]),
+        np.column_stack([near(k), along_y]),                # left wall
+        np.column_stack([g.lx - near(k), along_y]),         # right wall
+        np.column_stack([along_x, near(k)]),                # bottom wall
+        np.column_stack([along_x, g.ly - near(k)]),         # top wall
+        np.column_stack([near(k), near(k)]),                # corners
+        np.column_stack([g.lx - near(k), g.ly - near(k)]),
+        np.column_stack([near(k), g.ly - near(k)]),
+        np.column_stack([g.lx - near(k), near(k)]),
     ])
     assert np.all(g.contains(X))
+    return X
+
+
+def test_deposit_is_adjoint_of_interpolation():
+    # h^2 sum_cells rho * u_c = sum_particles w * u_k holds exactly when the
+    # scatter and the gather use one stencil, clamped corners included
+    g = WALL_GRID
+    rng = np.random.default_rng(12)
+    vel = VelocityField(g, 1.0 + rng.standard_normal((g.nx + 1, g.ny)),
+                        1.0 + rng.standard_normal((g.nx, g.ny + 1)))
+    X = _wall_particles(g, rng)
     n = X.shape[0]
     w = rng.uniform(0.1, 1.0, n)
     V = 1.0 + rng.standard_normal((n, 2))
     p = ParticleEnsemble(g, X, V, w, np.ones(n))
 
     m = deposit(p)
+    vol = g.cell_volume
+    np.testing.assert_allclose(vol * m.rho.sum(), w.sum(), rtol=1e-14, atol=0)
     uk = interpolate_velocity(vel, X)
     uc, vc = vel.cell_centered()
-    vol = g.cell_volume
     mass_side = vol * np.sum(m.rho * uc)
     np.testing.assert_allclose(mass_side, np.sum(w * uk[:, 0]), rtol=1e-13, atol=0)
     momentum_side = vol * np.sum(m.j[..., 0] * uc + m.j[..., 1] * vc)
     np.testing.assert_allclose(momentum_side, np.sum(w * np.sum(V * uk, axis=1)),
                                rtol=1e-13, atol=0)
+
+
+def test_interpolation_reproduces_constants_near_walls():
+    g = WALL_GRID
+    X = _wall_particles(g, np.random.default_rng(22))
+    vel = VelocityField(g, np.full((g.nx + 1, g.ny), 0.7),
+                        np.full((g.nx, g.ny + 1), -0.4))
+    uk = interpolate_velocity(vel, X)
+    np.testing.assert_allclose(uk[:, 0], 0.7, rtol=1e-14)
+    np.testing.assert_allclose(uk[:, 1], -0.4, rtol=1e-14)
+
+
+def test_wall_cell_centre_reads_that_cell():
+    # at the centre of a wall cell, and anywhere between it and the wall
+    # along the normal, the clamped stencil reads that cell's value alone
+    g = WALL_GRID
+    h = g.h
+    rng = np.random.default_rng(23)
+    vel = VelocityField(g, rng.standard_normal((g.nx + 1, g.ny)),
+                        rng.standard_normal((g.nx, g.ny + 1)))
+    uc, vc = vel.cell_centered()
+    cells = [(0, j) for j in range(g.ny)] + [(g.nx - 1, j) for j in range(g.ny)]
+    cells += [(i, 0) for i in range(g.nx)] + [(i, g.ny - 1) for i in range(g.nx)]
+    i, j = np.array(cells).T
+    centres = np.column_stack([(i + 0.5) * h, (j + 0.5) * h])
+    uk = interpolate_velocity(vel, centres)
+    np.testing.assert_allclose(uk[:, 0], uc[i, j], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(uk[:, 1], vc[i, j], rtol=0, atol=1e-14)
+    # corner cells: both coordinates between the centre and the walls
+    s = rng.uniform(1e-3, 0.5, 4) * h
+    corners = np.array([[s[0], s[1]], [g.lx - s[2], g.ly - s[3]],
+                        [s[0], g.ly - s[3]], [g.lx - s[2], s[1]]])
+    ci = np.array([0, g.nx - 1, 0, g.nx - 1])
+    cj = np.array([0, g.ny - 1, g.ny - 1, 0])
+    uk = interpolate_velocity(vel, corners)
+    np.testing.assert_allclose(uk[:, 0], uc[ci, cj], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(uk[:, 1], vc[ci, cj], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("nx, ny, lx, ly", [(1, 8, 0.125, 1.0), (8, 1, 1.0, 0.125)])
+def test_cic_needs_two_cells_per_axis(nx, ny, lx, ly):
+    with pytest.raises(ValueError, match="2 cells"):
+        _cic(Grid(nx, ny, lx, ly), np.array([[0.5 * lx, 0.5 * ly]]))
