@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, load_config
-from .coupling import LEDGER_COLUMNS, EnergyLedger
+from .coupling import LEDGER_RTOL, EnergyLedger, ledger_differences
 from .exponent import PRESETS, build_covering, validate as validate_field
 from .fluid import BlowUp, CFLViolation
 from .grid import Grid
@@ -156,29 +156,15 @@ def cmd_energy_report(args) -> int:
     return EXIT_OK
 
 
-LEDGER_RTOL = 1e-12
-
-
 def cmd_ledger_diff(args) -> int:
     try:
-        a = EnergyLedger.read_csv(args.a)
-        b = EnergyLedger.read_csv(args.b)
+        diffs = ledger_differences(EnergyLedger.read_csv(args.a), EnergyLedger.read_csv(args.b))
     except (OSError, ValueError) as exc:
         print(f"cannot compare ledgers: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if len(a.rows) != len(b.rows):
-        print(f"row counts differ: {len(a.rows)} and {len(b.rows)}", file=sys.stderr)
-        return EXIT_CONFIG
-    agree = True
-    for col in LEDGER_COLUMNS:
-        ca = np.array([getattr(r, col) for r in a.rows])
-        cb = np.array([getattr(r, col) for r in b.rows])
-        diff = float(np.max(np.abs(ca - cb), initial=0.0))
-        scale = float(np.max(np.abs(ca), initial=0.0))
-        rel = diff / scale if scale > 0 else (0.0 if diff == 0 else np.inf)
-        agree &= rel <= LEDGER_RTOL  # False for NaN
+    for col, (diff, rel) in diffs.items():
         print(f"{col}: max|a-b| = {diff:.3e}, relative to max|a| {rel:.3e}")
-    if not agree:
+    if not all(rel <= LEDGER_RTOL for _, rel in diffs.values()):  # False for NaN
         print(f"ledgers differ beyond {LEDGER_RTOL:g} relative")
         return EXIT_MISMATCH
     print(f"ledgers agree to {LEDGER_RTOL:g} relative")

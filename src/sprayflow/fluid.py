@@ -13,9 +13,10 @@ Three structural identities are engineered to hold to machine precision:
 * the convective term is the flux-divergence form minus half the velocity
   times the interpolated cell divergence, which makes <conv(u), u> vanish
   identically (skew symmetry, no div-free requirement);
-* the stress divergence is defined as minus the exact adjoint of the
-  cell-centered symmetric gradient, so <-div S, u> = sum S:Du h^2 is a matrix
-  transpose identity, not a discretization accident;
+* the symmetric gradient is a set of slice-difference stencils (no matrix
+  is stored), and the stress divergence is written out as minus its exact
+  transpose, stencil by stencil, so <-div S, u> = sum S:Du h^2 holds to
+  roundoff by construction, not as a discretization accident;
 * the Leray projection subtracts the wall-masked face gradient of a
   multiplier phi that solves the Neumann 5-point Poisson problem to roundoff:
   a type-II DCT diagonalises that operator (Schumann & Sweet 1976), so the
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.fft import dctn, idctn
 
 from .grid import Grid
@@ -61,13 +61,6 @@ class VelocityField:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.u.ravel(), self.v.ravel()])
 
-    @classmethod
-    def from_vector(cls, grid: Grid, vec: np.ndarray) -> "VelocityField":
-        nu = (grid.nx + 1) * grid.ny
-        u = vec[:nu].reshape(grid.nx + 1, grid.ny)
-        v = vec[nu:].reshape(grid.nx, grid.ny + 1)
-        return cls(grid, u, v)
-
     def enforce_walls(self) -> None:
         self.u[0, :] = 0.0
         self.u[-1, :] = 0.0
@@ -86,8 +79,10 @@ class VelocityField:
         return m
 
     def cell_centered(self) -> tuple[np.ndarray, np.ndarray]:
-        uc = 0.5 * (self.u[:-1, :] + self.u[1:, :])
-        vc = 0.5 * (self.v[:, :-1] + self.v[:, 1:])
+        uc = self.u[:-1, :] + self.u[1:, :]
+        uc *= 0.5
+        vc = self.v[:, :-1] + self.v[:, 1:]
+        vc *= 0.5
         return uc, vc
 
 
@@ -106,58 +101,13 @@ class StepDiagnostics:
     cfl_dt: float
 
 
-# -- 1-D operator factories --------------------------------------------------
-
-def _diff(n: int, h: float) -> sp.csr_matrix:
-    """(n, n+1) forward difference: faces -> cells."""
-    return sp.diags([-np.ones(n), np.ones(n)], [0, 1], shape=(n, n + 1)).tocsr() / h
-
-
-def _avg(n: int) -> sp.csr_matrix:
-    """(n, n+1) face-to-cell average."""
-    return sp.diags([np.full(n, 0.5), np.full(n, 0.5)], [0, 1], shape=(n, n + 1)).tocsr()
-
-
-def _centered_mirror(n: int, h: float) -> sp.csr_matrix:
-    """(n, n) centered difference on cell centers, ghost = -first/-last value
-    (mirror through a wall where the tangential velocity vanishes)."""
-    m = sp.lil_matrix((n, n))
-    for j in range(n):
-        if j == 0:
-            m[0, 0] = 0.5 / h
-            m[0, 1] = 0.5 / h
-        elif j == n - 1:
-            m[n - 1, n - 2] = -0.5 / h
-            m[n - 1, n - 1] = -0.5 / h
-        else:
-            m[j, j - 1] = -0.5 / h
-            m[j, j + 1] = 0.5 / h
-    return m.tocsr()
-
-
 class FluidOps:
-    """Per-mesh operators: sparse sym-gradient and its adjoint, DCT projection."""
+    """Per-mesh operators: slice-stencil sym-gradient and its exact transpose,
+    DCT projection."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
         nx, ny, h = grid.nx, grid.ny, grid.h
-        iu = sp.identity(ny, format="csr")
-        iv = sp.identity(nx, format="csr")
-
-        # symmetric gradient G: (u, v) faces -> packed (a11, a22, a12) cells
-        a11_u = sp.kron(_diff(nx, h), iu, format="csr")
-        a22_v = sp.kron(iv, _diff(ny, h), format="csr")
-        a12_u = 0.5 * sp.kron(_avg(nx), _centered_mirror(ny, h), format="csr")
-        a12_v = 0.5 * sp.kron(_centered_mirror(nx, h), _avg(ny), format="csr")
-        nu = (nx + 1) * ny
-        nv = nx * (ny + 1)
-        zero_u = sp.csr_matrix((nx * ny, nu))
-        zero_v = sp.csr_matrix((nx * ny, nv))
-        self._G = sp.bmat(
-            [[a11_u, zero_v], [zero_u, a22_v], [a12_u, a12_v]], format="csr"
-        )
-        self._Gt = self._G.T.tocsr()
-
         # the projection's operator -div grad (wall faces masked) is the
         # Neumann 5-point Laplacian, diagonal in the type-II DCT basis;
         # the constant mode gets 1/inf = 0, so phi has zero mean
@@ -170,15 +120,43 @@ class FluidOps:
     # -- differential operators ---------------------------------------------
 
     def sym_gradient(self, vel: VelocityField) -> np.ndarray:
-        """Cell-centered (grad u + grad u^T)/2, packed (nx, ny, 3)."""
-        g = self._G @ vel.as_vector()
-        nx, ny = self.grid.nx, self.grid.ny
-        return np.moveaxis(g.reshape(3, nx, ny), 0, -1)
+        """Cell-centered (grad u + grad u^T)/2, packed (nx, ny, 3).
+
+        a11, a22 are face differences; a12 = (dy uc + dx vc) / (4h) with
+        uc, vc the cell-centred velocities and d the undivided centred
+        difference whose ghost is minus the wall-adjacent value (the
+        tangential velocity vanishes on the wall).  It is formed from the
+        face sums 2 uc, 2 vc and the weight 1/(8h), which rounds to the
+        same values.
+        """
+        h = self.grid.h
+        u, v = vel.u, vel.v
+        out = np.empty((3, self.grid.nx, self.grid.ny))
+        a11, a22, a12 = out
+        np.subtract(u[1:, :], u[:-1, :], out=a11)
+        a11 /= h
+        np.subtract(v[:, 1:], v[:, :-1], out=a22)
+        a22 /= h
+        su = u[:-1, :] + u[1:, :]
+        sv = v[:, :-1] + v[:, 1:]
+        np.subtract(su[:, 2:], su[:, :-2], out=a12[:, 1:-1])
+        a12[:, 0] = su[:, 1] + su[:, 0]
+        a12[:, -1] = -(su[:, -1] + su[:, -2])
+        a12[1:-1, :] += sv[2:, :] - sv[:-2, :]
+        a12[0, :] += sv[1, :] + sv[0, :]
+        a12[-1, :] -= sv[-1, :] + sv[-2, :]
+        a12 *= 0.125 / h
+        return np.moveaxis(out, 0, -1)
 
     def divergence(self, vel: VelocityField) -> np.ndarray:
         """Cell-centered divergence of face velocities, shape (nx, ny)."""
         h = self.grid.h
-        return (vel.u[1:, :] - vel.u[:-1, :]) / h + (vel.v[:, 1:] - vel.v[:, :-1]) / h
+        div = vel.u[1:, :] - vel.u[:-1, :]
+        div /= h
+        dv = vel.v[:, 1:] - vel.v[:, :-1]
+        dv /= h
+        div += dv
+        return div
 
     def gradient(self, phi: np.ndarray) -> VelocityField:
         """Face gradient of a cell scalar; wall-normal faces are zero."""
@@ -189,12 +167,37 @@ class FluidOps:
         return out
 
     def stress_divergence_of(self, stress_packed: np.ndarray) -> VelocityField:
-        """Face-centered div of a packed cell tensor, exact adjoint of sym_gradient."""
-        weighted = stress_packed * np.array([1.0, 1.0, 2.0])
-        flat = np.moveaxis(weighted, -1, 0).ravel()
-        out = VelocityField.from_vector(self.grid, -(self._Gt @ flat))
-        out.u[0, :] = out.u[-1, :] = 0.0
-        out.v[:, 0] = out.v[:, -1] = 0.0
+        """Face-centered div of a packed cell tensor: minus the transpose of
+        sym_gradient, with the S:Du weights (1, 1, 2) on (S11, S22, S12).
+
+        Transpose rules, term by term: the face-to-cell difference becomes
+        minus the cell-to-face difference, the odd-mirror centred difference
+        becomes minus the centred difference with even (edge-replicated)
+        ghosts, and the face-to-cell average becomes the cell-to-face
+        average.  Wall-normal faces stay zero.
+        """
+        h = self.grid.h
+        s11, s22, s12 = (stress_packed[..., k] for k in range(3))
+        out = VelocityField.zeros(self.grid)
+
+        # u: (S11[i] - S11[i-1]) / h + (E[i-1] + E[i]) / (4h), E = dy S12
+        e = np.empty_like(s12)
+        np.subtract(s12[:, 2:], s12[:, :-2], out=e[:, 1:-1])
+        e[:, 0] = s12[:, 1] - s12[:, 0]
+        e[:, -1] = s12[:, -1] - s12[:, -2]
+        ou = out.u[1:-1, :]
+        np.add(e[:-1, :], e[1:, :], out=ou)
+        ou *= 0.25 / h
+        ou += (s11[1:, :] - s11[:-1, :]) / h
+
+        # v: (S22[j] - S22[j-1]) / h + (F[j-1] + F[j]) / (4h), F = dx S12
+        np.subtract(s12[2:, :], s12[:-2, :], out=e[1:-1, :])
+        e[0, :] = s12[1, :] - s12[0, :]
+        e[-1, :] = s12[-1, :] - s12[-2, :]
+        ov = out.v[:, 1:-1]
+        np.add(e[:, :-1], e[:, 1:], out=ov)
+        ov *= 0.25 / h
+        ov += (s22[:, 1:] - s22[:, :-1]) / h
         return out
 
     def stress_divergence(self, vel: VelocityField, law: StressLaw, t: float) -> VelocityField:
@@ -203,32 +206,52 @@ class FluidOps:
         return self.stress_divergence_of(law.eval_packed(s, du))
 
     def convective(self, vel: VelocityField) -> VelocityField:
-        """Skew-symmetric transport term, <conv(u), u> = 0 identically."""
-        nx, ny, h = self.grid.nx, self.grid.ny, self.grid.h
+        """Skew-symmetric transport term, <conv(u), u> = 0 identically.
+
+        The 1/2 and 1/4 averaging weights are applied as one power-of-two
+        scaling of each difference (dividing by 4h rather than h), which
+        rounds to the same values as averaging first.
+        """
+        h4 = 4.0 * self.grid.h
         u, v = vel.u, vel.v
-        uc, vc = vel.cell_centered()
         divc = self.divergence(vel)
+        divc *= 0.25
         out = VelocityField.zeros(self.grid)
 
-        # u-component on interior x-faces i = 1 .. nx-1
-        fx = uc * uc                                       # (nx, ny) at centers
-        vn = 0.5 * (v[:-1, :] + v[1:, :])                  # (nx-1, ny+1) at nodes i=1..nx-1
-        un = np.zeros_like(vn)
-        un[:, 1:-1] = 0.5 * (u[1:-1, :-1] + u[1:-1, 1:])   # wall rows stay 0: vn = 0 there
-        fy = vn * un
-        conv_u = (fx[1:, :] - fx[:-1, :]) / h + (fy[:, 1:] - fy[:, :-1]) / h
-        dface_u = 0.5 * (divc[:-1, :] + divc[1:, :])
-        out.u[1:-1, :] = conv_u - 0.5 * u[1:-1, :] * dface_u
+        # u-component on interior x-faces i = 1 .. nx-1:
+        # d(uc^2)/dx + d(vn un)/dy - u (face-averaged div) / 2
+        fx = u[:-1, :] + u[1:, :]                          # 2 uc at centers
+        fx *= fx
+        ou = out.u[1:-1, :]
+        np.subtract(fx[1:, :], fx[:-1, :], out=ou)
+        ou /= h4
+        fy = v[:-1, :] + v[1:, :]                          # 2 vn at nodes i=1..nx-1
+        un = np.zeros_like(fy)                             # wall rows stay 0: vn = 0 there
+        np.add(u[1:-1, :-1], u[1:-1, 1:], out=un[:, 1:-1])
+        fy *= un
+        dy = fy[:, 1:] - fy[:, :-1]
+        dy /= h4
+        ou += dy
+        dface = divc[:-1, :] + divc[1:, :]
+        dface *= u[1:-1, :]
+        ou -= dface
 
         # v-component on interior y-faces j = 1 .. ny-1
-        gy = vc * vc
-        un2 = 0.5 * (u[:, :-1] + u[:, 1:])                 # (nx+1, ny-1) at nodes j=1..ny-1
-        vn2 = np.zeros_like(un2)
-        vn2[1:-1, :] = 0.5 * (v[:-1, 1:-1] + v[1:, 1:-1])
-        gx = un2 * vn2
-        conv_v = (gy[:, 1:] - gy[:, :-1]) / h + (gx[1:, :] - gx[:-1, :]) / h
-        dface_v = 0.5 * (divc[:, :-1] + divc[:, 1:])
-        out.v[:, 1:-1] = conv_v - 0.5 * v[:, 1:-1] * dface_v
+        gy = v[:, :-1] + v[:, 1:]                          # 2 vc at centers
+        gy *= gy
+        ov = out.v[:, 1:-1]
+        np.subtract(gy[:, 1:], gy[:, :-1], out=ov)
+        ov /= h4
+        gx = u[:, :-1] + u[:, 1:]                          # 2 un at nodes j=1..ny-1
+        vn = np.zeros_like(gx)
+        np.add(v[:-1, 1:-1], v[1:, 1:-1], out=vn[1:-1, :])
+        gx *= vn
+        dx = gx[1:, :] - gx[:-1, :]
+        dx /= h4
+        ov += dx
+        dface = divc[:, :-1] + divc[:, 1:]
+        dface *= v[:, 1:-1]
+        ov -= dface
         return out
 
     # -- projection ----------------------------------------------------------
@@ -241,10 +264,14 @@ class FluidOps:
         normalised to zero mean; versions that pinned phi[0, 0] = 0 instead
         wrote pressure snapshots (p_*.vkf) that differ by a constant.
         """
-        rhs = -self.divergence(vel)
-        phi = idctn(dctn(rhs, type=2, norm="ortho") * self._inv_lam, type=2, norm="ortho")
-        grad = self.gradient(phi)
-        out = VelocityField(self.grid, vel.u - grad.u, vel.v - grad.v)
+        rhs = self.divergence(vel)
+        np.negative(rhs, out=rhs)
+        coef = dctn(rhs, type=2, norm="ortho", overwrite_x=True)
+        coef *= self._inv_lam
+        phi = idctn(coef, type=2, norm="ortho", overwrite_x=True)
+        out = self.gradient(phi)
+        np.subtract(vel.u, out.u, out=out.u)
+        np.subtract(vel.v, out.v, out=out.v)
         out.enforce_walls()
         return out, phi
 
@@ -253,12 +280,20 @@ class FluidOps:
     def cfl_limit(self, vel: VelocityField, law: StressLaw, t: float) -> float:
         h = self.grid.h
         du = self.sym_gradient(vel)
-        mag = np.sqrt(du[..., 0] ** 2 + du[..., 1] ** 2 + 2.0 * du[..., 2] ** 2)
-        mmax = float(mag.max()) if mag.size else 0.0
+        mag2 = du[..., 0] * du[..., 0]
+        mag2 += du[..., 1] * du[..., 1]
+        mag2 += 2.0 * (du[..., 2] * du[..., 2])
+        mmax = float(np.sqrt(mag2.max())) if mag2.size else 0.0
         smax = law.s_max
         s = law.exponent.slab_at(t).values
-        power = mmax ** (smax - 2.0) if mmax > 0 else (1.0 if smax == 2.0 else 0.0)
-        nu_eff = law.nu0 + (law.nu1 + law.theta * smax) * max(power, mmax ** (float(np.max(s)) - 2.0) if mmax > 0 else 0.0)
+
+        def power(e: float) -> float:
+            return mmax ** (e - 2.0) if mmax > 0 else (1.0 if e == 2.0 else 0.0)
+
+        # |xi|^(s-2) <= mmax^(s-2) is largest at the slab's largest exponent
+        # when mmax >= 1 and at its smallest when mmax < 1
+        worst = max(power(smax), power(float(np.max(s))), power(float(np.min(s))))
+        nu_eff = law.nu0 + (law.nu1 + law.theta * smax) * worst
         dt_diff = self.grid.h**2 / (2.0 * nu_eff) if nu_eff > 0 else np.inf
         speed = vel.max_speed()
         dt_conv = h / speed if speed > 0 else np.inf
@@ -287,22 +322,24 @@ def fluid_step(
     s = law.exponent.slab_at(state.time).values
     du = ops.sym_gradient(vel)
     stress = law.eval_packed(s, du)
-    sdiv = ops.stress_divergence_of(stress)
+    star = ops.stress_divergence_of(stress)
     conv = ops.convective(vel)
 
     h2 = ops.grid.cell_volume
-    d_stress = float(np.sum(stress * du * np.array([1.0, 1.0, 2.0]))) * h2 * dt
+    sdu = stress * du
+    sdu[..., 2] *= 2.0                      # S:Du weights (1, 1, 2)
+    d_stress = float(np.sum(sdu)) * h2 * dt
 
-    rhs_u = -conv.u + sdiv.u
-    rhs_v = -conv.v + sdiv.v
-    if drag is not None:
-        rhs_u = rhs_u + drag.u
-        rhs_v = rhs_v + drag.v
-    if forcing is not None:
-        rhs_u = rhs_u + forcing.u
-        rhs_v = rhs_v + forcing.v
-
-    star = VelocityField(ops.grid, vel.u + dt * rhs_u, vel.v + dt * rhs_v)
+    # u* is built in the stress-divergence buffers, term by term in the
+    # order (div S - conv + drag + forcing) * dt + u
+    sources = [f for f in (drag, forcing) if f is not None]
+    for name in ("u", "v"):
+        acc = getattr(star, name)
+        acc -= getattr(conv, name)
+        for f in sources:
+            acc += getattr(f, name)
+        acc *= dt
+        acc += getattr(vel, name)
     star.enforce_walls()
     new_vel, phi = ops.project(star)
     if not (np.all(np.isfinite(new_vel.u)) and np.all(np.isfinite(new_vel.v))):

@@ -60,37 +60,43 @@ class StressLaw:
 
     def eval(self, t: float, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """S(t, x, xi) for a symmetric 2x2 tensor (Frobenius |xi|)."""
-        xi = self._check_sym(xi)
-        s = float(self.exponent.sample(t, np.asarray(x, dtype=float)))
-        mag = np.sqrt(np.sum(xi**2))
-        if mag == 0.0:
-            return np.zeros_like(xi)
-        return (self.nu0 + self.nu1 * mag ** (s - 2.0)) * xi
+        return self._eval_tensor(t, x, xi, regularized=False)
 
     def eval_regularized(self, t: float, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """S^theta = S + theta * grad_xi |xi|^{s_max} = S + theta s_max |xi|^{s_max-2} xi."""
+        return self._eval_tensor(t, x, xi, regularized=True)
+
+    def _eval_tensor(self, t: float, x: np.ndarray, xi: np.ndarray, regularized: bool) -> np.ndarray:
+        """eval_packed at one point, on a 2x2 tensor packed as (a11, a22, a12)."""
         xi = self._check_sym(xi)
-        base = self.eval(t, x, xi)
-        mag = np.sqrt(np.sum(xi**2))
-        if mag == 0.0:
-            return base
-        return base + self.theta * self.s_max * mag ** (self.s_max - 2.0) * xi
+        s = self.exponent.sample(t, np.asarray(x, dtype=float))
+        packed = self.eval_packed(s, xi[..., [0, 1, 0], [0, 1, 1]], regularized)
+        return packed[..., [0, 2, 2, 1]].reshape(xi.shape)
 
     # -- vectorized evaluation on packed tensors -----------------------------
 
     def eval_packed(self, s: np.ndarray, packed: np.ndarray, regularized: bool = True) -> np.ndarray:
         """Apply the law to (..., 3)-packed symmetric tensors (a11, a22, a12)."""
-        mag = np.sqrt(packed[..., 0] ** 2 + packed[..., 1] ** 2 + 2.0 * packed[..., 2] ** 2)
+        a11, a22, a12 = (packed[..., k] for k in range(3))
+        mag = a11 * a11
+        mag += a22 * a22
+        mag += 2.0 * (a12 * a12)
+        mag = np.sqrt(mag)
+        pos = mag > 0
+        base = np.where(pos, mag, 1.0)
         g = np.full_like(mag, self.nu0)
         if self.nu1 != 0.0:
             with np.errstate(divide="ignore"):
-                powed = np.where(mag > 0, mag, 1.0) ** (np.asarray(s) - 2.0)
-            g = g + self.nu1 * np.where(mag > 0, powed, 0.0)
+                term = base ** (np.asarray(s) - 2.0)
+            term *= self.nu1
+            term *= pos                     # |xi| = 0 contributes 0
+            g += term
         if regularized and self.theta != 0.0:
-            reg = np.where(mag > 0, mag, 1.0) ** (self.s_max - 2.0)
-            g = g + self.theta * self.s_max * np.where(mag > 0, reg, 0.0)
+            term = base ** (self.s_max - 2.0)
+            term *= self.theta * self.s_max
+            term *= pos
+            g += term
         return g[..., None] * packed
-
 
 @dataclass(frozen=True)
 class MonotonicityReport:

@@ -14,7 +14,7 @@ import pytest
 import sympy as sp
 
 from sprayflow.config import load_config
-from sprayflow.coupling import EnergyLedger, coupled_step
+from sprayflow.coupling import LEDGER_RTOL, EnergyLedger, coupled_step, ledger_differences
 from sprayflow.exponent import build_covering, required_s_min, sinusoidal_field
 from sprayflow.fluid import FluidOps, FluidState, VelocityField, fluid_step, stream_function_field
 from sprayflow.grid import Grid
@@ -32,6 +32,10 @@ from sprayflow.run import build_scene, fitted_order
 from sprayflow.exponent import constant_field
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "acceptance.ini")
+# the ledger `sprayflow run --config configs/acceptance.ini` wrote with the
+# sparse-matrix symmetric gradient; refactors and reorderings must stay
+# within LEDGER_RTOL of each column's maximum
+GOLDEN_LEDGER = os.path.join(os.path.dirname(__file__), "data", "acceptance_ledger.csv")
 
 _timings = {}
 
@@ -253,6 +257,12 @@ def test_criterion_11_projection():
                float(np.abs(again.v - proj.v).max())) / max(proj.max_speed(), 1.0)
     ok = div <= 1e-10 and idem <= 1e-10
     _report(11, "projection", ok, f"normalized divergence {div:.2e}, idempotence {idem:.2e}")
+
+
+def test_acceptance_ledger_matches_golden(acceptance):
+    diffs = ledger_differences(EnergyLedger.read_csv(GOLDEN_LEDGER), acceptance["ledger"])
+    beyond = {col: rel for col, (_, rel) in diffs.items() if not rel <= LEDGER_RTOL}
+    assert not beyond, f"ledger columns beyond {LEDGER_RTOL:g} relative: {beyond}"
 
 
 def test_criterion_12_runtime(acceptance, dt_study):

@@ -112,6 +112,51 @@ def test_stress_divergence_adjointness(seed):
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def test_stencils_match_sparse_reference_non_square_mesh():
+    # reference: the symmetric gradient G assembled as Kronecker products of
+    # 1-D difference, average and odd-mirror centred-difference matrices;
+    # sym_gradient is G, stress_divergence_of is -G^T on the weighted stress
+    grid = Grid(16, 24, 1.0, 1.5)
+    ops = FluidOps(grid)
+    nx, ny, h = grid.nx, grid.ny, grid.h
+
+    def diff(n):
+        return sp.diags([-np.ones(n), np.ones(n)], [0, 1], shape=(n, n + 1)) / h
+
+    def avg(n):
+        return sp.diags([np.full(n, 0.5), np.full(n, 0.5)], [0, 1], shape=(n, n + 1))
+
+    def centred_mirror(n):
+        main = np.zeros(n)
+        main[0], main[-1] = 1.0, -1.0
+        return sp.diags([-np.ones(n - 1), main, np.ones(n - 1)], [-1, 0, 1]) * (0.5 / h)
+
+    nu, nv, nc = (nx + 1) * ny, nx * (ny + 1), nx * ny
+    G = sp.bmat([
+        [sp.kron(diff(nx), sp.identity(ny)), sp.csr_matrix((nc, nv))],
+        [sp.csr_matrix((nc, nu)), sp.kron(sp.identity(nx), diff(ny))],
+        [0.5 * sp.kron(avg(nx), centred_mirror(ny)), 0.5 * sp.kron(centred_mirror(nx), avg(ny))],
+    ], format="csr")
+
+    vel = random_noslip(10, grid=grid)
+    du = ops.sym_gradient(vel)
+    ref = np.moveaxis((G @ vel.as_vector()).reshape(3, nx, ny), 0, -1)
+    assert np.abs(du - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    stress = np.random.default_rng(11).standard_normal((nx, ny, 3))
+    divs = ops.stress_divergence_of(stress)
+    ref = -(G.T @ np.moveaxis(stress * CW, -1, 0).ravel())
+    ref_u, ref_v = ref[:nu].reshape(nx + 1, ny), ref[nu:].reshape(nx, ny + 1)
+    scale = np.abs(ref).max()
+    assert np.abs(divs.u[1:-1, :] - ref_u[1:-1, :]).max() <= 1e-13 * scale
+    assert np.abs(divs.v[:, 1:-1] - ref_v[:, 1:-1]).max() <= 1e-13 * scale
+    assert np.all(divs.u[[0, -1], :] == 0.0) and np.all(divs.v[:, [0, -1]] == 0.0)
+
+    lhs = -inner(divs, vel)
+    rhs = grid.cell_volume * float(np.sum(stress * du * CW))
+    assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
 def test_stress_divergence_newtonian_matches_laplacian():
     """With nu1 = 0 the stress divergence is nu0 * (1/2) lap u for div-free u;
     compare against the 5-point stencil on interior faces at two meshes."""
@@ -246,6 +291,23 @@ def test_cfl_violation_refused():
     state = FluidState(vel, 0.0)
     with pytest.raises(CFLViolation):
         fluid_step(OPS, state, make_law(nu0=5.0), dt=0.5)
+
+
+def test_cfl_limit_bounds_pointwise_secant_viscosity():
+    # max|Du| < 1 with a varying exponent: the slab's smallest exponent gives
+    # the largest |Du|^(s-2), so the bound must not use the largest one alone
+    grid = Grid(32, 32)
+    ops = FluidOps(grid)
+    field = sinusoidal_field(grid, 1.0, base=2.4, amplitude=0.35)
+    law = StressLaw(0.0, 1.0, field)
+    vel = stream_function_field(
+        grid, lambda x, y: 0.02 * np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2
+    )
+    du = ops.sym_gradient(vel)
+    mag = np.sqrt(np.sum(du**2 * CW, axis=-1))
+    assert mag.max() < 1.0
+    g = law.nu0 + law.nu1 * mag ** (field.slabs[0].values - 2.0)
+    assert ops.cfl_limit(vel, law, 0.0) <= grid.h**2 / (2.0 * g.max())
 
 
 def test_blowup_detected():
