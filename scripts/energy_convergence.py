@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Run the reference coupled scenario at dt, dt/2, dt/4 and fit the order of
-the accumulated energy-budget residual.  Ledgers land next to the output dir
-so `sprayflow energy-report` can re-fit them later."""
+the accumulated energy-budget residual (`sprayflow.studies.dt_study`).
+Ledgers land in the output dir so `sprayflow energy-report` can re-fit them
+later."""
 
 import argparse
-import dataclasses
 import os
 import sys
 
 from sprayflow.config import load_config
-from sprayflow.run import fitted_order, run_scenario
+from sprayflow.studies import dt_study, fitted_order
 
 
 def main():
@@ -18,17 +18,9 @@ def main():
     ap.add_argument("--output", default="out/energy_convergence")
     args = ap.parse_args()
 
-    base = load_config(args.config)
-    dts, residuals = [], []
-    for k in range(3):
-        dt = base.dt / 2**k
-        cfg = dataclasses.replace(base, dt=dt)
-        outdir = os.path.join(args.output, f"dt_{k}")
-        result = run_scenario(cfg, outdir=outdir)
-        r = result.ledger.last.residual_cum
-        dts.append(dt)
-        residuals.append(r)
-        print(f"dt = {dt:g}: accumulated residual = {r:.6e}  ({result.ledger_path})")
+    dts, residuals, paths = dt_study(load_config(args.config), args.output)
+    for dt, r, path in zip(dts, residuals, paths):
+        print(f"dt = {dt:g}: accumulated residual = {r:.6e}  ({path})")
     order = fitted_order(dts, residuals)
     print(f"fitted order: {order:.3f}")
     return 0 if order >= 0.9 else 1

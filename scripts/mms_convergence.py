@@ -1,69 +1,18 @@
 #!/usr/bin/env python3
-"""Manufactured-solution convergence study for the Newtonian fluid solver.
-
-Exact steady field: u = curl psi with psi = 0.1 sin^2(pi x) sin^2(pi y); the
-forcing g = (u . grad) u - (nu0 / 2) lap u is derived symbolically (the
-viscous term of the solver is div(nu0 Du) = (nu0/2) lap u for divergence-free
-u).  The run starts from the projected exact field and marches to T with
-dt ~ h^2, so the measured error is spatial."""
+"""Manufactured-solution convergence study for the Newtonian fluid solver
+(`sprayflow.studies.manufactured_errors`): print the L2 error per mesh and
+the observed orders; exit 1 if an order falls below 1.5."""
 
 import sys
 
 import numpy as np
-import sympy as sp
 
-from sprayflow.exponent import constant_field
-from sprayflow.fluid import FluidOps, FluidState, VelocityField, fluid_step, stream_function_field
-from sprayflow.grid import Grid
-from sprayflow.rheology import StressLaw
-
-NU0 = 0.1
-T_END = 0.2
-
-
-def manufactured(nu0):
-    x, y = sp.symbols("x y")
-    psi = sp.Rational(1, 10) * sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2
-    u = sp.diff(psi, y)
-    v = -sp.diff(psi, x)
-    lap = lambda f: sp.diff(f, x, 2) + sp.diff(f, y, 2)
-    fu = u * sp.diff(u, x) + v * sp.diff(u, y) - nu0 / 2 * lap(u)
-    fv = u * sp.diff(v, x) + v * sp.diff(v, y) - nu0 / 2 * lap(v)
-    lam = lambda f: sp.lambdify((x, y), f, "numpy")
-    return lam(psi), lam(u), lam(v), lam(fu), lam(fv)
-
-
-def solve_case(n, fns, nu0=NU0, t_end=T_END):
-    psi_f, u_f, v_f, fu_f, fv_f = fns
-    grid = Grid(n, n)
-    ops = FluidOps(grid)
-    h = grid.h
-    law = StressLaw(nu0, 0.0, constant_field(grid, 1.0, 2.0))
-    vel, _ = ops.project(stream_function_field(grid, psi_f))
-    state = FluidState(vel, 0.0)
-
-    xu, yu = np.meshgrid(np.arange(n + 1) * h, (np.arange(n) + 0.5) * h, indexing="ij")
-    xv, yv = np.meshgrid((np.arange(n) + 0.5) * h, np.arange(n + 1) * h, indexing="ij")
-    forcing = VelocityField(grid, fu_f(xu, yu), fv_f(xv, yv))
-    forcing.enforce_walls()
-
-    dt = 0.2 * h * h / (2.0 * nu0)
-    nsteps = int(np.ceil(t_end / dt))
-    dt = t_end / nsteps
-    for _ in range(nsteps):
-        state, _ = fluid_step(ops, state, law, dt, forcing=forcing)
-
-    eu = state.velocity.u - u_f(xu, yu)
-    ev = state.velocity.v - v_f(xv, yv)
-    return float(np.sqrt(grid.cell_volume * (np.sum(eu**2) + np.sum(ev**2))))
+from sprayflow.studies import MMS_MESHES, manufactured_errors
 
 
 def main():
-    fns = manufactured(NU0)
-    errors = []
-    for n in (32, 64, 128):
-        err = solve_case(n, fns)
-        errors.append(err)
+    errors = manufactured_errors()
+    for n, err in zip(MMS_MESHES, errors):
         print(f"n = {n:4d}: L2 error = {err:.6e}")
     orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
     print("observed orders:", ", ".join(f"{o:.3f}" for o in orders))

@@ -6,9 +6,8 @@ import sys
 
 import numpy as np
 
-from sprayflow.config import load_config, module_rng
-from sprayflow.kinetic import sample_initial
-from sprayflow.run import run_scenario
+from sprayflow.config import load_config
+from sprayflow.run import build_scene, run_scenario
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "acceptance.ini")
 
@@ -16,12 +15,7 @@ CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "acceptance.in
 def main():
     cfg = load_config(sys.argv[1] if len(sys.argv) > 1 else CONFIG)
     result = run_scenario(cfg)
-    p0 = sample_initial(
-        cfg.grid, cfg.kinetic.preset, cfg.kinetic.n_particles,
-        mass=cfg.kinetic.mass, vmax=cfg.kinetic.vmax,
-        temperature=cfg.kinetic.temperature,
-        seed=module_rng(cfg.seed, "kinetic"),
-    )
+    *_, p0 = build_scene(cfg)
     p = result.particles
     last = result.ledger.last
     mass_drift = abs(p.mass - p0.mass) / p0.mass

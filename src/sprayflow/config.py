@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponent import ExponentField, PRESETS
+from .fluid import INITIAL_VELOCITIES
 from .grid import Grid
+from .kinetic import INITIAL_PRESETS
 
 
 class ConfigError(ValueError):
@@ -62,7 +64,7 @@ class KineticSpec:
 
 @dataclass(frozen=True)
 class FluidSpec:
-    initial: str = "rest"        # rest | stream_bump
+    initial: str = "rest"        # one of fluid.INITIAL_VELOCITIES
     amplitude: float = 0.0
 
 
@@ -100,6 +102,16 @@ class ScenarioConfig:
                 f"dt = {self.dt} does not divide t_end = {self.t_end}: "
                 f"{n_steps} steps end at t = {n_steps * self.dt}"
             )
+        kin = self.kinetic
+        if kin.preset not in INITIAL_PRESETS:
+            raise ConfigError(f"unknown [kinetic] preset {kin.preset!r}, "
+                              f"expected one of {', '.join(INITIAL_PRESETS)}")
+        if kin.preset != "zero" and kin.mass != 0.0 and kin.n_particles < 1:
+            raise ConfigError(f"[kinetic] preset {kin.preset!r} with mass {kin.mass} "
+                              "needs n_particles >= 1")
+        if self.fluid.initial not in INITIAL_VELOCITIES:
+            raise ConfigError(f"unknown [fluid] initial preset {self.fluid.initial!r}, "
+                              f"expected one of {', '.join(INITIAL_VELOCITIES)}")
         self.exponent.check(self.t_end, d=self.d)
 
 

@@ -116,15 +116,15 @@ def drag_force(moments: MomentFields, vel: VelocityField) -> VelocityField:
         raise ValueError("moments and velocity live on different meshes")
     # -(avg(rho) u - avg(j)) is formed as -(sum(rho) u - sum(j)) / 2, which
     # rounds to the same values
-    rho, j = moments.rho, moments.j
+    rho, jx, jy = moments.rho, moments.jx, moments.jy
     out = VelocityField.zeros(vel.grid)
     f = rho[:-1, :] + rho[1:, :]
     f *= vel.u[1:-1, :]
-    f -= j[:-1, :, 0] + j[1:, :, 0]
+    f -= jx[:-1, :] + jx[1:, :]
     np.multiply(f, -0.5, out=out.u[1:-1, :])
     f = rho[:, :-1] + rho[:, 1:]
     f *= vel.v[:, 1:-1]
-    f -= j[:, :-1, 1] + j[:, 1:, 1]
+    f -= jy[:, :-1] + jy[:, 1:]
     np.multiply(f, -0.5, out=out.v[:, 1:-1])
     return out
 

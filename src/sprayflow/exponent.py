@@ -72,10 +72,6 @@ class ExponentField:
     def s_max(self) -> float:
         return float(max(s.values.max() for s in self.slabs))
 
-    def durations(self) -> np.ndarray:
-        starts = np.array([s.t_start for s in self.slabs] + [self.t_end])
-        return np.diff(starts)
-
     def slab_index(self, t: float) -> int:
         starts = [s.t_start for s in self.slabs]
         i = int(np.searchsorted(starts, t, side="right")) - 1
@@ -84,13 +80,17 @@ class ExponentField:
     def slab_at(self, t: float) -> Slab:
         return self.slabs[self.slab_index(t)]
 
-    def sample(self, t: float, x: np.ndarray) -> np.ndarray:
-        """s at time t and positions x (n, 2), nearest-cell lookup."""
-        vals = self.slab_at(t).values
+    def sample(self, t, x: np.ndarray) -> np.ndarray:
+        """s at times t and positions x (..., 2): nearest slab, nearest cell.
+
+        t is a scalar or an array of one time per position.
+        """
+        starts = [s.t_start for s in self.slabs]
+        k = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(self.slabs) - 1)
         h = self.grid.h
         i = np.clip((x[..., 0] / h - 0.5).round().astype(int), 0, self.grid.nx - 1)
         j = np.clip((x[..., 1] / h - 0.5).round().astype(int), 0, self.grid.ny - 1)
-        return vals[i, j]
+        return self.values_stack()[k, i, j]
 
     def values_stack(self) -> np.ndarray:
         """(nslabs, nx, ny) view of all slab grids."""

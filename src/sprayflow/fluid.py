@@ -58,9 +58,6 @@ class VelocityField:
     def copy(self) -> "VelocityField":
         return VelocityField(self.grid, self.u.copy(), self.v.copy())
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.u.ravel(), self.v.ravel()])
-
     def enforce_walls(self) -> None:
         self.u[0, :] = 0.0
         self.u[-1, :] = 0.0
@@ -199,11 +196,6 @@ class FluidOps:
         ov *= 0.25 / h
         ov += (s22[:, 1:] - s22[:, :-1]) / h
         return out
-
-    def stress_divergence(self, vel: VelocityField, law: StressLaw, t: float) -> VelocityField:
-        s = law.exponent.slab_at(t).values
-        du = self.sym_gradient(vel)
-        return self.stress_divergence_of(law.eval_packed(s, du))
 
     def convective(self, vel: VelocityField) -> VelocityField:
         """Skew-symmetric transport term, <conv(u), u> = 0 identically.
@@ -371,3 +363,20 @@ def stream_function_field(grid: Grid, psi) -> VelocityField:
     out.v = -(psin[1:, :] - psin[:-1, :]) / h
     out.enforce_walls()
     return out
+
+
+INITIAL_VELOCITIES = ("rest", "stream_bump")
+
+
+def initial_velocity(grid: Grid, preset: str, amplitude: float) -> VelocityField:
+    """Initial field of a named preset: "rest" (zero) or "stream_bump", the
+    field of the stream function amplitude sin^2(pi x/lx) sin^2(pi y/ly)."""
+    if preset not in INITIAL_VELOCITIES:
+        raise ValueError(f"unknown initial velocity preset: {preset!r}")
+    if preset == "rest" or amplitude == 0.0:
+        return VelocityField.zeros(grid)
+
+    def psi(x, y):
+        return amplitude * np.sin(np.pi * x / grid.lx) ** 2 * np.sin(np.pi * y / grid.ly) ** 2
+
+    return stream_function_field(grid, psi)

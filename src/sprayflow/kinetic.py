@@ -75,10 +75,14 @@ class ParticleEnsemble:
 class MomentFields:
     grid: Grid
     rho: np.ndarray   # (nx, ny) number density, integral of f over v
-    j: np.ndarray     # (nx, ny, 2) momentum density
+    jx: np.ndarray    # (nx, ny) momentum density, x and y components
+    jy: np.ndarray
 
 
 # -- initial data -----------------------------------------------------------
+
+INITIAL_PRESETS = ("zero", "uniform", "maxwellian")
+
 
 def sample_initial(
     grid: Grid,
@@ -207,7 +211,7 @@ def deposit(particles: ParticleEnsemble) -> MomentFields:
     rho = _scatter(g, stencil, p.w) * inv_vol
     jx = _scatter(g, stencil, p.w * p.V[:, 0]) * inv_vol
     jy = _scatter(g, stencil, p.w * p.V[:, 1]) * inv_vol
-    return MomentFields(g, rho, np.stack([jx, jy], axis=-1))
+    return MomentFields(g, rho, jx, jy)
 
 
 # -- dynamics ----------------------------------------------------------------

@@ -5,18 +5,17 @@ coupled runs are shared through module-scoped fixtures and timed for the
 runtime budget check.
 """
 
-import dataclasses
 import os
 import time
 
 import numpy as np
 import pytest
-import sympy as sp
 
+from sprayflow import studies
 from sprayflow.config import load_config
 from sprayflow.coupling import LEDGER_RTOL, EnergyLedger, coupled_step, ledger_differences
 from sprayflow.exponent import build_covering, required_s_min, sinusoidal_field
-from sprayflow.fluid import FluidOps, FluidState, VelocityField, fluid_step, stream_function_field
+from sprayflow.fluid import FluidOps, VelocityField
 from sprayflow.grid import Grid
 from sprayflow.kinetic import advance, sample_initial
 from sprayflow.orlicz import luxemburg_norm, modular
@@ -28,7 +27,7 @@ from sprayflow.pressure import (
     verify_bounds,
 )
 from sprayflow.rheology import StressLaw, certify_coercive, certify_monotone
-from sprayflow.run import build_scene, fitted_order
+from sprayflow.run import build_scene
 from sprayflow.exponent import constant_field
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "acceptance.ini")
@@ -72,15 +71,9 @@ def acceptance(request):
 
 
 @pytest.fixture(scope="module")
-def dt_study(acceptance):
-    cfg = acceptance["cfg"]
+def dt_study(acceptance, tmp_path_factory):
     t0 = time.perf_counter()
-    residuals = [acceptance["ledger"].last.residual_cum]
-    dts = [cfg.dt]
-    for k in (1, 2):
-        sub = dataclasses.replace(cfg, dt=cfg.dt / 2**k)
-        residuals.append(_coupled_run(sub)["ledger"].last.residual_cum)
-        dts.append(sub.dt)
+    dts, residuals, _ = studies.dt_study(acceptance["cfg"], tmp_path_factory.mktemp("dt_study"))
     _timings["study"] = time.perf_counter() - t0
     return dts, residuals
 
@@ -115,7 +108,7 @@ def test_criterion_04_drag_antisymmetry(acceptance):
 
 def test_criterion_05_energy_audit_convergence(acceptance, dt_study):
     dts, residuals = dt_study
-    order = fitted_order(dts, residuals)
+    order = studies.fitted_order(dts, residuals)
     rows = acceptance["ledger"].rows
     e_tot = [r.E_fluid + r.E_kin for r in rows]
     bounded = all(
@@ -173,37 +166,7 @@ def test_criterion_08_covering():
 
 
 def test_criterion_09_manufactured_solution():
-    nu0 = 0.1
-    x, y = sp.symbols("x y")
-    psi = sp.Rational(1, 10) * sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2
-    u = sp.diff(psi, y)
-    v = -sp.diff(psi, x)
-    lap = lambda f: sp.diff(f, x, 2) + sp.diff(f, y, 2)
-    fu = u * sp.diff(u, x) + v * sp.diff(u, y) - nu0 / 2 * lap(u)
-    fv = u * sp.diff(v, x) + v * sp.diff(v, y) - nu0 / 2 * lap(v)
-    fns = [sp.lambdify((x, y), f, "numpy") for f in (psi, u, v, fu, fv)]
-
-    def err(n, t_end=0.2):
-        grid = Grid(n, n)
-        ops = FluidOps(grid)
-        h = grid.h
-        law = StressLaw(nu0, 0.0, constant_field(grid, 1.0, 2.0))
-        vel, _ = ops.project(stream_function_field(grid, fns[0]))
-        state = FluidState(vel, 0.0)
-        xu, yu = np.meshgrid(np.arange(n + 1) * h, (np.arange(n) + 0.5) * h, indexing="ij")
-        xv, yv = np.meshgrid((np.arange(n) + 0.5) * h, np.arange(n + 1) * h, indexing="ij")
-        forcing = VelocityField(grid, fns[3](xu, yu), fns[4](xv, yv))
-        forcing.enforce_walls()
-        dt = 0.2 * h * h / (2.0 * nu0)
-        nsteps = int(np.ceil(t_end / dt))
-        dt = t_end / nsteps
-        for _ in range(nsteps):
-            state, _ = fluid_step(ops, state, law, dt, forcing=forcing)
-        eu = state.velocity.u - fns[1](xu, yu)
-        ev = state.velocity.v - fns[2](xv, yv)
-        return float(np.sqrt(grid.cell_volume * (np.sum(eu**2) + np.sum(ev**2))))
-
-    errors = [err(n) for n in (32, 64, 128)]
+    errors = studies.manufactured_errors()
     orders = [float(np.log2(a / b)) for a, b in zip(errors, errors[1:])]
     ok = min(orders) >= 1.5
     _report(9, "manufactured solution", ok,

@@ -1,14 +1,18 @@
 import dataclasses
 import filecmp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sprayflow import cli
 from sprayflow.cli import main
 from sprayflow.config import ConfigError, load_config, module_rng
 from sprayflow.fluid import CFLViolation
+from sprayflow.rheology import CoercivityError
 from sprayflow.run import run_scenario
 from sprayflow.snapshots import (
     KIND_PARTICLES,
@@ -157,6 +161,23 @@ def test_stress_audit_minimal(capsys):
     assert "certificates passed" in out
 
 
+def test_stress_audit_exit_4_only_for_certificate_errors(monkeypatch):
+    argv = ["stress-audit", "--config", os.path.join(CONFIGS, "minimal.ini"), "--samples", "100"]
+
+    def no_constant(law):
+        raise CoercivityError("coercivity constant exceeds 2**64")
+
+    monkeypatch.setattr(cli, "certify_coercive", no_constant)
+    assert run_cli(argv) == 4
+
+    def broken(law):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(cli, "certify_coercive", broken)
+    with pytest.raises(TypeError):
+        run_cli(argv)
+
+
 def test_run_minimal_and_determinism(tmp_path):
     cfgfile = os.path.join(CONFIGS, "minimal.ini")
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -268,6 +289,22 @@ def test_config_rejects_exponent_keys_the_preset_cannot_build(tmp_path, keys):
     assert run_cli(["validate", "--config", str(p)]) == 2
 
 
+@pytest.mark.parametrize("old, new", [
+    ("initial = stream_bump", "initial = vortex"),
+    ("preset = uniform", "preset = gaussian"),
+    ("n_particles = 4096", "n_particles = 0"),
+], ids=["fluid-initial", "kinetic-preset", "uniform-without-particles"])
+def test_config_rejects_presets_the_run_cannot_build(tmp_path, old, new):
+    text = open(os.path.join(CONFIGS, "acceptance.ini")).read()
+    assert old in text
+    p = tmp_path / "preset.ini"
+    p.write_text(text.replace(old, new))
+    with pytest.raises(ConfigError, match="preset"):
+        load_config(p)
+    assert run_cli(["validate", "--config", str(p)]) == 2
+    assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
+
+
 def test_run_bad_exponent_exit_4(tmp_path):
     p = tmp_path / "low.ini"
     p.write_text(
@@ -293,6 +330,21 @@ def test_energy_report_fits_order(tmp_path, capsys):
     out = capsys.readouterr().out
     order = float(out.strip().splitlines()[-1].split(":")[1])
     assert order == pytest.approx(1.0, abs=1e-6)
+
+
+def test_energy_report_and_norm_unreadable_input_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    assert run_cli(["energy-report", missing]) == 2
+    wrong = tmp_path / "wrong.csv"
+    wrong.write_text("t,E\n0.1,1.0\n")
+    assert run_cli(["energy-report", str(wrong)]) == 2
+    assert run_cli(["norm", "--field", str(tmp_path / "missing.vkf"),
+                    "--exponent", "constant:2"]) == 2
+    bad = tmp_path / "bad.vkf"
+    bad.write_bytes(b"NOPE" + b"\x00" * 40)
+    assert run_cli(["norm", "--field", str(bad), "--exponent", "constant:2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("cannot read") == 4
 
 
 def _write_ledger(path, rows):
@@ -335,3 +387,18 @@ def test_ledger_diff_exit_codes(tmp_path, capsys):
     extra.write_text(open(a).read().rstrip("\n") + ",0.0\n")
     assert run_cli(["ledger-diff", str(extra), a]) == 2
     assert run_cli(["ledger-diff", a, str(tmp_path / "missing.csv")]) == 2
+
+
+# -- packaging ----------------------------------------------------------------
+
+def test_runtime_imports_need_only_numpy_and_scipy():
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = ("import sys, sprayflow, sprayflow.cli, sprayflow.studies; "
+            "assert 'sympy' not in sys.modules, 'sympy imported'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy", "scipy"]
+    assert "sympy" in project["optional-dependencies"]["dev"]

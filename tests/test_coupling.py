@@ -21,8 +21,7 @@ OPS = FluidOps(GRID)
 
 def constant_moments(rho, jx, jy, grid=GRID):
     r = np.full((grid.nx, grid.ny), float(rho))
-    j = np.stack([np.full_like(r, float(jx)), np.full_like(r, float(jy))], axis=-1)
-    return MomentFields(grid, r, j)
+    return MomentFields(grid, r, np.full_like(r, float(jx)), np.full_like(r, float(jy)))
 
 
 def uniform_u(ux, uy, grid=GRID):

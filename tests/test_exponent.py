@@ -78,7 +78,16 @@ def test_slab_lookup_and_durations():
     assert field.slab_index(0.39999) == 0
     assert field.slab_index(0.4) == 1
     assert field.slab_index(5.0) == 1  # clamped
-    np.testing.assert_allclose(field.durations(), [0.4, 0.6])
+
+
+def test_sample_takes_one_time_per_position():
+    field = two_phase_switch_field(GRID, 1.0, switch_time=0.4)
+    rng = np.random.default_rng(4)
+    t = rng.uniform(-0.5, 1.5, 200)
+    x = rng.uniform(-0.1, 1.1, (200, 2))
+    expected = [field.sample(ti, xi) for ti, xi in zip(t, x)]
+    np.testing.assert_array_equal(field.sample(t, x), expected)
+    assert field.sample(0.5, x).shape == (200,)
 
 
 # -- conjugate ----------------------------------------------------------------

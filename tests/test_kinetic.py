@@ -45,7 +45,7 @@ def test_zero_preset_empty():
     p = sample_initial(GRID, "zero", 100, mass=1.0)
     assert p.n == 0
     m = deposit(p)
-    assert np.all(m.rho == 0.0) and np.all(m.j == 0.0)
+    assert np.all(m.rho == 0.0) and np.all(m.jx == 0.0) and np.all(m.jy == 0.0)
     assert p.kinetic_energy() == 0.0
 
 
@@ -294,7 +294,7 @@ def test_deposit_is_adjoint_of_interpolation():
     uc, vc = vel.cell_centered()
     mass_side = vol * np.sum(m.rho * uc)
     np.testing.assert_allclose(mass_side, np.sum(w * uk[:, 0]), rtol=1e-13, atol=0)
-    momentum_side = vol * np.sum(m.j[..., 0] * uc + m.j[..., 1] * vc)
+    momentum_side = vol * np.sum(m.jx * uc + m.jy * vc)
     np.testing.assert_allclose(momentum_side, np.sum(w * np.sum(V * uk, axis=1)),
                                rtol=1e-13, atol=0)
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from sprayflow.exponent import constant_field, sinusoidal_field
 from sprayflow.grid import Grid
 from sprayflow.rheology import (
+    MonotonicityReport,
     StressLaw,
     certify_coercive,
     certify_monotone,
@@ -112,6 +113,15 @@ def test_monotone_power_law_big_sweep():
 def test_monotone_variable_exponent_with_theta():
     rep = certify_monotone(law(0.5, 0.5, VAR, theta=0.2), n_samples=50_000, seed=1)
     assert rep.worst > 0.0  # strict with theta > 0 (distinct pairs a.s.)
+
+
+def test_monotone_report_allows_only_roundoff_negatives():
+    def ok(worst, scale):
+        return MonotonicityReport(worst, scale, n_samples=1, seed=0).ok
+
+    assert ok(-0.9e-13 * 1e6, 1e6) and not ok(-1.1e-13 * 1e6, 1e6)
+    assert ok(-0.9e-13, 1e-3) and not ok(-1.1e-13, 1e-3)   # the scale floor is 1
+    assert not ok(float("nan"), 1.0)
 
 
 @settings(max_examples=25, deadline=None)
