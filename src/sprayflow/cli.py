@@ -7,13 +7,15 @@ Exit codes: 0 success, 1 ledgers differ (ledger-diff), 2 config/parse error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import ConfigError, ExponentSpec, load_config
 from .coupling import LEDGER_RTOL, EnergyLedger, ledger_differences
-from .exponent import PRESETS, build_covering, validate as validate_field
+from .exponent import PRESETS, CoveringError, build_covering, log_holder_modulus
+from .exponent import validate as validate_field
 from .fluid import BlowUp, CFLViolation
 from .grid import Grid
 from .orlicz import TENSOR_COMP_WEIGHTS, luxemburg_norm, modular
@@ -53,27 +55,40 @@ def cmd_validate(args) -> int:
     report = validate_field(field)
     print(f"s range: [{report.s_min:.6g}, {report.s_max:.6g}]")
     print(f"required lower bound: {report.s_min_required:.6g}")
-    print(f"log-Hoelder modulus per slab: {report.log_holder_modulus}")
+    print(f"log-Hoelder modulus per slab: {log_holder_modulus(field)}")
     if not report.passed:
         print("validation FAILED")
         return EXIT_CERTIFICATE
-    cov = build_covering(field)
+    try:
+        cov = build_covering(field)
+    except CoveringError as exc:
+        print(f"covering FAILED: {exc}")
+        return EXIT_CERTIFICATE
     print(f"covering: {cov.centers.shape[0]} balls, radius {cov.radius:.6g}")
     print("validation passed")
     return EXIT_OK
 
 
 def _exponent_values(spec: str, grid: Grid, t_end: float):
-    if ":" in spec or spec in PRESETS:
-        parts = spec.split(":")
-        name = parts[0]
-        if name not in PRESETS:
-            print(f"unknown exponent preset: {name}", file=sys.stderr)
-            sys.exit(EXIT_CONFIG)
-        params = [float(p) for p in parts[1:]]
-        field = PRESETS[name](grid, t_end, *params)
-        return field.slabs[0].values
-    return _read(read_snapshot, spec).data
+    """s from a snapshot path, or from "preset:x:y" with the preset's value
+    parameters in signature order; a malformed spec exits 2."""
+    if ":" not in spec and spec not in PRESETS:
+        return _read(read_snapshot, spec).data
+    name, *numbers = spec.split(":")
+    if name not in PRESETS:
+        print(f"unknown exponent preset: {name}", file=sys.stderr)
+        sys.exit(EXIT_CONFIG)
+    keys = [k for k in inspect.signature(PRESETS[name]).parameters
+            if k not in ("grid", "t_end", "d")]
+    try:
+        if len(numbers) > len(keys):
+            raise ValueError(f"{name} takes at most {len(keys)} numbers ({', '.join(keys)})")
+        exp = ExponentSpec(name, dict(zip(keys, map(float, numbers))))
+        exp.check(t_end)
+    except ValueError as exc:  # ConfigError is a ValueError
+        print(f"bad exponent spec {spec!r}: {exc}", file=sys.stderr)
+        sys.exit(EXIT_CONFIG)
+    return exp.build(grid, t_end).slabs[0].values
 
 
 def cmd_norm(args) -> int:

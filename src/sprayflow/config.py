@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exponent import ExponentField, PRESETS
+from .exponent import ExponentField, PRESETS, validate
 from .fluid import INITIAL_VELOCITIES
 from .grid import Grid
 from .kinetic import INITIAL_PRESETS
+from .rheology import StressLaw
 
 
 class ConfigError(ValueError):
@@ -35,19 +36,22 @@ class ExponentSpec:
     preset: str
     params: dict = field(default_factory=dict)
 
-    def check(self, t_end: float, d: int = 2) -> None:
-        """Raise ConfigError unless the preset builds from these keys and values.
+    def check(self, t_end: float, d: int = 2) -> ExponentField:
+        """The preset built on a one-cell mesh, or ConfigError if it cannot be.
 
-        The preset is built on a one-cell mesh, so a key it does not take, a
-        key it needs and lacks, or a value it refuses (a switch time outside
-        (0, t_end)) is a config error here, not an exception from build().
+        A key the preset does not take, a key it needs and lacks, a value it
+        refuses (a switch time outside (0, t_end)) or a value validate()
+        refuses (nan, inf) is a config error here, not an exception from
+        build() or validate().
         """
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown exponent preset: {self.preset!r}")
         try:
-            self.build(Grid(1, 1), t_end, d=d)
+            trial = self.build(Grid(1, 1), t_end, d=d)
+            validate(trial)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"[exponent] preset {self.preset!r}: {exc}") from exc
+        return trial
 
     def build(self, grid: Grid, t_end: float, d: int = 2) -> ExponentField:
         return PRESETS[self.preset](grid, t_end, d=d, **self.params)
@@ -112,7 +116,11 @@ class ScenarioConfig:
         if self.fluid.initial not in INITIAL_VELOCITIES:
             raise ConfigError(f"unknown [fluid] initial preset {self.fluid.initial!r}, "
                               f"expected one of {', '.join(INITIAL_VELOCITIES)}")
-        self.exponent.check(self.t_end, d=self.d)
+        trial = self.exponent.check(self.t_end, d=self.d)
+        try:
+            StressLaw(self.nu0, self.nu1, trial, self.theta)
+        except ValueError as exc:
+            raise ConfigError(f"[rheology] {exc}") from exc
 
 
 _EXP_FLOAT_KEYS = {

@@ -166,7 +166,6 @@ def coupled_step(
     law: StressLaw,
     dt: float,
     ledger: EnergyLedger | None = None,
-    forcing: VelocityField | None = None,
     cfl_factor: float = 1.0,
 ) -> tuple[FluidState, ParticleEnsemble, LedgerRow]:
     """One Lie-split step: deposit, drag, fluid step, particle push (new u).
@@ -175,9 +174,7 @@ def coupled_step(
     """
     moments = deposit(particles)
     drag = drag_force(moments, state.velocity)
-    new_state, diag = fluid_step(
-        ops, state, law, dt, drag=drag, forcing=forcing, cfl_factor=cfl_factor
-    )
+    new_state, diag = fluid_step(ops, state, law, dt, drag=drag, cfl_factor=cfl_factor)
     e_before = diag.energy_before + particles.kinetic_energy()
     d_drag = drag_dissipation_exact(particles, new_state.velocity, dt)
     new_particles = advance(particles, new_state.velocity, dt)

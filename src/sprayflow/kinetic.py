@@ -100,6 +100,8 @@ def sample_initial(
     vmax per component), "maxwellian" (uniform in x, Gaussian in v).  fval
     carries the pointwise density of the preset at each sample.
     """
+    if preset not in INITIAL_PRESETS:
+        raise ValueError(f"unknown initial-data preset: {preset!r}")
     if preset == "zero" or mass == 0.0:
         empty = np.zeros((0, 2))
         return ParticleEnsemble(grid, empty, empty.copy(), np.zeros(0), np.zeros(0))
@@ -115,14 +117,12 @@ def sample_initial(
         V = rng.uniform(-vmax, vmax, size=(n_particles, 2))
         density = mass / (area * (2.0 * vmax) ** 2)
         fval = np.full(n_particles, density)
-    elif preset == "maxwellian":
+    else:  # maxwellian
         V = rng.normal(0.0, np.sqrt(temperature), size=(n_particles, 2))
         fval = (
             mass / area / (2.0 * np.pi * temperature)
             * np.exp(-row_dot(V, V) / (2.0 * temperature))
         )
-    else:
-        raise ValueError(f"unknown initial-data preset: {preset!r}")
     w = np.full(n_particles, mass / n_particles)
     # keep samples off the walls so the interior invariant holds from step 0
     eps = 1e-12 * grid.lx

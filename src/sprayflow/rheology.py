@@ -14,7 +14,7 @@ the inequality (c = 2, h_bar = 0 with margin algebraically zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class StressLaw:
     nu1: float
     exponent: ExponentField
     theta: float = 0.0
-    s_max: float | None = None
+    s_max: float = field(init=False)  # exponent.s_max
 
     def __post_init__(self):
         if self.nu0 < 0 or self.nu1 < 0:
@@ -46,8 +46,7 @@ class StressLaw:
             raise ValueError("need nu0 + nu1 > 0")
         if not 0.0 <= self.theta < 1.0:
             raise ValueError("theta must lie in [0, 1)")
-        if self.s_max is None:
-            object.__setattr__(self, "s_max", self.exponent.s_max)
+        object.__setattr__(self, "s_max", self.exponent.s_max)
 
     # -- pointwise evaluation ------------------------------------------------
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .config import ScenarioConfig, module_rng
 from .coupling import EnergyLedger, coupled_step
-from .exponent import build_covering, validate
+from .exponent import CoveringError, build_covering, validate
 from .fluid import FluidOps, FluidState, initial_velocity
 from .kinetic import ParticleEnsemble, sample_initial
 from .rheology import (
@@ -68,7 +68,10 @@ def certify(field, law) -> CoercivityCertificate:
         raise CertificateFailure(
             f"exponent field invalid: s_min {report.s_min} < required {report.s_min_required}"
         )
-    build_covering(field)
+    try:
+        build_covering(field)
+    except CoveringError as exc:
+        raise CertificateFailure(str(exc)) from exc
     mono = certify_monotone(law, n_samples=_MONOTONE_SAMPLES_RUN, seed=0)
     if not mono.ok:
         raise CertificateFailure(f"stress law not monotone: worst {mono.worst}")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprayflow import cli
+from sprayflow import cli, exponent
 from sprayflow.cli import main
 from sprayflow.config import ConfigError, load_config, module_rng
 from sprayflow.fluid import CFLViolation
@@ -152,6 +152,15 @@ def test_norm_constant_field_matches_hand_value(tmp_path, capsys):
     assert vals["luxemburg norm"] == pytest.approx(2.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("spec", ["constant:abc", "constant", "constant:2:3"],
+                         ids=["not-a-number", "missing-value", "extra-number"])
+def test_norm_malformed_exponent_spec_exit_2(tmp_path, capsys, spec):
+    snap = tmp_path / "field.vkf"
+    write_snapshot(snap, Snapshot(KIND_SCALAR, 0.0, np.full((16, 16), 2.0)))
+    assert run_cli(["norm", "--field", str(snap), "--exponent", spec]) == 2
+    assert "exponent spec" in capsys.readouterr().err
+
+
 def test_stress_audit_minimal(capsys):
     code = run_cli(["stress-audit", "--config", os.path.join(CONFIGS, "minimal.ini"),
                     "--samples", "5000"])
@@ -278,8 +287,10 @@ def test_config_rejects_unknown_keys(tmp_path, extra):
     "value = 2.5\nswitch_time = 0.05\n",
     "preset = two_phase_switch\nvalue_before = 2.0\n",
     "preset = two_phase_switch\nswitch_time = 0.5\n",
+    "preset = constant\nvalue = nan\n",
+    "preset = sinusoidal\nbase = 2.2\namplitude = inf\n",
 ], ids=["constant-base", "sinusoidal-value", "switch-amplitude", "default-preset",
-        "switch-missing-time", "switch-after-t-end"])
+        "switch-missing-time", "switch-after-t-end", "value-nan", "amplitude-inf"])
 def test_config_rejects_exponent_keys_the_preset_cannot_build(tmp_path, keys):
     p = tmp_path / "mixed.ini"
     p.write_text("[domain]\nnx = 16\nny = 16\n[run]\nt_end = 0.1\ndt = 0.01\n"
@@ -303,6 +314,47 @@ def test_config_rejects_presets_the_run_cannot_build(tmp_path, old, new):
         load_config(p)
     assert run_cli(["validate", "--config", str(p)]) == 2
     assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("rheology", [
+    "nu0 = -0.1\nnu1 = 0.1\n",
+    "nu0 = 0.1\ntheta = 1.5\n",
+    "nu0 = 0.0\nnu1 = 0.0\n",
+], ids=["negative-nu0", "theta-above-one", "no-viscosity"])
+def test_config_rejects_rheology_the_stress_law_refuses(tmp_path, rheology):
+    p = tmp_path / "rheology.ini"
+    p.write_text(open(os.path.join(CONFIGS, "minimal.ini")).read().split("[rheology]")[0]
+                 + "[rheology]\n" + rheology)
+    with pytest.raises(ConfigError, match="rheology"):
+        load_config(p)
+    assert run_cli(["validate", "--config", str(p)]) == 2
+    assert run_cli(["stress-audit", "--config", str(p), "--samples", "100"]) == 2
+    assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_covering_failure_exit_4(tmp_path, capsys, command):
+    # s rises by 8 from wall to centre: even the smallest admissible balls
+    # see more than the oscillation cap (3d+2)/(d+2)/d = 1
+    p = tmp_path / "wiggly.ini"
+    p.write_text(
+        "[domain]\nnx = 16\nny = 16\n[run]\nt_end = 0.1\ndt = 0.01\n"
+        "[exponent]\npreset = sinusoidal\nbase = 2.2\namplitude = 8\n"
+    )
+    argv = [command, "--config", str(p)]
+    if command == "run":
+        argv += ["--output", str(tmp_path / "o")]
+    assert run_cli(argv) == 4
+    captured = capsys.readouterr()
+    assert "covering" in captured.out + captured.err
+
+
+def test_run_scenario_skips_the_log_holder_estimate(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the run computed the log-Hoelder modulus")
+
+    monkeypatch.setattr(exponent, "log_holder_modulus", forbidden)
+    run_scenario(load_config(os.path.join(CONFIGS, "minimal.ini")), outdir=str(tmp_path))
 
 
 def test_run_bad_exponent_exit_4(tmp_path):

@@ -9,6 +9,7 @@ from sprayflow.exponent import (
     build_covering,
     conjugate,
     constant_field,
+    log_holder_modulus,
     required_s_min,
     s_zero,
     sinusoidal_field,
@@ -28,14 +29,12 @@ def test_required_bound_values():
 
 def test_validate_constant_two_passes():
     report = validate(constant_field(GRID, 1.0, 2.0))
-    assert report.bound_ok
     assert report.passed
     assert report.s_min == report.s_max == 2.0
 
 
 def test_validate_below_bound_fails():
     report = validate(constant_field(GRID, 1.0, 1.9))
-    assert not report.bound_ok
     assert not report.passed
 
 
@@ -51,7 +50,7 @@ def test_validate_sinusoidal_modulus_finite():
     dist = np.hypot(*(pts[ii] - pts[jj]).T)
     keep = (dist > 0) & (dist < 0.5)
     expected = np.max(np.abs(s[ii[keep]] - s[jj[keep]]) * np.abs(np.log(dist[keep])))
-    assert report.log_holder_modulus[0] == pytest.approx(expected, rel=1e-12)
+    assert log_holder_modulus(field)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_validate_rejects_nonfinite():

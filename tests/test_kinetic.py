@@ -64,6 +64,11 @@ def test_unknown_preset_rejected():
         sample_initial(GRID, "ring", 10, mass=1.0)
 
 
+def test_unknown_preset_rejected_without_mass():
+    with pytest.raises(ValueError, match="ring"):
+        sample_initial(GRID, "ring", 10, mass=0.0)
+
+
 def test_zero_particle_count_rejected():
     with pytest.raises(ValueError):
         sample_initial(GRID, "uniform", 0, mass=1.0)
