@@ -7,6 +7,7 @@ import sys
 import numpy as np
 
 from sprayflow.config import load_config
+from sprayflow.grid import DIM
 from sprayflow.run import build_scene, run_scenario
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "acceptance.ini")
@@ -19,7 +20,7 @@ def main():
     p = result.particles
     last = result.ledger.last
     mass_drift = abs(p.mass - p0.mass) / p0.mass
-    growth_err = abs(p.fval.max() / p0.fval.max() / np.exp(2.0 * last.t) - 1.0)
+    growth_err = abs(p.fval.max() / p0.fval.max() / np.exp(DIM * last.t) - 1.0)
     defect = max(r.antisymmetry_defect for r in result.ledger.rows)
     print(f"steps: {len(result.ledger.rows)}, final t = {last.t:g}")
     print(f"mass drift:              {mass_drift:.3e}")

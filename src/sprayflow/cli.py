@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 ledgers differ (ledger-diff), 2 config/parse error,
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from .config import ConfigError, ExponentSpec, load_config
 from .coupling import LEDGER_RTOL, EnergyLedger, ledger_differences
 from .exponent import PRESETS, CoveringError, build_covering, log_holder_modulus
-from .exponent import validate as validate_field
+from .exponent import preset_parameters, validate as validate_field
 from .fluid import BlowUp, CFLViolation
 from .grid import Grid
 from .orlicz import TENSOR_COMP_WEIGHTS, luxemburg_norm, modular
@@ -51,7 +50,7 @@ def _read(reader, path):
 
 def cmd_validate(args) -> int:
     cfg = _load(args.config)
-    field = cfg.exponent.build(cfg.grid, cfg.t_end, d=cfg.d)
+    field = cfg.exponent.build(cfg.grid, cfg.t_end)
     report = validate_field(field)
     print(f"s range: [{report.s_min:.6g}, {report.s_max:.6g}]")
     print(f"required lower bound: {report.s_min_required:.6g}")
@@ -71,20 +70,22 @@ def cmd_validate(args) -> int:
 
 def _exponent_values(spec: str, grid: Grid, t_end: float):
     """s from a snapshot path, or from "preset:x:y" with the preset's value
-    parameters in signature order; a malformed spec exits 2."""
+    parameters in signature order; a malformed spec, or one whose preset
+    builds more than one time slab, exits 2."""
     if ":" not in spec and spec not in PRESETS:
         return _read(read_snapshot, spec).data
     name, *numbers = spec.split(":")
     if name not in PRESETS:
         print(f"unknown exponent preset: {name}", file=sys.stderr)
         sys.exit(EXIT_CONFIG)
-    keys = [k for k in inspect.signature(PRESETS[name]).parameters
-            if k not in ("grid", "t_end", "d")]
+    keys = preset_parameters(name)
     try:
         if len(numbers) > len(keys):
             raise ValueError(f"{name} takes at most {len(keys)} numbers ({', '.join(keys)})")
         exp = ExponentSpec(name, dict(zip(keys, map(float, numbers))))
-        exp.check(t_end)
+        nslabs = len(exp.check(t_end).slabs)
+        if nslabs > 1:
+            raise ValueError(f"{name} builds {nslabs} time slabs; norm takes one exponent")
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"bad exponent spec {spec!r}: {exc}", file=sys.stderr)
         sys.exit(EXIT_CONFIG)

@@ -5,20 +5,27 @@ rheology coefficients, kinetic initial data, seed — so that a (config, seed)
 pair reproduces a run byte for byte.  Module RNG streams are derived from the
 scenario seed and the module name, so adding a consumer never perturbs
 another module's draws.
+
+Each section's keys are dataclass fields ([domain] Grid, [run] and [rheology]
+ScenarioConfig, [kinetic] KineticSpec, [fluid] FluidSpec) or, in [exponent],
+the preset's value parameters.  Defaults live only in the dataclasses:
+load_config passes the keys a file sets, each parsed by its field's type.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import zlib
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .exponent import ExponentField, PRESETS, validate
+from .exponent import ExponentField, PRESETS, preset_parameters, validate
 from .fluid import INITIAL_VELOCITIES
-from .grid import Grid
-from .kinetic import INITIAL_PRESETS
+from .grid import DIM, Grid
+from .kinetic import sample_initial
 from .rheology import StressLaw
 
 
@@ -33,10 +40,10 @@ def module_rng(seed: int, module: str) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ExponentSpec:
-    preset: str
+    preset: str = "constant"
     params: dict = field(default_factory=dict)
 
-    def check(self, t_end: float, d: int = 2) -> ExponentField:
+    def check(self, t_end: float) -> ExponentField:
         """The preset built on a one-cell mesh, or ConfigError if it cannot be.
 
         A key the preset does not take, a key it needs and lacks, a value it
@@ -47,14 +54,14 @@ class ExponentSpec:
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown exponent preset: {self.preset!r}")
         try:
-            trial = self.build(Grid(1, 1), t_end, d=d)
+            trial = self.build(Grid(1, 1), t_end)
             validate(trial)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"[exponent] preset {self.preset!r}: {exc}") from exc
         return trial
 
-    def build(self, grid: Grid, t_end: float, d: int = 2) -> ExponentField:
-        return PRESETS[self.preset](grid, t_end, d=d, **self.params)
+    def build(self, grid: Grid, t_end: float) -> ExponentField:
+        return PRESETS[self.preset](grid, t_end, **self.params)
 
 
 @dataclass(frozen=True)
@@ -72,22 +79,22 @@ class FluidSpec:
     amplitude: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
     grid: Grid
     t_end: float
     dt: float
-    seed: int
-    nu0: float
-    nu1: float
-    theta: float
+    seed: int = 0
+    nu0: float = 1.0
+    nu1: float = 0.0
+    theta: float = 0.0
     exponent: ExponentSpec
     kinetic: KineticSpec
     fluid: FluidSpec
     cfl_factor: float = 1.0
     output_every: int = 0        # 0 = final state only
     output_dir: str = "out"
-    d: int = 2
+    d: ClassVar[int] = DIM
 
     def __post_init__(self):
         for name in ("t_end", "dt", "nu0", "nu1", "theta", "cfl_factor"):
@@ -100,6 +107,10 @@ class ScenarioConfig:
             raise ConfigError("dt and t_end must be positive")
         if self.cfl_factor <= 0:
             raise ConfigError(f"cfl_factor must be positive, got {self.cfl_factor}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.output_every < 0:
+            raise ConfigError(f"output_every must be nonnegative, got {self.output_every}")
         n_steps = round(self.t_end / self.dt)
         if abs(n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ConfigError(
@@ -107,36 +118,41 @@ class ScenarioConfig:
                 f"{n_steps} steps end at t = {n_steps * self.dt}"
             )
         kin = self.kinetic
-        if kin.preset not in INITIAL_PRESETS:
-            raise ConfigError(f"unknown [kinetic] preset {kin.preset!r}, "
-                              f"expected one of {', '.join(INITIAL_PRESETS)}")
-        if kin.preset != "zero" and kin.mass != 0.0 and kin.n_particles < 1:
-            raise ConfigError(f"[kinetic] preset {kin.preset!r} with mass {kin.mass} "
-                              "needs n_particles >= 1")
+        try:
+            sample_initial(self.grid, kin.preset, min(kin.n_particles, 1), mass=kin.mass,
+                           vmax=kin.vmax, temperature=kin.temperature)
+        except ValueError as exc:
+            raise ConfigError(f"[kinetic] preset {kin.preset!r}: {exc}") from exc
         if self.fluid.initial not in INITIAL_VELOCITIES:
             raise ConfigError(f"unknown [fluid] initial preset {self.fluid.initial!r}, "
                               f"expected one of {', '.join(INITIAL_VELOCITIES)}")
-        trial = self.exponent.check(self.t_end, d=self.d)
+        trial = self.exponent.check(self.t_end)
         try:
             StressLaw(self.nu0, self.nu1, trial, self.theta)
         except ValueError as exc:
             raise ConfigError(f"[rheology] {exc}") from exc
 
 
-_EXP_FLOAT_KEYS = {
-    "value", "base", "amplitude", "switch_time",
-    "value_before", "base_after", "amplitude_after",
+_PARSERS = {"int": int, "float": float, "str": str}
+
+
+def _fields(cls, names=None) -> dict[str, dataclasses.Field]:
+    return {f.name: f for f in dataclasses.fields(cls) if names is None or f.name in names}
+
+
+# the dataclass fields each section sets; their names are the section's keys
+_SECTION_FIELDS = {
+    "domain": _fields(Grid),
+    "run": _fields(ScenarioConfig, ("t_end", "dt", "seed", "cfl_factor",
+                                    "output_every", "output_dir")),
+    "rheology": _fields(ScenarioConfig, ("nu0", "nu1", "theta")),
+    "kinetic": _fields(KineticSpec),
+    "fluid": _fields(FluidSpec),
 }
 
 # every key load_config reads, per section; anything else is a config error
-_SECTION_KEYS = {
-    "domain": {"nx", "ny", "lx", "ly"},
-    "run": {"t_end", "dt", "seed", "cfl_factor", "output_every", "output_dir"},
-    "exponent": {"preset"} | _EXP_FLOAT_KEYS,
-    "rheology": {"nu0", "nu1", "theta"},
-    "kinetic": {"preset", "n_particles", "mass", "vmax", "temperature"},
-    "fluid": {"initial", "amplitude"},
-}
+_SECTION_KEYS = {name: set(fields) for name, fields in _SECTION_FIELDS.items()}
+_SECTION_KEYS["exponent"] = {"preset"}.union(*map(preset_parameters, PRESETS))
 
 
 def _check_known_keys(cp: configparser.ConfigParser, path) -> None:
@@ -146,6 +162,17 @@ def _check_known_keys(cp: configparser.ConfigParser, path) -> None:
         unknown = sorted(set(cp[name]) - _SECTION_KEYS[name])
         if unknown:
             raise ConfigError(f"unknown key(s) {', '.join(unknown)} in [{name}] of {path}")
+
+
+def _read_section(cp: configparser.ConfigParser, name: str) -> dict:
+    """Section `name`'s keys parsed by their fields' types; a field with no default needs one."""
+    fields = _SECTION_FIELDS[name]
+    section = cp[name] if cp.has_section(name) else {}
+    missing = [k for k, f in fields.items()
+               if f.default is dataclasses.MISSING and k not in section]
+    if missing:
+        raise ConfigError(f"missing key(s) {', '.join(missing)} in [{name}]")
+    return {k: _PARSERS[fields[k].type](v) for k, v in section.items()}
 
 
 def load_config(path) -> ScenarioConfig:
@@ -158,48 +185,17 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"cannot read config file: {path}")
     _check_known_keys(cp, path)
     try:
-        dom = cp["domain"]
-        grid = Grid(
-            nx=dom.getint("nx"),
-            ny=dom.getint("ny"),
-            lx=dom.getfloat("lx", 1.0),
-            ly=dom.getfloat("ly", 1.0),
-        )
-        run = cp["run"]
-        exp_sec = cp["exponent"] if cp.has_section("exponent") else {}
-        preset = exp_sec.get("preset", "constant") if exp_sec else "constant"
-        params = {
-            k: float(v) for k, v in dict(exp_sec).items() if k in _EXP_FLOAT_KEYS
-        }
-        rheo = cp["rheology"] if cp.has_section("rheology") else {}
-        kin = cp["kinetic"] if cp.has_section("kinetic") else None
-        flu = cp["fluid"] if cp.has_section("fluid") else None
-        cfg = ScenarioConfig(
-            grid=grid,
-            t_end=run.getfloat("t_end"),
-            dt=run.getfloat("dt"),
-            seed=run.getint("seed", 0),
-            cfl_factor=run.getfloat("cfl_factor", 1.0),
-            output_every=run.getint("output_every", 0),
-            output_dir=run.get("output_dir", "out"),
-            nu0=float(rheo.get("nu0", 1.0)) if rheo else 1.0,
-            nu1=float(rheo.get("nu1", 0.0)) if rheo else 0.0,
-            theta=float(rheo.get("theta", 0.0)) if rheo else 0.0,
-            exponent=ExponentSpec(preset, params),
-            kinetic=KineticSpec(
-                preset=kin.get("preset", "zero"),
-                n_particles=kin.getint("n_particles", 0),
-                mass=kin.getfloat("mass", 0.0),
-                vmax=kin.getfloat("vmax", 1.0),
-                temperature=kin.getfloat("temperature", 1.0),
-            ) if kin else KineticSpec(),
-            fluid=FluidSpec(
-                initial=flu.get("initial", "rest"),
-                amplitude=flu.getfloat("amplitude", 0.0),
-            ) if flu else FluidSpec(),
+        exp = dict(cp["exponent"]) if cp.has_section("exponent") else {}
+        preset = {"preset": exp.pop("preset")} if "preset" in exp else {}
+        return ScenarioConfig(
+            grid=Grid(**_read_section(cp, "domain")),
+            **_read_section(cp, "run"),
+            **_read_section(cp, "rheology"),
+            exponent=ExponentSpec(**preset, params={k: float(v) for k, v in exp.items()}),
+            kinetic=KineticSpec(**_read_section(cp, "kinetic")),
+            fluid=FluidSpec(**_read_section(cp, "fluid")),
         )
     except ConfigError:
         raise
-    except (KeyError, ValueError, configparser.Error) as exc:
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
-    return cfg

@@ -1,11 +1,12 @@
 """Variable growth exponent s(t, x).
 
 The exponent is piecewise constant in time (ordered slabs, discontinuities
-across slab boundaries are allowed) and grid-sampled in space.  validate()
-gates a run on what can be checked exactly: finite values and the lower bound
-(3d+2)/(d+2).  Spatial regularity is only ever *estimated*: the log-Hoelder
-modulus is a sup over a continuum, so log_holder_modulus() samples pairs and
-reports the estimate for `sprayflow validate`; no run computes it.
+across slab boundaries are allowed) and grid-sampled in space.  The dimension
+d of the paper's bounds is grid.DIM = 2.  validate() gates a run on what can be
+checked exactly: finite values and the lower bound (3d+2)/(d+2) = 2.  Spatial
+regularity is only ever *estimated*: the log-Hoelder modulus is a sup over a
+continuum, so log_holder_modulus() samples pairs and reports the estimate for
+`sprayflow validate`; no run computes it.
 
 Also contains the ball covering with per-ball exponent statistics
 (q_i, r_i, R_i) and a normalized-bump partition of unity, which the pressure
@@ -14,11 +15,12 @@ toolkit consumes.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid
+from .grid import DIM, Grid
 
 _MAX_PAIR_SAMPLES = 200_000
 
@@ -50,7 +52,6 @@ class ExponentField:
     slabs: tuple[Slab, ...]
     t_end: float
     grid: Grid
-    d: int = 2
 
     def __post_init__(self):
         if not self.slabs:
@@ -132,7 +133,7 @@ def validate(field: ExponentField) -> ValidationReport:
     """
     if not np.all(np.isfinite(field.values_stack())):
         raise ValueError("exponent field contains non-finite values")
-    smin_req = required_s_min(field.d)
+    smin_req = required_s_min(DIM)
     return ValidationReport(
         s_min=field.s_min,
         s_max=field.s_max,
@@ -178,7 +179,7 @@ def conjugate(field: ExponentField) -> ExponentField:
     slabs = tuple(
         Slab(s.t_start, s.values / (s.values - 1.0)) for s in field.slabs
     )
-    return ExponentField(slabs, field.t_end, field.grid, field.d)
+    return ExponentField(slabs, field.t_end, field.grid)
 
 
 def _ball_centers(grid: Grid, radius: float) -> np.ndarray:
@@ -206,9 +207,7 @@ def build_covering(field: ExponentField, grid: Grid | None = None) -> Covering:
     CoveringError once the radius would drop below two mesh cells.
     """
     grid = grid or field.grid
-    d = field.d
-    smin = required_s_min(d)
-    osc_cap = smin / d
+    osc_cap = required_s_min(DIM) / DIM
     xc, yc = grid.cell_centers()
     stack = field.values_stack()  # (nslabs, nx, ny)
     radius = grid.diameter
@@ -240,7 +239,7 @@ def build_covering(field: ExponentField, grid: Grid | None = None) -> Covering:
             break
         radius *= 0.5
 
-    big_r = q * (1.0 + 2.0 / d)
+    big_r = q * (1.0 + 2.0 / DIM)
     raw = _bump(np.sqrt(dist2) / radius)
     total = raw.sum(axis=0)
     if np.any(total <= 0):
@@ -252,17 +251,17 @@ def build_covering(field: ExponentField, grid: Grid | None = None) -> Covering:
 # ---------------------------------------------------------------------------
 # analytic presets (also reachable from the scenario config)
 
-def constant_field(grid: Grid, t_end: float, value: float, d: int = 2) -> ExponentField:
+def constant_field(grid: Grid, t_end: float, value: float) -> ExponentField:
     vals = np.full((grid.nx, grid.ny), float(value))
-    return ExponentField((Slab(0.0, vals),), t_end, grid, d)
+    return ExponentField((Slab(0.0, vals),), t_end, grid)
 
 
 def sinusoidal_field(
-    grid: Grid, t_end: float, base: float = 2.0, amplitude: float = 0.3, d: int = 2
+    grid: Grid, t_end: float, base: float = 2.0, amplitude: float = 0.3
 ) -> ExponentField:
     xc, yc = grid.cell_centers()
     vals = base + amplitude * np.sin(np.pi * xc / grid.lx) * np.sin(np.pi * yc / grid.ly)
-    return ExponentField((Slab(0.0, vals),), t_end, grid, d)
+    return ExponentField((Slab(0.0, vals),), t_end, grid)
 
 
 def two_phase_switch_field(
@@ -272,7 +271,6 @@ def two_phase_switch_field(
     value_before: float = 2.0,
     base_after: float = 2.2,
     amplitude_after: float = 0.2,
-    d: int = 2,
 ) -> ExponentField:
     """Whole-profile switch at a given time: the time-discontinuous case."""
     if not 0.0 < switch_time < t_end:
@@ -282,9 +280,7 @@ def two_phase_switch_field(
     after = base_after + amplitude_after * np.sin(np.pi * xc / grid.lx) * np.sin(
         np.pi * yc / grid.ly
     )
-    return ExponentField(
-        (Slab(0.0, before), Slab(switch_time, after)), t_end, grid, d
-    )
+    return ExponentField((Slab(0.0, before), Slab(switch_time, after)), t_end, grid)
 
 
 PRESETS = {
@@ -292,3 +288,8 @@ PRESETS = {
     "sinusoidal": sinusoidal_field,
     "two_phase_switch": two_phase_switch_field,
 }
+
+
+def preset_parameters(name: str) -> tuple[str, ...]:
+    """The value parameters of preset `name`: its signature after (grid, t_end)."""
+    return tuple(inspect.signature(PRESETS[name]).parameters)[2:]

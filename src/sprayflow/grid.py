@@ -3,6 +3,8 @@
 The fluid solver is a staggered (MAC) scheme, so the mesh object only fixes
 cell counts and extents; face/center array shapes are derived where needed.
 Cells must be square: the compact stencils below assume a single spacing h.
+The mesh, the particle arrays and the CIC kernel are all two-dimensional, so
+the spatial dimension d of the paper's bounds is the constant DIM.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+DIM = 2
 
 
 @dataclass(frozen=True)

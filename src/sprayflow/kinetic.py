@@ -4,7 +4,8 @@ velocity, with specular wall reflection.
 Each particle carries a phase-space weight w (the measure it represents) and a
 bookkeeping value fval (the pointwise density along its characteristic).  The
 dynamics use only w; fval exists to check the closed-form sup-norm growth
-e^{d t}, since div_v((u - v) f) contributes +d f along characteristics.
+e^{d t} with d = DIM = 2, since div_v((u - v) f) contributes +d f along
+characteristics.
 
 The per-step drag ODE dV/dt = u_k - V with u_k frozen is integrated exactly:
     V' = u_k + (V - u_k) e^{-dt}
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluid import VelocityField
-from .grid import Grid
+from .grid import DIM, Grid
 
 _MAX_REFLECTIONS = 100
 
@@ -92,16 +93,21 @@ def sample_initial(
     vmax: float = 1.0,
     temperature: float = 1.0,
     seed: int = 0,
-    d: int = 2,
 ) -> ParticleEnsemble:
     """Equal-weight particle sample of a named initial phase-space density.
 
     Presets: "zero" (empty ensemble), "uniform" (box in x and v, speeds up to
     vmax per component), "maxwellian" (uniform in x, Gaussian in v).  fval
-    carries the pointwise density of the preset at each sample.
+    carries the pointwise density of the preset at each sample.  The values
+    are checked before the empty-ensemble shortcut, whatever the preset.
     """
     if preset not in INITIAL_PRESETS:
         raise ValueError(f"unknown initial-data preset: {preset!r}")
+    if not (np.isfinite(mass) and mass >= 0.0):
+        raise ValueError(f"mass must be finite and nonnegative, got {mass}")
+    for name, value in (("vmax", vmax), ("temperature", temperature)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     if preset == "zero" or mass == 0.0:
         empty = np.zeros((0, 2))
         return ParticleEnsemble(grid, empty, empty.copy(), np.zeros(0), np.zeros(0))
@@ -261,13 +267,11 @@ def reflect(X: np.ndarray, V: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.nd
     return X, V
 
 
-def advance(
-    particles: ParticleEnsemble, vel: VelocityField | None, dt: float, d: int = 2
-) -> ParticleEnsemble:
+def advance(particles: ParticleEnsemble, vel: VelocityField | None, dt: float) -> ParticleEnsemble:
     """One exact-drag step with the fluid velocity frozen at the start.
 
     Weights are untouched (mass conservation is structural); fval picks up the
-    closed-form factor e^{d dt}.
+    closed-form factor e^{d dt} with d = DIM.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -283,7 +287,7 @@ def advance(
     Vn = uk + rel * decay
     Xn = p.X + uk * dt + rel * (1.0 - decay)
     Xn, Vn = reflect(Xn, Vn, p.grid)
-    return ParticleEnsemble(p.grid, Xn, Vn, p.w.copy(), p.fval * np.exp(d * dt))
+    return ParticleEnsemble(p.grid, Xn, Vn, p.w.copy(), p.fval * np.exp(DIM * dt))
 
 
 def drag_dissipation_exact(particles: ParticleEnsemble, vel: VelocityField | None, dt: float) -> float:

@@ -45,7 +45,7 @@ class RunResult:
 
 def build_scene(cfg: ScenarioConfig):
     """(exponent field, stress law, fluid state, particles) for a scenario."""
-    field = cfg.exponent.build(cfg.grid, cfg.t_end, d=cfg.d)
+    field = cfg.exponent.build(cfg.grid, cfg.t_end)
     law = StressLaw(cfg.nu0, cfg.nu1, field, cfg.theta)
     state = FluidState(initial_velocity(cfg.grid, cfg.fluid.initial, cfg.fluid.amplitude))
     particles = sample_initial(
@@ -56,7 +56,6 @@ def build_scene(cfg: ScenarioConfig):
         vmax=cfg.kinetic.vmax,
         temperature=cfg.kinetic.temperature,
         seed=module_rng(cfg.seed, "kinetic"),
-        d=cfg.d,
     )
     return field, law, state, particles
 
@@ -84,19 +83,19 @@ def certify(field, law) -> CoercivityCertificate:
     return cert
 
 
-def _write_state(outdir: str, tag: str, state: FluidState, particles: ParticleEnsemble, d: int):
+def _write_state(outdir: str, tag: str, state: FluidState, particles: ParticleEnsemble):
     t = state.time
     write_snapshot(os.path.join(outdir, f"u_{tag}.vkf"),
-                   Snapshot(KIND_U_FACE, t, state.velocity.u, d))
+                   Snapshot(KIND_U_FACE, t, state.velocity.u))
     write_snapshot(os.path.join(outdir, f"v_{tag}.vkf"),
-                   Snapshot(KIND_V_FACE, t, state.velocity.v, d))
+                   Snapshot(KIND_V_FACE, t, state.velocity.v))
     if state.pressure is not None:
         write_snapshot(os.path.join(outdir, f"p_{tag}.vkf"),
-                       Snapshot(KIND_SCALAR, t, state.pressure, d))
+                       Snapshot(KIND_SCALAR, t, state.pressure))
     write_snapshot(
         os.path.join(outdir, f"particles_{tag}.vkf"),
         Snapshot(KIND_PARTICLES, t,
-                 particles_to_table(particles.X, particles.V, particles.w, particles.fval), d),
+                 particles_to_table(particles.X, particles.V, particles.w, particles.fval)),
     )
 
 
@@ -115,10 +114,10 @@ def run_scenario(cfg: ScenarioConfig, outdir: str | None = None) -> RunResult:
                 ops, state, particles, law, cfg.dt, ledger, cfl_factor=cfg.cfl_factor
             )
             if cfg.output_every and (step + 1) % cfg.output_every == 0:
-                _write_state(outdir, f"{step + 1:06d}", state, particles, cfg.d)
+                _write_state(outdir, f"{step + 1:06d}", state, particles)
     finally:
         # on blow-up the last good state is still on disk for post-mortem
-        _write_state(outdir, "final", state, particles, cfg.d)
+        _write_state(outdir, "final", state, particles)
         ledger_path = os.path.join(outdir, "ledger.csv")
         ledger.write_csv(ledger_path)
     return RunResult(state, particles, ledger, cert, ledger_path)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import DIM
+
 MAGIC = b"VKF1"
 VERSION = 1
 
@@ -41,7 +43,7 @@ class Snapshot:
     kind: int
     time: float
     data: np.ndarray
-    d: int = 2
+    d: int = DIM
 
 
 def write_snapshot(path, snap: Snapshot) -> None:

@@ -1,8 +1,8 @@
 """End-to-end acceptance gate.
 
 Each test prints a single PASS/FAIL line for its criterion; the expensive
-coupled runs are shared through module-scoped fixtures and timed for the
-runtime budget check.
+coupled runs (the dt study, whose dt_0 run is the base run) are shared
+through a module-scoped fixture and timed for the runtime budget check.
 """
 
 import os
@@ -11,12 +11,13 @@ import time
 import numpy as np
 import pytest
 
+import sprayflow.run as srun
 from sprayflow import studies
 from sprayflow.config import load_config
-from sprayflow.coupling import LEDGER_RTOL, EnergyLedger, coupled_step, ledger_differences
+from sprayflow.coupling import LEDGER_RTOL, EnergyLedger, ledger_differences
 from sprayflow.exponent import build_covering, required_s_min, sinusoidal_field
 from sprayflow.fluid import FluidOps, VelocityField
-from sprayflow.grid import Grid
+from sprayflow.grid import DIM, Grid
 from sprayflow.kinetic import advance, sample_initial
 from sprayflow.orlicz import luxemburg_norm, modular
 from sprayflow.pressure import (
@@ -36,46 +37,42 @@ CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "acceptance.in
 # within LEDGER_RTOL of each column's maximum
 GOLDEN_LEDGER = os.path.join(os.path.dirname(__file__), "data", "acceptance_ledger.csv")
 
-_timings = {}
-
-
 def _report(num, name, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"criterion {num:2d} ({name}): {status} — {detail}")
     assert ok, f"criterion {num} ({name}) failed: {detail}"
 
 
-def _coupled_run(cfg):
-    field, law, state, particles = build_scene(cfg)
-    ops = FluidOps(cfg.grid)
-    ledger = EnergyLedger()
-    p0 = particles.copy()
-    fval_checks = []
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    f0max = p0.fval.max()
-    for _ in range(n_steps):
-        state, particles, row = coupled_step(ops, state, particles, law, cfg.dt, ledger)
-        fval_checks.append(abs(particles.fval.max() / (f0max * np.exp(2.0 * row.t)) - 1.0))
-    return dict(p0=p0, particles=particles, state=state, ledger=ledger,
-                fval_err=max(fval_checks), law=law, field=field)
-
-
 @pytest.fixture(scope="module")
-def acceptance(request):
+def acceptance(tmp_path_factory):
+    """The dt study of the acceptance scenario; its dt_0 run is the base run.
+
+    Every coupled step goes through a wrapper around sprayflow.run.coupled_step
+    that records, for the steps of the first ledger it sees (the dt_0 run),
+    the particles after the step and the relative error of the sup-norm
+    growth law e^{d t}.
+    """
     cfg = load_config(CONFIG)
-    t0 = time.perf_counter()
-    out = _coupled_run(cfg)
-    _timings["base"] = time.perf_counter() - t0
-    out["cfg"] = cfg
-    return out
+    _, law, _, p0 = build_scene(cfg)
+    f0max = p0.fval.max()
+    base = {"fval_err": []}
+    inner = srun.coupled_step
 
+    def recording(ops, state, particles, law, dt, ledger, **kwargs):
+        out = inner(ops, state, particles, law, dt, ledger, **kwargs)
+        if base.setdefault("ledger", ledger) is ledger:
+            _, base["particles"], row = out
+            base["fval_err"].append(
+                abs(base["particles"].fval.max() / (f0max * np.exp(DIM * row.t)) - 1.0))
+        return out
 
-@pytest.fixture(scope="module")
-def dt_study(acceptance, tmp_path_factory):
     t0 = time.perf_counter()
-    dts, residuals, _ = studies.dt_study(acceptance["cfg"], tmp_path_factory.mktemp("dt_study"))
-    _timings["study"] = time.perf_counter() - t0
-    return dts, residuals
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(srun, "coupled_step", recording)
+        dts, residuals, _ = studies.dt_study(cfg, tmp_path_factory.mktemp("dt_study"))
+    return dict(cfg=cfg, p0=p0, law=law, particles=base["particles"],
+                ledger=base["ledger"], fval_err=max(base["fval_err"]),
+                dts=dts, residuals=residuals, runs_s=time.perf_counter() - t0)
 
 
 def test_criterion_01_mass_conservation(acceptance):
@@ -106,8 +103,8 @@ def test_criterion_04_drag_antisymmetry(acceptance):
     _report(4, "drag antisymmetry", worst <= 1e-12, f"worst normalized defect {worst:.3e}")
 
 
-def test_criterion_05_energy_audit_convergence(acceptance, dt_study):
-    dts, residuals = dt_study
+def test_criterion_05_energy_audit_convergence(acceptance):
+    dts, residuals = acceptance["dts"], acceptance["residuals"]
     order = studies.fitted_order(dts, residuals)
     rows = acceptance["ledger"].rows
     e_tot = [r.E_fluid + r.E_kin for r in rows]
@@ -158,7 +155,7 @@ def test_criterion_08_covering():
     grid = Grid(64, 64)
     field = sinusoidal_field(grid, 1.0, base=2.0, amplitude=0.4)
     cov = build_covering(field)
-    gap_ok = bool(np.all(cov.big_r - cov.r_sup >= required_s_min(2) / 2))
+    gap_ok = bool(np.all(cov.big_r - cov.r_sup >= required_s_min(DIM) / DIM))
     pou = float(np.abs(cov.zeta.sum(axis=0) - 1.0).max())
     ok = gap_ok and pou <= 1e-12
     _report(8, "covering invariants", ok,
@@ -228,7 +225,7 @@ def test_acceptance_ledger_matches_golden(acceptance):
     assert not beyond, f"ledger columns beyond {LEDGER_RTOL:g} relative: {beyond}"
 
 
-def test_criterion_12_runtime(acceptance, dt_study):
-    total = _timings.get("base", 0.0) + _timings.get("study", 0.0)
+def test_criterion_12_runtime(acceptance):
+    total = acceptance["runs_s"]
     _report(12, "runtime budget", total < 120.0,
             f"coupled acceptance runs took {total:.1f} s (< 120 s)")

@@ -10,8 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from sprayflow import cli, exponent
 from sprayflow.cli import main
-from sprayflow.config import ConfigError, load_config, module_rng
+from sprayflow.config import (
+    ConfigError,
+    ExponentSpec,
+    FluidSpec,
+    KineticSpec,
+    ScenarioConfig,
+    load_config,
+    module_rng,
+)
 from sprayflow.fluid import CFLViolation
+from sprayflow.grid import DIM, Grid
 from sprayflow.rheology import CoercivityError
 from sprayflow.run import run_scenario
 from sprayflow.snapshots import (
@@ -111,6 +120,98 @@ def test_config_rejects_garbage(tmp_path):
         load_config(p)
 
 
+# every key of every section, each set to a value that is not its default;
+# [exponent] holds one preset's keys at a time
+EVERY_KEY_INI = """
+[domain]
+nx = 16
+ny = 8
+lx = 4.0
+ly = 2.0
+[run]
+t_end = 0.5
+dt = 0.01
+seed = 9
+cfl_factor = 0.5
+output_every = 3
+output_dir = elsewhere
+[exponent]
+{exponent}
+[rheology]
+nu0 = 0.2
+nu1 = 0.01
+theta = 0.1
+[kinetic]
+preset = maxwellian
+n_particles = 5
+mass = 0.02
+vmax = 0.7
+temperature = 0.3
+[fluid]
+initial = stream_bump
+amplitude = 0.2
+"""
+
+
+@pytest.mark.parametrize("preset, params", [
+    ("constant", {"value": 2.5}),
+    ("sinusoidal", {"base": 2.4, "amplitude": 0.1}),
+    ("two_phase_switch", {"switch_time": 0.25, "value_before": 2.1,
+                          "base_after": 2.3, "amplitude_after": 0.1}),
+])
+def test_config_round_trip_every_key(tmp_path, preset, params):
+    keys = "\n".join(f"{k} = {v}" for k, v in {"preset": preset, **params}.items())
+    p = tmp_path / "every.ini"
+    p.write_text(EVERY_KEY_INI.format(exponent=keys))
+    cfg = load_config(p)
+    expected = ScenarioConfig(
+        grid=Grid(16, 8, 4.0, 2.0), t_end=0.5, dt=0.01, seed=9, nu0=0.2, nu1=0.01,
+        theta=0.1, exponent=ExponentSpec(preset, params),
+        kinetic=KineticSpec("maxwellian", 5, 0.02, 0.7, 0.3),
+        fluid=FluidSpec("stream_bump", 0.2),
+        cfl_factor=0.5, output_every=3, output_dir="elsewhere",
+    )
+    assert cfg == expected
+    assert repr(cfg) == repr(expected)  # 9 and 9.0 compare equal; their reprs do not
+    # a field with a default that no key of the file sets would still hold it
+    for obj in (cfg, cfg.grid, cfg.kinetic, cfg.fluid):
+        for f in dataclasses.fields(obj):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(obj, f.name) != f.default, f"{type(obj).__name__}.{f.name}"
+
+
+def test_config_minimal_file_yields_dataclass_defaults(tmp_path):
+    p = tmp_path / "defaults.ini"
+    p.write_text("[domain]\nnx = 16\nny = 16\n[run]\nt_end = 0.1\ndt = 0.01\n"
+                 "[exponent]\nvalue = 2.0\n")
+    cfg = load_config(p)
+    expected = ScenarioConfig(grid=Grid(16, 16), t_end=0.1, dt=0.01,
+                              exponent=ExponentSpec(params={"value": 2.0}),
+                              kinetic=KineticSpec(), fluid=FluidSpec())
+    assert cfg == expected
+    assert repr(cfg) == repr(expected)
+
+
+@pytest.mark.parametrize("text, missing", [
+    ("[domain]\nnx = 16\nny = 16\n[run]\nt_end = 0.1\n", "dt"),
+    ("[domain]\nny = 16\n[run]\nt_end = 0.1\ndt = 0.01\n", "nx"),
+    ("[domain]\nnx = 16\nny = 16\n", "t_end"),
+], ids=["run-dt", "domain-nx", "run-section"])
+def test_config_missing_required_key(tmp_path, text, missing):
+    p = tmp_path / "missing.ini"
+    p.write_text(text + "[exponent]\nvalue = 2.0\n")
+    with pytest.raises(ConfigError, match=missing):
+        load_config(p)
+    assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
+
+
+def test_dimension_is_not_a_setting(tmp_path):
+    cfg = load_config(os.path.join(CONFIGS, "minimal.ini"))
+    assert cfg.d == DIM == 2
+    with pytest.raises(TypeError):
+        dataclasses.replace(cfg, d=3)
+
+
 def test_module_rng_streams_independent():
     a = module_rng(0, "kinetic").random(4)
     b = module_rng(0, "fluid").random(4)
@@ -159,6 +260,17 @@ def test_norm_malformed_exponent_spec_exit_2(tmp_path, capsys, spec):
     write_snapshot(snap, Snapshot(KIND_SCALAR, 0.0, np.full((16, 16), 2.0)))
     assert run_cli(["norm", "--field", str(snap), "--exponent", spec]) == 2
     assert "exponent spec" in capsys.readouterr().err
+
+
+def test_norm_time_dependent_exponent_exit_2(tmp_path, capsys):
+    # two slabs, s = 3 then 2.2 + 0.2 sin sin: no single exponent to take
+    snap = tmp_path / "field.vkf"
+    write_snapshot(snap, Snapshot(KIND_SCALAR, 0.0, np.full((16, 16), 2.0)))
+    spec = "two_phase_switch:0.5:3:2.2:0.2"
+    assert run_cli(["norm", "--field", str(snap), "--exponent", spec]) == 2
+    captured = capsys.readouterr()
+    assert "slabs" in captured.err
+    assert "modular" not in captured.out
 
 
 def test_stress_audit_minimal(capsys):
@@ -329,6 +441,25 @@ def test_config_rejects_rheology_the_stress_law_refuses(tmp_path, rheology):
         load_config(p)
     assert run_cli(["validate", "--config", str(p)]) == 2
     assert run_cli(["stress-audit", "--config", str(p), "--samples", "100"]) == 2
+    assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("acceptance", "seed = 3", "seed = -1"),
+    ("acceptance", "output_every = 0", "output_every = -1"),
+    ("acceptance", "mass = 0.05", "mass = -0.05"),
+    ("acceptance", "vmax = 0.5", "vmax = 0"),
+    ("two_phase", "temperature = 0.1", "temperature = 0"),
+    ("two_phase", "temperature = 0.1", "temperature = -1"),
+], ids=["negative-seed", "negative-output-every", "negative-mass", "zero-vmax",
+        "zero-temperature", "negative-temperature"])
+def test_config_rejects_values_the_run_cannot_use(tmp_path, name, old, new):
+    text = open(os.path.join(CONFIGS, f"{name}.ini")).read()
+    assert old in text
+    p = tmp_path / "bad.ini"
+    p.write_text(text.replace(old, new))
+    with pytest.raises(ConfigError, match=new.split(" = ")[0]):
+        load_config(p)
     assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
 
 

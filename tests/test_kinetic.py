@@ -74,6 +74,23 @@ def test_zero_particle_count_rejected():
         sample_initial(GRID, "uniform", 0, mass=1.0)
 
 
+@pytest.mark.parametrize("preset", ["zero", "uniform", "maxwellian"])
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(mass=-0.05), "mass"),
+    (dict(mass=np.nan), "mass"),
+    (dict(mass=1.0, vmax=0.0), "vmax"),
+    (dict(mass=1.0, vmax=np.inf), "vmax"),
+    (dict(mass=1.0, temperature=0.0), "temperature"),
+    (dict(mass=1.0, temperature=-1.0), "temperature"),
+], ids=["negative-mass", "nan-mass", "zero-vmax", "infinite-vmax",
+        "zero-temperature", "negative-temperature"])
+def test_sample_values_the_sampler_cannot_use_rejected(preset, kwargs, name):
+    # a negative mass gives negative weights; vmax or temperature <= 0 divides
+    # by zero or takes the root of a negative number; every preset refuses them
+    with pytest.raises(ValueError, match=name):
+        sample_initial(GRID, preset, 10, **kwargs)
+
+
 # -- advance ------------------------------------------------------------------
 
 def test_advance_closed_form_free_decay():
@@ -87,7 +104,7 @@ def test_advance_closed_form_free_decay():
 def test_advance_fval_growth_factor():
     dt = np.log(2.0)
     p = single(0.2, 0.5, 0.0, 0.0, fv=3.0)
-    q = advance(p, None, dt, d=2)
+    q = advance(p, None, dt)
     assert q.fval[0] == pytest.approx(12.0, rel=1e-14)  # e^{2 ln 2} = 4
 
 
