@@ -97,7 +97,11 @@ def cmd_norm(args) -> int:
     data = snap.data
     cw = TENSOR_COMP_WEIGHTS if snap.kind == KIND_TENSOR else None
     nx, ny = data.shape[0], data.shape[1]
-    grid = Grid(nx, ny, args.extent, args.extent * ny / nx)
+    try:
+        grid = Grid(nx, ny, args.extent, args.extent * ny / nx)
+    except ValueError as exc:
+        print(f"bad --extent: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     s = _exponent_values(args.exponent, grid, t_end=1.0)
     w = np.full((nx, ny), grid.cell_volume)
     print(f"modular:  {modular(data, s, w, cw):.12g}")

@@ -111,8 +111,8 @@ class ScenarioConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.output_every < 0:
             raise ConfigError(f"output_every must be nonnegative, got {self.output_every}")
-        n_steps = round(self.t_end / self.dt)
-        if abs(n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+        if not self._on_step_grid(self.t_end):
+            n_steps = round(self.t_end / self.dt)
             raise ConfigError(
                 f"dt = {self.dt} does not divide t_end = {self.t_end}: "
                 f"{n_steps} steps end at t = {n_steps * self.dt}"
@@ -127,10 +127,17 @@ class ScenarioConfig:
             raise ConfigError(f"unknown [fluid] initial preset {self.fluid.initial!r}, "
                               f"expected one of {', '.join(INITIAL_VELOCITIES)}")
         trial = self.exponent.check(self.t_end)
+        for slab in trial.slabs:
+            if not self._on_step_grid(slab.t_start):
+                raise ConfigError(f"[exponent] switch at t = {slab.t_start} "
+                                  f"is not a multiple of dt = {self.dt}")
         try:
             StressLaw(self.nu0, self.nu1, trial, self.theta)
         except ValueError as exc:
             raise ConfigError(f"[rheology] {exc}") from exc
+
+    def _on_step_grid(self, t: float) -> bool:
+        return abs(round(t / self.dt) * self.dt - t) <= 1e-9 * self.t_end
 
 
 _PARSERS = {"int": int, "float": float, "str": str}

@@ -1,8 +1,9 @@
 """Two-way drag coupling and the per-step energy ledger.
 
 The coupling is a Lie splitting: deposit particle moments, form the drag
-force, advance the fluid one explicit step, then push the particles through
-the *new* fluid velocity with the exact frozen-u integrator.
+force, advance the fluid one explicit step with it, then push the particles
+through the *new* fluid velocity with the exact frozen-u integrator, whose
+wall reflection works in place.
 
 The ledger tracks, per step, both phase energies, the accumulated stress and
 drag dissipation, and the signed energy-budget residual
@@ -130,7 +131,7 @@ def drag_force(moments: MomentFields, vel: VelocityField) -> VelocityField:
 
 
 def exchange_audit(
-    particles: ParticleEnsemble, vel: VelocityField | None, dt: float
+    particles: ParticleEnsemble, vel: VelocityField, dt: float
 ) -> tuple[float, float, float]:
     """(fluid-side work, particle-side work, -dissipation) of the drag.
 
@@ -141,7 +142,7 @@ def exchange_audit(
     p = particles
     if p.n == 0:
         return 0.0, 0.0, 0.0
-    uk = np.zeros_like(p.V) if vel is None else interpolate_velocity(vel, p.X)
+    uk = interpolate_velocity(vel, p.X)
     rel = uk - p.V
     w_f = -float(np.sum(p.w * row_dot(rel, uk))) * dt
     w_p = float(np.sum(p.w * row_dot(rel, p.V))) * dt
@@ -165,16 +166,17 @@ def coupled_step(
     particles: ParticleEnsemble,
     law: StressLaw,
     dt: float,
-    ledger: EnergyLedger | None = None,
+    ledger: EnergyLedger,
     cfl_factor: float = 1.0,
 ) -> tuple[FluidState, ParticleEnsemble, LedgerRow]:
     """One Lie-split step: deposit, drag, fluid step, particle push (new u).
 
-    The fluid step is refused when dt exceeds cfl_factor times its CFL bound.
+    The step's row is appended to the ledger and returned.  The fluid step is
+    refused when dt exceeds cfl_factor times its CFL bound.
     """
     moments = deposit(particles)
     drag = drag_force(moments, state.velocity)
-    new_state, diag = fluid_step(ops, state, law, dt, drag=drag, cfl_factor=cfl_factor)
+    new_state, diag = fluid_step(ops, state, law, dt, drag, cfl_factor=cfl_factor)
     e_before = diag.energy_before + particles.kinetic_energy()
     d_drag = drag_dissipation_exact(particles, new_state.velocity, dt)
     new_particles = advance(particles, new_state.velocity, dt)
@@ -186,17 +188,16 @@ def coupled_step(
     w_f, w_p, dis = exchange_audit(particles, new_state.velocity, dt)
     defect = abs(w_f + w_p - dis)
 
-    prev = ledger.last if ledger and ledger.rows else None
+    prev = ledger.last if ledger.rows else LedgerRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     row = LedgerRow(
         t=new_state.time,
         E_fluid=e_fluid,
         E_kin=e_kin,
-        D_stress_cum=(prev.D_stress_cum if prev else 0.0) + diag.stress_dissipation,
-        D_drag_cum=(prev.D_drag_cum if prev else 0.0) + d_drag,
-        residual_cum=(prev.residual_cum if prev else 0.0) + res,
+        D_stress_cum=prev.D_stress_cum + diag.stress_dissipation,
+        D_drag_cum=prev.D_drag_cum + d_drag,
+        residual_cum=prev.residual_cum + res,
         residual_step=res,
         antisymmetry_defect=defect,
     )
-    if ledger is not None:
-        ledger.append(row)
+    ledger.append(row)
     return new_state, new_particles, row

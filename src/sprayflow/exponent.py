@@ -9,8 +9,9 @@ continuum, so log_holder_modulus() samples pairs and reports the estimate for
 `sprayflow validate`; no run computes it.
 
 Also contains the ball covering with per-ball exponent statistics
-(q_i, r_i, R_i) and a normalized-bump partition of unity, which the pressure
-toolkit consumes.
+(q_i, r_i, R_i) and a normalized-bump partition of unity.  The program uses
+only whether a covering exists; acceptance criterion 8 and the tests alone
+read the per-ball stats.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def validate(field: ExponentField) -> ValidationReport:
     )
 
 
-def log_holder_modulus(field: ExponentField, max_pairs: int = _MAX_PAIR_SAMPLES) -> tuple[float, ...]:
+def log_holder_modulus(field: ExponentField) -> tuple[float, ...]:
     """Per-slab estimate of the log-Hoelder modulus of s.
 
     The estimate is sup |s(x)-s(y)| * |log|x-y|| over sampled pairs of cell
@@ -151,12 +152,12 @@ def log_holder_modulus(field: ExponentField, max_pairs: int = _MAX_PAIR_SAMPLES)
     xc, yc = field.grid.cell_centers()
     pts = np.column_stack([xc.ravel(), yc.ravel()])
     n = pts.shape[0]
-    if n * (n - 1) // 2 <= max_pairs:
+    if n * (n - 1) // 2 <= _MAX_PAIR_SAMPLES:
         ii, jj = np.triu_indices(n, k=1)
     else:
         rng = np.random.default_rng(0)
-        ii = rng.integers(0, n, size=max_pairs)
-        jj = rng.integers(0, n, size=max_pairs)
+        ii = rng.integers(0, n, size=_MAX_PAIR_SAMPLES)
+        jj = rng.integers(0, n, size=_MAX_PAIR_SAMPLES)
         keep = ii != jj
         ii, jj = ii[keep], jj[keep]
     dist = np.hypot(*(pts[ii] - pts[jj]).T)
@@ -199,14 +200,14 @@ def _bump(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_covering(field: ExponentField, grid: Grid | None = None) -> Covering:
-    """Cover the domain with equal balls whose 2r-oscillation of s is small.
+def build_covering(field: ExponentField) -> Covering:
+    """Cover the field's mesh with equal balls whose 2r-oscillation of s is small.
 
     The radius is halved from the domain diameter until the oscillation of s
     over every doubled ball is at most s_min/d in every slab.  Raises
     CoveringError once the radius would drop below two mesh cells.
     """
-    grid = grid or field.grid
+    grid = field.grid
     osc_cap = required_s_min(DIM) / DIM
     xc, yc = grid.cell_centers()
     stack = field.values_stack()  # (nslabs, nx, ny)

@@ -26,6 +26,9 @@ class Grid:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid needs at least one cell per axis")
+        if not all(np.isfinite(ell) and ell > 0 for ell in (self.lx, self.ly)):
+            raise ValueError(
+                f"domain extents must be finite and positive, got {self.lx} x {self.ly}")
         hx, hy = self.lx / self.nx, self.ly / self.ny
         if abs(hx - hy) > 1e-12 * max(hx, hy):
             raise ValueError("cells must be square (lx/nx == ly/ny)")

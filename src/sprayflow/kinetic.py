@@ -23,7 +23,8 @@ those positions reads it; the shared kernel is what makes the drag energy
 exchange antisymmetric in the coupling audit.
 
 Wall reflection finds the particles that left the domain in one pass and
-mirrors only those rows.
+mirrors only those rows, in place: advance hands it the position and
+velocity arrays it has just built.
 """
 
 from __future__ import annotations
@@ -222,15 +223,14 @@ def deposit(particles: ParticleEnsemble) -> MomentFields:
 
 # -- dynamics ----------------------------------------------------------------
 
-def reflect(X: np.ndarray, V: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Specular reflection of overshooting trajectory segments.
+def reflect(X: np.ndarray, V: np.ndarray, grid: Grid) -> None:
+    """Specular reflection of overshooting trajectory segments, in place.
 
     Each wall crossing mirrors the overshoot and flips the normal velocity
     component (v* = v - 2(v.n)n per axis); corner overshoots get both axes
     flipped.  |v| is preserved exactly.  One pass over the ensemble finds the
-    rows outside [eps, L - eps] on either axis; only those rows are mirrored
-    and nudged, and every other row is returned as it came.  The inputs are
-    not modified.
+    rows outside [eps, L - eps] on either axis; only those rows of X and V
+    are mirrored and nudged, and every other row is left as it is.
     """
     extents = (grid.lx, grid.ly)
     eps = tuple(1e-12 * ell for ell in extents)
@@ -238,8 +238,6 @@ def reflect(X: np.ndarray, V: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.nd
     rows = np.flatnonzero(
         (x < eps[0]) | (x > extents[0] - eps[0]) | (y < eps[1]) | (y > extents[1] - eps[1])
     )
-    X = X.copy()
-    V = V.copy()
     Xr = X[rows]
     Vr = V[rows]
     for _ in range(_MAX_REFLECTIONS):
@@ -264,10 +262,9 @@ def reflect(X: np.ndarray, V: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.nd
         np.clip(Xr[:, axis], eps[axis], ell - eps[axis], out=Xr[:, axis])
     X[rows] = Xr
     V[rows] = Vr
-    return X, V
 
 
-def advance(particles: ParticleEnsemble, vel: VelocityField | None, dt: float) -> ParticleEnsemble:
+def advance(particles: ParticleEnsemble, vel: VelocityField, dt: float) -> ParticleEnsemble:
     """One exact-drag step with the fluid velocity frozen at the start.
 
     Weights are untouched (mass conservation is structural); fval picks up the
@@ -278,19 +275,16 @@ def advance(particles: ParticleEnsemble, vel: VelocityField | None, dt: float) -
     p = particles
     if p.n == 0:
         return p.copy()
-    if vel is None:
-        uk = np.zeros_like(p.V)
-    else:
-        uk = interpolate_velocity(vel, p.X)
+    uk = interpolate_velocity(vel, p.X)
     decay = np.exp(-dt)
     rel = p.V - uk
     Vn = uk + rel * decay
     Xn = p.X + uk * dt + rel * (1.0 - decay)
-    Xn, Vn = reflect(Xn, Vn, p.grid)
+    reflect(Xn, Vn, p.grid)
     return ParticleEnsemble(p.grid, Xn, Vn, p.w.copy(), p.fval * np.exp(DIM * dt))
 
 
-def drag_dissipation_exact(particles: ParticleEnsemble, vel: VelocityField | None, dt: float) -> float:
+def drag_dissipation_exact(particles: ParticleEnsemble, vel: VelocityField, dt: float) -> float:
     """Closed-form integral of sum w |u_k - V(t)|^2 over one frozen-u step.
 
     |V(t) - u_k| = |V - u_k| e^{-t}, so the integral is
@@ -299,9 +293,6 @@ def drag_dissipation_exact(particles: ParticleEnsemble, vel: VelocityField | Non
     p = particles
     if p.n == 0:
         return 0.0
-    if vel is None:
-        uk = np.zeros_like(p.V)
-    else:
-        uk = interpolate_velocity(vel, p.X)
+    uk = interpolate_velocity(vel, p.X)
     rel = p.V - uk
     return float(np.sum(p.w * row_dot(rel, rel))) * (1.0 - np.exp(-2.0 * dt)) / 2.0

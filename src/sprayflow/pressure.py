@@ -163,25 +163,16 @@ def _random_bump_tensor(rng: np.random.Generator, grid: Grid) -> np.ndarray:
     return bump[..., None] * coeff
 
 
-def verify_bounds(
-    grid: Grid,
-    n_samples: int = 10,
-    seed: int = 0,
-    exponents: dict | None = None,
-    factor: float = 4.0,
-) -> dict[str, BoundReport]:
+def verify_bounds(grid: Grid, n_samples: int = 10, seed: int = 0) -> dict[str, BoundReport]:
     """Empirical operator-norm ratios ||p|| / ||source|| per problem kind.
 
-    Exponents default to 2 for every kind; the covering can override them with
-    the ball-local values (conjugates of r_i for p1, R_i/2 and R_i for p2).
-    All-zero draws are skipped, not counted as ratios.
+    The norms are fixed: ||p||_2 / ||src||_2 for p1 and p3, and
+    ||p||_2 / ||src||_4^2 for p2, whose source is quadratic.  The box is the
+    default PaddedBox.  All-zero draws are skipped, not counted as ratios.
     """
     if n_samples < 10:
         raise ValueError("need at least 10 samples per kind")
-    exps = {"p1": 2.0, "p2_num": 2.0, "p2_den": 4.0, "p3": 2.0}
-    if exponents:
-        exps.update(exponents)
-    box = PaddedBox(grid, factor)
+    box = PaddedBox(grid)
     cellvol = grid.cell_volume
     rng = np.random.default_rng(seed)
     out: dict[str, BoundReport] = {}
@@ -197,15 +188,11 @@ def verify_bounds(
                 continue
             src = box.embed(src_inner)
             p = box.extract(solve(PressureProblem(kind, src, box)))
-            if kind == "p1":
-                num = _lp_norm(p, exps["p1"], cellvol)
-                den = _lp_norm(src_inner, exps["p1"], cellvol)
-            elif kind == "p2":
-                num = _lp_norm(p, exps["p2_num"], cellvol)
-                den = _lp_norm(src_inner, exps["p2_den"], cellvol) ** 2
+            num = _lp_norm(p, 2.0, cellvol)
+            if kind == "p2":
+                den = _lp_norm(src_inner, 4.0, cellvol) ** 2
             else:
-                num = _lp_norm(p, exps["p3"], cellvol)
-                den = _lp_norm(src_inner, exps["p3"], cellvol)
+                den = _lp_norm(src_inner, 2.0, cellvol)
             if den == 0.0:
                 continue
             ratios.append(num / den)
@@ -228,25 +215,22 @@ def verify_locality(
     grid: Grid,
     center: tuple[float, float],
     radius: float,
-    kind: str = "p1",
-    seed: int = 0,
     factor: float = 4.0,
 ) -> LocalityReport:
-    """Far-field decay of p for a source supported in one ball.
+    """Far-field decay of the p1 pressure for a source supported in one ball.
 
-    Measures sup |p| and sup |grad p| over three distance bands outside the
-    ball, relative to the source sup; the harmonic far field decays like a
+    The source is a bump times a seed-0 random symmetric tensor.  Measures
+    sup |p| and sup |grad p| over three distance bands outside the ball,
+    relative to the source sup; the harmonic far field decays like a
     multipole, so the band maxima must be monotone decreasing.
     """
     box = PaddedBox(grid, factor)
     xc, yc = grid.cell_centers()
     rho2 = ((xc - center[0]) ** 2 + (yc - center[1]) ** 2) / radius**2
     bump = np.clip(1.0 - rho2, 0.0, None) ** 3
-    rng = np.random.default_rng(seed)
-    ncomp = 2 if kind == "p3" else 3
-    src_inner = bump[..., None] * rng.standard_normal(ncomp)
+    src_inner = bump[..., None] * np.random.default_rng(0).standard_normal(3)
     src = box.embed(src_inner)
-    p = solve(PressureProblem(kind, src, box))
+    p = solve(PressureProblem("p1", src, box))
     gp = gradient(box, p)
 
     # distances on the full box

@@ -31,6 +31,14 @@ class CoercivityError(RuntimeError):
     """No finite coercivity constant found: the law is misconfigured."""
 
 
+def packed_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a : b = a11 b11 + a22 b22 + 2 a12 b12 for (..., 3)-packed symmetric tensors."""
+    out = a[..., 0] * b[..., 0]
+    out += a[..., 1] * b[..., 1]
+    out += 2.0 * (a[..., 2] * b[..., 2])
+    return out
+
+
 @dataclass(frozen=True)
 class StressLaw:
     nu0: float
@@ -77,11 +85,12 @@ class StressLaw:
 
     def eval_packed(self, s: np.ndarray, packed: np.ndarray, regularized: bool = True) -> np.ndarray:
         """Apply the law to (..., 3)-packed symmetric tensors (a11, a22, a12)."""
-        a11, a22, a12 = (packed[..., k] for k in range(3))
-        mag = a11 * a11
-        mag += a22 * a22
-        mag += 2.0 * (a12 * a12)
-        mag = np.sqrt(mag)
+        mag = np.sqrt(packed_inner(packed, packed))
+        return self.viscosity(s, mag, regularized)[..., None] * packed
+
+    def viscosity(self, s: np.ndarray, mag: np.ndarray, regularized: bool) -> np.ndarray:
+        """g in S = g xi: nu0 + nu1 |xi|^(s-2), plus theta s_max |xi|^(s_max-2)
+        when regularized; each power term is 0 at |xi| = mag = 0."""
         pos = mag > 0
         base = np.where(pos, mag, 1.0)
         g = np.full_like(mag, self.nu0)
@@ -96,7 +105,7 @@ class StressLaw:
             term *= self.theta * self.s_max
             term *= pos
             g += term
-        return g[..., None] * packed
+        return g
 
 @dataclass(frozen=True)
 class MonotonicityReport:
@@ -152,12 +161,11 @@ def certify_monotone(law: StressLaw, n_samples: int = 100_000, seed: int = 0) ->
     ])
     s = law.exponent.sample(t, x)
 
-    s1 = law.eval_packed(s, xi1)
-    s2 = law.eval_packed(s, xi2)
-    cw = np.array([1.0, 1.0, 2.0])
-    inner = np.sum((s1 - s2) * (xi1 - xi2) * cw, axis=-1)
-    ds_mag = np.sqrt(np.sum((s1 - s2) ** 2 * cw, axis=-1))
-    dxi_mag = np.sqrt(np.sum((xi1 - xi2) ** 2 * cw, axis=-1))
+    ds = law.eval_packed(s, xi1) - law.eval_packed(s, xi2)
+    dxi = xi1 - xi2
+    inner = packed_inner(ds, dxi)
+    ds_mag = np.sqrt(packed_inner(ds, ds))
+    dxi_mag = np.sqrt(packed_inner(dxi, dxi))
     return MonotonicityReport(
         worst=float(inner.min()),
         scale=float(np.max(ds_mag * dxi_mag)),
@@ -167,32 +175,26 @@ def certify_monotone(law: StressLaw, n_samples: int = 100_000, seed: int = 0) ->
 
 
 def _sweep_margin(law: StressLaw, c: float, h_bar: float, s_lo: float, s_hi: float,
-                  exponent_pair: str) -> float:
+                  regularized: bool) -> float:
     """Worst relative coercivity margin over the (|xi|, s) sweep grid.
 
-    exponent_pair selects the inequality: "variable" uses (s, s') on S, the
-    Lemma-5.3 "smax" variant uses (s_max, s_max') on S^theta.
+    Unregularized, the inequality uses (s, s') on S; regularized, the
+    Lemma-5.3 variant uses (s_max, s_max') on S^theta.
     """
-    m = _XI_SWEEP
-    worst = np.inf
-    for s in np.linspace(s_lo, s_hi, _N_S_SWEEP):
-        g = law.nu0 + law.nu1 * m ** (s - 2.0)
-        if exponent_pair == "smax":
-            g = g + law.theta * law.s_max * m ** (law.s_max - 2.0)
-            p = law.s_max
-        else:
-            p = s
-        pc = p / (p - 1.0)
-        sxx = g * m * m              # S : xi
-        smag = g * m                 # |S|
-        lhs = c * sxx
-        rhs = m**p + smag**pc
-        # pointwise relative margin: a genuine violation shows up as O(1)
-        # negative, pure roundoff on a tight inequality as ~1e-16
-        scale = lhs + rhs + h_bar
-        margin = (lhs - rhs + h_bar) / scale
-        worst = min(worst, float(margin.min()))
-    return worst
+    s = np.linspace(s_lo, s_hi, _N_S_SWEEP)[:, None]   # one row per exponent
+    m = np.broadcast_to(_XI_SWEEP, (_N_S_SWEEP, _XI_SWEEP.size))
+    g = law.viscosity(s, m, regularized)
+    p = law.s_max if regularized else s
+    pc = p / (p - 1.0)
+    sxx = g * m * m              # S : xi
+    smag = g * m                 # |S|
+    lhs = c * sxx
+    rhs = m**p + smag**pc
+    # pointwise relative margin: a genuine violation shows up as O(1)
+    # negative, pure roundoff on a tight inequality as ~1e-16
+    scale = lhs + rhs + h_bar
+    margin = (lhs - rhs + h_bar) / scale
+    return float(margin.min())
 
 
 def certify_coercive(law: StressLaw) -> CoercivityCertificate:
@@ -208,7 +210,7 @@ def certify_coercive(law: StressLaw) -> CoercivityCertificate:
     def search(h_of_c):
         c = 1.0
         while c <= _C_CAP:
-            m = _sweep_margin(law, c, h_of_c(c), s_lo, s_hi, "variable")
+            m = _sweep_margin(law, c, h_of_c(c), s_lo, s_hi, regularized=False)
             if m >= -_MARGIN_RTOL:
                 return c, h_of_c(c), m
             c *= 2.0
@@ -230,7 +232,7 @@ def certify_coercive(law: StressLaw) -> CoercivityCertificate:
     ratio = (h_bar + 1.0) / c
     ct = c
     while ct <= _C_CAP:
-        mt = _sweep_margin(law, ct, ct * ratio, law.exponent.s_min, law.s_max, "smax")
+        mt = _sweep_margin(law, ct, ct * ratio, law.exponent.s_min, law.s_max, regularized=True)
         if mt >= -_MARGIN_RTOL:
             break
         ct *= 2.0

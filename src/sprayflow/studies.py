@@ -62,7 +62,7 @@ def manufactured_errors() -> list[float]:
         nsteps = int(np.ceil(MMS_T_END / dt))
         dt = MMS_T_END / nsteps
         for _ in range(nsteps):
-            state, _ = fluid_step(ops, state, law, dt, forcing=forcing)
+            state, _ = fluid_step(ops, state, law, dt, forcing)
         eu = state.velocity.u - u_f(xu, yu)
         ev = state.velocity.v - v_f(xv, yv)
         errors.append(float(np.sqrt(grid.cell_volume * (np.sum(eu**2) + np.sum(ev**2)))))

@@ -378,6 +378,38 @@ def test_config_rejects_dt_not_dividing_t_end(tmp_path):
         dataclasses.replace(base, dt=0.004)
 
 
+def test_config_rejects_switch_off_the_step_grid(tmp_path):
+    # 0.2501 / 0.002 = 125.05 steps: the switch would fall inside a step
+    text = open(os.path.join(CONFIGS, "two_phase.ini")).read()
+    assert "switch_time = 0.25" in text
+    p = tmp_path / "switch.ini"
+    p.write_text(text.replace("switch_time = 0.25", "switch_time = 0.2501"))
+    with pytest.raises(ConfigError, match="multiple of dt"):
+        load_config(p)
+    assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("extent", ["0", "nan", "inf", "-1"])
+def test_config_rejects_extent_not_finite_and_positive(tmp_path, extent):
+    p = tmp_path / "extent.ini"
+    p.write_text(f"[domain]\nnx = 16\nny = 16\nlx = {extent}\nly = {extent}\n"
+                 "[run]\nt_end = 0.1\ndt = 0.01\n")
+    with pytest.raises(ConfigError, match="finite and positive"):
+        load_config(p)
+    assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("extent", ["0", "nan", "-1"])
+def test_norm_rejects_extent_not_finite_and_positive(tmp_path, capsys, extent):
+    snap = tmp_path / "field.vkf"
+    write_snapshot(snap, Snapshot(KIND_SCALAR, 0.0, np.full((16, 16), 2.0)))
+    argv = ["norm", "--field", str(snap), "--exponent", "constant:2", "--extent", extent]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert "finite and positive" in captured.err
+    assert "modular" not in captured.out
+
+
 @pytest.mark.parametrize("extra", [
     "[kinetic]\npreset = maxwellian\ntemperatur = 0.1\n",
     "[exponent]\npreset = constant\nvalue = 2.0\namplitud = 0.1\n",
@@ -570,6 +602,64 @@ def test_ledger_diff_exit_codes(tmp_path, capsys):
     extra.write_text(open(a).read().rstrip("\n") + ",0.0\n")
     assert run_cli(["ledger-diff", str(extra), a]) == 2
     assert run_cli(["ledger-diff", a, str(tmp_path / "missing.csv")]) == 2
+
+
+def test_pressure_test_minimal_reports(capsys):
+    assert run_cli(["pressure-test", "--config", os.path.join(CONFIGS, "minimal.ini")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "kind,resolution,sample,ratio"
+    split = lines.index("band_lo,band_hi,sup_p,sup_grad_p")
+    bounds = [line.split(",") for line in lines[1:split]]
+    assert sorted({(kind, res) for kind, res, _, _ in bounds}) == [
+        (kind, res) for kind in ("p1", "p2", "p3") for res in ("16", "32")]
+    assert len(bounds) == 3 * 2 * 10
+    assert all(np.isfinite(float(r)) and float(r) > 0.0 for *_, r in bounds)
+    bands = [[float(v) for v in line.split(",")] for line in lines[split + 1:]]
+    assert len(bands) == 3
+    sup_p = [band[2] for band in bands]
+    assert sup_p[0] > sup_p[1] > sup_p[2]
+
+
+# -- scripts ------------------------------------------------------------------
+
+def _run_script(tmp_path, name, *args):
+    """Run scripts/<name> in tmp_path, with src on PYTHONPATH."""
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    return subprocess.run([sys.executable, os.path.join(root, "scripts", name), *args],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+
+
+def _short_acceptance_ini(tmp_path) -> str:
+    """acceptance.ini cut to t_end = 0.1 (50 steps)."""
+    text = open(os.path.join(CONFIGS, "acceptance.ini")).read()
+    assert "t_end = 1.0" in text
+    ini = tmp_path / "short.ini"
+    ini.write_text(text.replace("t_end = 1.0", "t_end = 0.1"))
+    return str(ini)
+
+
+def test_run_acceptance_script_smoke(tmp_path):
+    proc = _run_script(tmp_path, "run_acceptance.py", _short_acceptance_ini(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout
+    assert "steps: 50, final t = 0.1" in out
+    for label in ("mass drift:", "sup-growth relative err:", "max drag antisymmetry:",
+                  "accumulated residual:", "E_fluid = ", "ledger: "):
+        assert label in out
+    assert (tmp_path / "out" / "acceptance" / "ledger.csv").is_file()
+
+
+def test_energy_convergence_script_smoke(tmp_path):
+    outdir = tmp_path / "ec"
+    proc = _run_script(tmp_path, "energy_convergence.py",
+                       "--config", _short_acceptance_ini(tmp_path), "--output", str(outdir))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == ["dt = 0.002", "dt = 0.001", "dt = 0.0005"]
+    assert all("accumulated residual = " in line for line in lines[:3])
+    assert lines[3].startswith("fitted order: ") and float(lines[3].split(": ")[1]) >= 0.9
+    assert all((outdir / f"dt_{k}" / "ledger.csv").is_file() for k in range(3))
 
 
 # -- packaging ----------------------------------------------------------------

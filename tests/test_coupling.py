@@ -101,8 +101,9 @@ def test_audit_pure_kinetic_decay_exact():
     # u frozen at zero: the exact integrator makes the budget close to roundoff
     p = sample_initial(GRID, "uniform", 1000, mass=1.0, vmax=0.5, seed=1)
     dt = 0.05
-    d_drag = drag_dissipation_exact(p, None, dt)
-    q = advance(p, None, dt)
+    rest = VelocityField.zeros(GRID)
+    d_drag = drag_dissipation_exact(p, rest, dt)
+    q = advance(p, rest, dt)
     res = audit_step(p.kinetic_energy(), q.kinetic_energy(), 0.0, d_drag)
     assert abs(res) <= 1e-12 * p.kinetic_energy()
 

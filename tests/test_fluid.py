@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from sprayflow.exponent import constant_field, sinusoidal_field
+from sprayflow.exponent import constant_field, sinusoidal_field, two_phase_switch_field
 from sprayflow.fluid import (
     BlowUp,
     CFLViolation,
@@ -22,6 +22,7 @@ from sprayflow.rheology import StressLaw
 
 GRID = Grid(24, 24)
 OPS = FluidOps(GRID)
+REST = VelocityField.zeros(GRID)
 CW = np.array([1.0, 1.0, 2.0])
 
 
@@ -276,7 +277,7 @@ def test_rest_state_stays_at_rest():
     state = FluidState(VelocityField.zeros(GRID), 0.0)
     law = make_law()
     for _ in range(5):
-        state, diag = fluid_step(OPS, state, law, 1e-3)
+        state, diag = fluid_step(OPS, state, law, 1e-3, REST)
     assert state.velocity.energy() == 0.0
     assert diag.stress_dissipation == 0.0
 
@@ -290,7 +291,7 @@ def test_unforced_energy_monotone_decay():
     law = make_law(nu0=0.5)
     energies = [state.velocity.energy()]
     for _ in range(30):
-        state, _ = fluid_step(OPS, state, law, 1e-4)
+        state, _ = fluid_step(OPS, state, law, 1e-4, REST)
         energies.append(state.velocity.energy())
     assert all(b <= a for a, b in zip(energies, energies[1:]))
 
@@ -299,7 +300,7 @@ def test_cfl_violation_refused():
     vel = random_noslip(6)
     state = FluidState(vel, 0.0)
     with pytest.raises(CFLViolation):
-        fluid_step(OPS, state, make_law(nu0=5.0), dt=0.5)
+        fluid_step(OPS, state, make_law(nu0=5.0), 0.5, REST)
 
 
 def test_cfl_limit_bounds_pointwise_secant_viscosity():
@@ -323,13 +324,36 @@ def test_blowup_detected():
     vel = VelocityField.zeros(GRID)
     vel.u[5, 5] = np.inf
     with pytest.raises(BlowUp):
-        fluid_step(OPS, FluidState(vel, 0.0), make_law(), 1e-6)
+        fluid_step(OPS, FluidState(vel, 0.0), make_law(), 1e-6, REST)
 
 
 def test_step_records_dissipation_sign():
     vel, _ = OPS.project(random_noslip(8, scale=0.1))
     state = FluidState(vel, 0.0)
     law = StressLaw(0.1, 0.05, constant_field(GRID, 10.0, 2.3))
-    state, diag = fluid_step(OPS, state, law, 1e-4)
+    state, diag = fluid_step(OPS, state, law, 1e-4, REST)
     assert diag.stress_dissipation >= 0.0
     assert diag.energy_after <= diag.energy_before
+
+
+def test_exponent_switch_takes_effect_on_its_step(monkeypatch):
+    # ten steps of 0.01 end at 0.09999999999999999, so a slab looked up at the
+    # step's start time would run step 11 under the slab before the switch
+    grid = Grid(8, 8)
+    field = two_phase_switch_field(grid, 1.0, 0.1)
+    law = StressLaw(0.1, 0.01, field)
+    seen = []
+    eval_packed = StressLaw.eval_packed
+
+    def recording(self, s, packed, regularized=True):
+        seen.append(s)
+        return eval_packed(self, s, packed, regularized)
+
+    monkeypatch.setattr(StressLaw, "eval_packed", recording)
+    state = FluidState(VelocityField.zeros(grid), 0.0)
+    for _ in range(11):
+        state, _ = fluid_step(FluidOps(grid), state, law, 0.01, VelocityField.zeros(grid))
+    before, after = (slab.values for slab in field.slabs)
+    assert len(seen) == 11
+    assert all(np.array_equal(s, before) for s in seen[:10])
+    assert np.array_equal(seen[10], after)
