@@ -4,7 +4,7 @@ growth exponent, built so that every structural identity the scheme relies on
 pressure bounds, Luxemburg-norm properties) is independently checkable."""
 
 from .grid import Grid
-from .exponent import ExponentField, Slab
+from .exponent import ExponentField
 from .rheology import StressLaw
 from .fluid import FluidOps, FluidState, VelocityField
 from .kinetic import ParticleEnsemble
@@ -13,7 +13,6 @@ from .coupling import EnergyLedger
 __all__ = [
     "Grid",
     "ExponentField",
-    "Slab",
     "StressLaw",
     "FluidOps",
     "FluidState",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 ledgers differ (ledger-diff), 2 config/parse error,
-3 numeric blow-up, 4 certificate (validation) failure.
+3 numeric failure (blow-up, CFL refusal, escaping particle), 4 certificate
+(validation) failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .exponent import PRESETS, CoveringError, build_covering, log_holder_modulus
 from .exponent import preset_parameters, validate as validate_field
 from .fluid import BlowUp, CFLViolation
 from .grid import Grid
+from .kinetic import EscapeError
 from .orlicz import TENSOR_COMP_WEIGHTS, luxemburg_norm, modular
 from .pressure import verify_bounds, verify_locality
 from .rheology import CoercivityError, certify_coercive, certify_monotone
@@ -83,13 +85,13 @@ def _exponent_values(spec: str, grid: Grid, t_end: float):
         if len(numbers) > len(keys):
             raise ValueError(f"{name} takes at most {len(keys)} numbers ({', '.join(keys)})")
         exp = ExponentSpec(name, dict(zip(keys, map(float, numbers))))
-        nslabs = len(exp.check(t_end).slabs)
+        nslabs = len(exp.check(t_end).starts)
         if nslabs > 1:
             raise ValueError(f"{name} builds {nslabs} time slabs; norm takes one exponent")
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"bad exponent spec {spec!r}: {exc}", file=sys.stderr)
         sys.exit(EXIT_CONFIG)
-    return exp.build(grid, t_end).slabs[0].values
+    return exp.build(grid, t_end).values[0]
 
 
 def cmd_norm(args) -> int:
@@ -112,7 +114,11 @@ def cmd_norm(args) -> int:
 def cmd_stress_audit(args) -> int:
     cfg = _load(args.config)
     field, law, _, _ = build_scene(cfg)
-    mono = certify_monotone(law, n_samples=args.samples, seed=cfg.seed)
+    try:
+        mono = certify_monotone(law, n_samples=args.samples, seed=cfg.seed)
+    except ValueError as exc:  # a sample count below the sweep's minimum
+        print(f"bad --samples {args.samples}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"monotonicity: worst inner product {mono.worst:.6g} "
           f"(scale {mono.scale:.6g}, {mono.n_samples} pairs)")
     try:
@@ -134,11 +140,15 @@ def cmd_stress_audit(args) -> int:
 
 def cmd_pressure_test(args) -> int:
     cfg = _load(args.config)
+    grids = [Grid(cfg.grid.nx * f, cfg.grid.ny * f, cfg.grid.lx, cfg.grid.ly) for f in (1, 2)]
+    try:
+        reports = [verify_bounds(grid, n_samples=args.samples, seed=cfg.seed) for grid in grids]
+    except ValueError as exc:  # a sample count below the report's minimum
+        print(f"bad --samples {args.samples}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print("kind,resolution,sample,ratio")
-    for factor in (1, 2):
-        grid = Grid(cfg.grid.nx * factor, cfg.grid.ny * factor, cfg.grid.lx, cfg.grid.ly)
-        reports = verify_bounds(grid, n_samples=args.samples, seed=cfg.seed)
-        for kind, rep in reports.items():
+    for grid, by_kind in zip(grids, reports):
+        for kind, rep in by_kind.items():
             for i, r in enumerate(rep.ratios):
                 print(f"{kind},{grid.nx},{i},{r:.8g}")
     grid = cfg.grid
@@ -158,7 +168,7 @@ def cmd_run(args) -> int:
     except CertificateFailure as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    except (BlowUp, CFLViolation) as exc:
+    except (BlowUp, CFLViolation, EscapeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     last = result.ledger.last if result.ledger.rows else None

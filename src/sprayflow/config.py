@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from .exponent import ExponentField, PRESETS, preset_parameters, validate
-from .fluid import INITIAL_VELOCITIES
+from .fluid import initial_velocity
 from .grid import DIM, Grid
 from .kinetic import sample_initial
 from .rheology import StressLaw
@@ -123,13 +123,14 @@ class ScenarioConfig:
                            vmax=kin.vmax, temperature=kin.temperature)
         except ValueError as exc:
             raise ConfigError(f"[kinetic] preset {kin.preset!r}: {exc}") from exc
-        if self.fluid.initial not in INITIAL_VELOCITIES:
-            raise ConfigError(f"unknown [fluid] initial preset {self.fluid.initial!r}, "
-                              f"expected one of {', '.join(INITIAL_VELOCITIES)}")
+        try:
+            initial_velocity(Grid(1, 1), self.fluid.initial, self.fluid.amplitude)
+        except ValueError as exc:
+            raise ConfigError(f"[fluid] {exc}") from exc
         trial = self.exponent.check(self.t_end)
-        for slab in trial.slabs:
-            if not self._on_step_grid(slab.t_start):
-                raise ConfigError(f"[exponent] switch at t = {slab.t_start} "
+        for start in trial.starts:
+            if not self._on_step_grid(start):
+                raise ConfigError(f"[exponent] switch at t = {start} "
                                   f"is not a multiple of dt = {self.dt}")
         try:
             StressLaw(self.nu0, self.nu1, trial, self.theta)

@@ -140,8 +140,6 @@ def exchange_audit(
     holds to roundoff whatever the state.
     """
     p = particles
-    if p.n == 0:
-        return 0.0, 0.0, 0.0
     uk = interpolate_velocity(vel, p.X)
     rel = uk - p.V
     w_f = -float(np.sum(p.w * row_dot(rel, uk))) * dt

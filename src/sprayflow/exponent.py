@@ -1,12 +1,16 @@
 """Variable growth exponent s(t, x).
 
-The exponent is piecewise constant in time (ordered slabs, discontinuities
-across slab boundaries are allowed) and grid-sampled in space.  The dimension
-d of the paper's bounds is grid.DIM = 2.  validate() gates a run on what can be
-checked exactly: finite values and the lower bound (3d+2)/(d+2) = 2.  Spatial
-regularity is only ever *estimated*: the log-Hoelder modulus is a sup over a
-continuum, so log_holder_modulus() samples pairs and reports the estimate for
-`sprayflow validate`; no run computes it.
+The exponent is piecewise constant in time and grid-sampled in space: an
+ExponentField holds the slab start times `starts` and one (nslabs, nx, ny)
+array `values` of s at the cell centers, and s may jump across a slab start
+with no regularity in time.  slab_index() is the one slab search; it takes a
+scalar time or an array of times, and values_at(t) = values[slab_index(t)].
+The dimension d of the paper's bounds is grid.DIM = 2.  validate() gates a
+run on what can be checked exactly: finite values and the lower bound
+(3d+2)/(d+2) = 2.  Spatial regularity is only ever *estimated*: the
+log-Hoelder modulus is a sup over a continuum, so log_holder_modulus()
+samples pairs and reports the estimate for `sprayflow validate`; no run
+computes it.
 
 Also contains the ball covering with per-ball exponent statistics
 (q_i, r_i, R_i) and a normalized-bump partition of unity.  The program uses
@@ -41,63 +45,55 @@ class CoveringError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Slab:
-    t_start: float
-    values: np.ndarray  # (nx, ny), s sampled at cell centers
-
-
-@dataclass(frozen=True)
 class ExponentField:
-    """s(t, x) as ordered time slabs of spatial grids on a common mesh."""
+    """s(t, x) as time slabs on one mesh: values[k] holds s at the cell
+    centers from starts[k] until the next start (the last slab until t_end)."""
 
-    slabs: tuple[Slab, ...]
+    starts: tuple[float, ...]
+    values: np.ndarray  # (nslabs, nx, ny)
     t_end: float
     grid: Grid
 
     def __post_init__(self):
-        if not self.slabs:
+        starts = self.starts
+        if not starts:
             raise ValueError("exponent field needs at least one slab")
-        starts = [s.t_start for s in self.slabs]
         if starts[0] != 0.0 or any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("slabs must start at 0 and be strictly ordered")
         if starts[-1] >= self.t_end:
             raise ValueError("last slab starts at or after t_end")
-        shape = (self.grid.nx, self.grid.ny)
-        for s in self.slabs:
-            if s.values.shape != shape:
-                raise ValueError("slab grid does not match the mesh")
+        shape = (len(starts), self.grid.nx, self.grid.ny)
+        if self.values.shape != shape:
+            raise ValueError(f"exponent values have shape {self.values.shape}, "
+                             f"expected (nslabs, nx, ny) = {shape}")
 
     @property
     def s_min(self) -> float:
-        return float(min(s.values.min() for s in self.slabs))
+        return float(self.values.min())
 
     @property
     def s_max(self) -> float:
-        return float(max(s.values.max() for s in self.slabs))
+        return float(self.values.max())
 
-    def slab_index(self, t: float) -> int:
-        starts = [s.t_start for s in self.slabs]
-        i = int(np.searchsorted(starts, t, side="right")) - 1
-        return max(0, min(i, len(self.slabs) - 1))
+    def slab_index(self, t):
+        """Index of the slab holding time t, a scalar or an array of times;
+        times before 0 or after t_end take the first or the last slab."""
+        # side="right" never passes len(starts), so only t < 0 needs a clamp
+        return np.maximum(np.searchsorted(self.starts, t, side="right") - 1, 0)
 
-    def slab_at(self, t: float) -> Slab:
-        return self.slabs[self.slab_index(t)]
+    def values_at(self, t: float) -> np.ndarray:
+        """s on the mesh, (nx, ny), in the slab holding time t."""
+        return self.values[self.slab_index(t)]
 
     def sample(self, t, x: np.ndarray) -> np.ndarray:
         """s at times t and positions x (..., 2): nearest slab, nearest cell.
 
         t is a scalar or an array of one time per position.
         """
-        starts = [s.t_start for s in self.slabs]
-        k = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(self.slabs) - 1)
         h = self.grid.h
         i = np.clip((x[..., 0] / h - 0.5).round().astype(int), 0, self.grid.nx - 1)
         j = np.clip((x[..., 1] / h - 0.5).round().astype(int), 0, self.grid.ny - 1)
-        return self.values_stack()[k, i, j]
-
-    def values_stack(self) -> np.ndarray:
-        """(nslabs, nx, ny) view of all slab grids."""
-        return np.stack([s.values for s in self.slabs])
+        return self.values[self.slab_index(t), i, j]
 
 
 @dataclass(frozen=True)
@@ -132,7 +128,7 @@ def validate(field: ExponentField) -> ValidationReport:
     0 < d < 1/2, so the estimate decides nothing here and lives apart in
     log_holder_modulus().
     """
-    if not np.all(np.isfinite(field.values_stack())):
+    if not np.all(np.isfinite(field.values)):
         raise ValueError("exponent field contains non-finite values")
     smin_req = required_s_min(DIM)
     return ValidationReport(
@@ -163,24 +159,17 @@ def log_holder_modulus(field: ExponentField) -> tuple[float, ...]:
     dist = np.hypot(*(pts[ii] - pts[jj]).T)
     near = (dist > 0) & (dist < 0.5)
     ii, jj, dist = ii[near], jj[near], dist[near]
-    moduli = []
-    for slab in field.slabs:
-        s = slab.values.ravel()
-        if dist.size == 0:
-            moduli.append(0.0)
-        else:
-            moduli.append(float(np.max(np.abs(s[ii] - s[jj]) * np.abs(np.log(dist)))))
-    return tuple(moduli)
+    s = field.values.reshape(len(field.starts), -1)
+    moduli = np.abs(s[:, ii] - s[:, jj]) * np.abs(np.log(dist))
+    return tuple(float(m) for m in moduli.max(axis=1, initial=0.0))
 
 
 def conjugate(field: ExponentField) -> ExponentField:
     """Pointwise Hoelder conjugate s' = s / (s - 1)."""
     if field.s_min <= 1.0:
         raise ValueError("conjugate requires s > 1 everywhere")
-    slabs = tuple(
-        Slab(s.t_start, s.values / (s.values - 1.0)) for s in field.slabs
-    )
-    return ExponentField(slabs, field.t_end, field.grid)
+    s = field.values
+    return ExponentField(field.starts, s / (s - 1.0), field.t_end, field.grid)
 
 
 def _ball_centers(grid: Grid, radius: float) -> np.ndarray:
@@ -210,7 +199,6 @@ def build_covering(field: ExponentField) -> Covering:
     grid = field.grid
     osc_cap = required_s_min(DIM) / DIM
     xc, yc = grid.cell_centers()
-    stack = field.values_stack()  # (nslabs, nx, ny)
     radius = grid.diameter
     while True:
         if radius < 2.0 * grid.h:
@@ -223,14 +211,14 @@ def build_covering(field: ExponentField) -> Covering:
         ) ** 2
         ok = True
         nb = centers.shape[0]
-        q = np.empty((nb, stack.shape[0]))
+        q = np.empty((nb, len(field.starts)))
         r_sup = np.empty_like(q)
         for b in range(nb):
             mask = dist2[b] < (2.0 * radius) ** 2
             if not mask.any():
                 ok = False
                 break
-            sub = stack[:, mask]
+            sub = field.values[:, mask]
             q[b] = sub.min(axis=1)
             r_sup[b] = sub.max(axis=1)
             if np.any(r_sup[b] - q[b] > osc_cap):
@@ -253,8 +241,7 @@ def build_covering(field: ExponentField) -> Covering:
 # analytic presets (also reachable from the scenario config)
 
 def constant_field(grid: Grid, t_end: float, value: float) -> ExponentField:
-    vals = np.full((grid.nx, grid.ny), float(value))
-    return ExponentField((Slab(0.0, vals),), t_end, grid)
+    return ExponentField((0.0,), np.full((1, grid.nx, grid.ny), float(value)), t_end, grid)
 
 
 def sinusoidal_field(
@@ -262,7 +249,7 @@ def sinusoidal_field(
 ) -> ExponentField:
     xc, yc = grid.cell_centers()
     vals = base + amplitude * np.sin(np.pi * xc / grid.lx) * np.sin(np.pi * yc / grid.ly)
-    return ExponentField((Slab(0.0, vals),), t_end, grid)
+    return ExponentField((0.0,), vals[None], t_end, grid)
 
 
 def two_phase_switch_field(
@@ -276,12 +263,13 @@ def two_phase_switch_field(
     """Whole-profile switch at a given time: the time-discontinuous case."""
     if not 0.0 < switch_time < t_end:
         raise ValueError("switch_time must lie strictly inside (0, t_end)")
-    before = np.full((grid.nx, grid.ny), float(value_before))
     xc, yc = grid.cell_centers()
-    after = base_after + amplitude_after * np.sin(np.pi * xc / grid.lx) * np.sin(
+    values = np.empty((2, grid.nx, grid.ny))
+    values[0] = value_before
+    values[1] = base_after + amplitude_after * np.sin(np.pi * xc / grid.lx) * np.sin(
         np.pi * yc / grid.ly
     )
-    return ExponentField((Slab(0.0, before), Slab(switch_time, after)), t_end, grid)
+    return ExponentField((0.0, switch_time), values, t_end, grid)
 
 
 PRESETS = {

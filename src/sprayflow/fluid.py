@@ -268,13 +268,14 @@ class FluidOps:
 
     # -- time stepping -------------------------------------------------------
 
-    def cfl_limit(self, vel: VelocityField, law: StressLaw, t: float) -> float:
+    def cfl_limit(self, vel: VelocityField, law: StressLaw, s: np.ndarray) -> float:
+        """Largest stable dt for vel under law, with s the step's exponent
+        on the mesh."""
         h = self.grid.h
         du = self.sym_gradient(vel)
         mag2 = packed_inner(du, du)
         mmax = float(np.sqrt(mag2.max())) if mag2.size else 0.0
         smax = law.s_max
-        s = law.exponent.slab_at(t).values
 
         def power(e: float) -> float:
             return mmax ** (e - 2.0) if mmax > 0 else (1.0 if e == 2.0 else 0.0)
@@ -301,19 +302,18 @@ def fluid_step(
 ) -> tuple[FluidState, StepDiagnostics]:
     """One explicit step u* = u + dt (-conv + div S^theta + source), then
     Leray projection; source is the particles' force on the fluid or a
-    study's right-hand side.  s is the slab at the midpoint t + dt/2, since
-    state.time is a running sum of dt and may fall just short of a switch on
-    the step grid.  Refuses the step on CFL violation; raises BlowUp on
-    non-finite values."""
+    study's right-hand side.  s is looked up once, in the slab at the midpoint
+    t + dt/2 (state.time is a running sum of dt and may fall just short of a
+    switch on the step grid), and serves both the CFL bound and the stress.
+    Refuses the step on CFL violation; raises BlowUp on non-finite values."""
     vel = state.velocity
     if not (np.all(np.isfinite(vel.u)) and np.all(np.isfinite(vel.v))):
         raise BlowUp(f"non-finite velocity at t = {state.time}")
-    t_mid = state.time + 0.5 * dt
-    limit = ops.cfl_limit(vel, law, t_mid) * cfl_factor
+    s = law.exponent.values_at(state.time + 0.5 * dt)
+    limit = ops.cfl_limit(vel, law, s) * cfl_factor
     if dt > limit:
         raise CFLViolation(f"dt = {dt} exceeds CFL bound {limit}")
 
-    s = law.exponent.slab_at(t_mid).values
     du = ops.sym_gradient(vel)
     stress = law.eval_packed(s, du)
     star = ops.stress_divergence_of(stress)
@@ -372,9 +372,13 @@ INITIAL_VELOCITIES = ("rest", "stream_bump")
 
 def initial_velocity(grid: Grid, preset: str, amplitude: float) -> VelocityField:
     """Initial field of a named preset: "rest" (zero) or "stream_bump", the
-    field of the stream function amplitude sin^2(pi x/lx) sin^2(pi y/ly)."""
+    field of the stream function amplitude sin^2(pi x/lx) sin^2(pi y/ly).
+    The amplitude must be finite, whatever the preset."""
     if preset not in INITIAL_VELOCITIES:
-        raise ValueError(f"unknown initial velocity preset: {preset!r}")
+        raise ValueError(f"unknown initial velocity preset {preset!r}, "
+                         f"expected one of {', '.join(INITIAL_VELOCITIES)}")
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     if preset == "rest" or amplitude == 0.0:
         return VelocityField.zeros(grid)
 

@@ -67,11 +67,6 @@ class ParticleEnsemble:
     def kinetic_energy(self) -> float:
         return 0.5 * float(np.sum(self.w * row_dot(self.V, self.V)))
 
-    def copy(self) -> "ParticleEnsemble":
-        return ParticleEnsemble(
-            self.grid, self.X.copy(), self.V.copy(), self.w.copy(), self.fval.copy()
-        )
-
 
 @dataclass
 class MomentFields:
@@ -273,8 +268,6 @@ def advance(particles: ParticleEnsemble, vel: VelocityField, dt: float) -> Parti
     if dt <= 0:
         raise ValueError("dt must be positive")
     p = particles
-    if p.n == 0:
-        return p.copy()
     uk = interpolate_velocity(vel, p.X)
     decay = np.exp(-dt)
     rel = p.V - uk
@@ -291,8 +284,6 @@ def drag_dissipation_exact(particles: ParticleEnsemble, vel: VelocityField, dt: 
     sum w |u_k - V|^2 (1 - e^{-2 dt}) / 2.
     """
     p = particles
-    if p.n == 0:
-        return 0.0
     uk = interpolate_velocity(vel, p.X)
     rel = p.V - uk
     return float(np.sum(p.w * row_dot(rel, rel))) * (1.0 - np.exp(-2.0 * dt)) / 2.0

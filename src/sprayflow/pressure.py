@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
+from .orlicz import TENSOR_COMP_WEIGHTS, modular
 
 KINDS = ("p1", "p2", "p3", "p4")
 
@@ -147,11 +148,6 @@ class BoundReport:
         return max(self.ratios) if self.ratios else 0.0
 
 
-def _lp_norm(values: np.ndarray, p: float, cellvol: float) -> float:
-    mag = np.abs(values) if values.ndim == 2 else np.sqrt(np.sum(values**2, axis=-1))
-    return float(np.sum(cellvol * mag**p)) ** (1.0 / p)
-
-
 def _random_bump_tensor(rng: np.random.Generator, grid: Grid) -> np.ndarray:
     xc, yc = grid.cell_centers()
     cx = rng.uniform(0.3, 0.7) * grid.lx
@@ -167,17 +163,21 @@ def verify_bounds(grid: Grid, n_samples: int = 10, seed: int = 0) -> dict[str, B
     """Empirical operator-norm ratios ||p|| / ||source|| per problem kind.
 
     The norms are fixed: ||p||_2 / ||src||_2 for p1 and p3, and
-    ||p||_2 / ||src||_4^2 for p2, whose source is quadratic.  The box is the
-    default PaddedBox.  All-zero draws are skipped, not counted as ratios.
+    ||p||_2 / ||src||_4^2 for p2, whose source is quadratic.  A tensor
+    source is measured pointwise in the Frobenius norm (a12 weighted twice,
+    orlicz.TENSOR_COMP_WEIGHTS), a vector source in the Euclidean norm.  The
+    box is the default PaddedBox.  All-zero draws are skipped, not counted
+    as ratios.
     """
     if n_samples < 10:
         raise ValueError("need at least 10 samples per kind")
     box = PaddedBox(grid)
-    cellvol = grid.cell_volume
+    w = np.full((grid.nx, grid.ny), grid.cell_volume)
     rng = np.random.default_rng(seed)
     out: dict[str, BoundReport] = {}
 
     for kind in ("p1", "p2", "p3"):
+        cw = None if kind == "p3" else TENSOR_COMP_WEIGHTS
         ratios = []
         for _ in range(n_samples):
             if kind == "p3":
@@ -188,11 +188,11 @@ def verify_bounds(grid: Grid, n_samples: int = 10, seed: int = 0) -> dict[str, B
                 continue
             src = box.embed(src_inner)
             p = box.extract(solve(PressureProblem(kind, src, box)))
-            num = _lp_norm(p, 2.0, cellvol)
+            num = modular(p, 2.0, w) ** 0.5
             if kind == "p2":
-                den = _lp_norm(src_inner, 4.0, cellvol) ** 2
+                den = modular(src_inner, 4.0, w, cw) ** 0.5     # ||src||_4^2
             else:
-                den = _lp_norm(src_inner, 2.0, cellvol)
+                den = modular(src_inner, 2.0, w, cw) ** 0.5
             if den == 0.0:
                 continue
             ratios.append(num / den)

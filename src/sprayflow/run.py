@@ -10,13 +10,7 @@ from .coupling import EnergyLedger, coupled_step
 from .exponent import CoveringError, build_covering, validate
 from .fluid import FluidOps, FluidState, initial_velocity
 from .kinetic import ParticleEnsemble, sample_initial
-from .rheology import (
-    CoercivityCertificate,
-    CoercivityError,
-    StressLaw,
-    certify_coercive,
-    certify_monotone,
-)
+from .rheology import CoercivityError, StressLaw, certify_coercive, certify_monotone
 from .snapshots import (
     KIND_PARTICLES,
     KIND_SCALAR,
@@ -39,7 +33,6 @@ class RunResult:
     state: FluidState
     particles: ParticleEnsemble
     ledger: EnergyLedger
-    certificate: CoercivityCertificate
     ledger_path: str
 
 
@@ -60,7 +53,7 @@ def build_scene(cfg: ScenarioConfig):
     return field, law, state, particles
 
 
-def certify(field, law) -> CoercivityCertificate:
+def certify(field, law) -> None:
     """Pre-run gate: exponent bounds, covering, monotonicity, coercivity."""
     report = validate(field)
     if not report.passed:
@@ -80,7 +73,6 @@ def certify(field, law) -> CoercivityCertificate:
         raise CertificateFailure(str(exc)) from exc
     if not cert.ok:
         raise CertificateFailure(f"coercivity margin negative: {cert.worst_margin}")
-    return cert
 
 
 def _write_state(outdir: str, tag: str, state: FluidState, particles: ParticleEnsemble):
@@ -104,7 +96,7 @@ def run_scenario(cfg: ScenarioConfig, outdir: str | None = None) -> RunResult:
     outdir = outdir or cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     field, law, state, particles = build_scene(cfg)
-    cert = certify(field, law)
+    certify(field, law)
     ops = FluidOps(cfg.grid)
     ledger = EnergyLedger()
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -120,4 +112,4 @@ def run_scenario(cfg: ScenarioConfig, outdir: str | None = None) -> RunResult:
         _write_state(outdir, "final", state, particles)
         ledger_path = os.path.join(outdir, "ledger.csv")
         ledger.write_csv(ledger_path)
-    return RunResult(state, particles, ledger, cert, ledger_path)
+    return RunResult(state, particles, ledger, ledger_path)

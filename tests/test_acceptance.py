@@ -36,6 +36,9 @@ CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "acceptance.in
 # sparse-matrix symmetric gradient; refactors and reorderings must stay
 # within LEDGER_RTOL of each column's maximum
 GOLDEN_LEDGER = os.path.join(os.path.dirname(__file__), "data", "acceptance_ledger.csv")
+# the ledger `sprayflow run --config configs/two_phase.ini` wrote with the
+# exponent stored as a tuple of per-slab grids
+TWO_PHASE_LEDGER = os.path.join(os.path.dirname(__file__), "data", "two_phase_ledger.csv")
 
 def _report(num, name, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -123,11 +126,16 @@ def test_energy_audit_convergence_across_exponent_switch(tmp_path):
     # criterion 5's order on two_phase.ini, whose exponent jumps at t = 0.25:
     # the energy budget needs no time regularity of s
     cfg = load_config(os.path.join(os.path.dirname(CONFIG), "two_phase.ini"))
-    dts, residuals, _ = studies.dt_study(cfg, tmp_path)
+    dts, residuals, ledger_paths = studies.dt_study(cfg, tmp_path)
     order = studies.fitted_order(dts, residuals)
     print(f"two_phase dt study: fitted order {order:.3f}, "
           f"residuals {[f'{r:.2e}' for r in residuals]}")
     assert order >= 0.9
+    # the dt_0 run is `sprayflow run --config configs/two_phase.ini`
+    diffs = ledger_differences(EnergyLedger.read_csv(TWO_PHASE_LEDGER),
+                               EnergyLedger.read_csv(ledger_paths[0]))
+    beyond = {col: rel for col, (_, rel) in diffs.items() if not rel <= LEDGER_RTOL}
+    assert not beyond, f"ledger columns beyond {LEDGER_RTOL:g} relative: {beyond}"
 
 
 def test_criterion_06_stress_certificates(acceptance):

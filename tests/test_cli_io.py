@@ -282,6 +282,17 @@ def test_stress_audit_minimal(capsys):
     assert "certificates passed" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["stress-audit", "--samples", "0"],
+    ["stress-audit", "--samples", "-5"],
+    ["pressure-test", "--samples", "3"],
+], ids=["stress-audit-zero", "stress-audit-negative", "pressure-test-three"])
+def test_samples_below_the_library_minimum_exit_2(capsys, argv):
+    code = run_cli(argv + ["--config", os.path.join(CONFIGS, "minimal.ini")])
+    assert code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_stress_audit_exit_4_only_for_certificate_errors(monkeypatch):
     argv = ["stress-audit", "--config", os.path.join(CONFIGS, "minimal.ini"), "--samples", "100"]
 
@@ -335,6 +346,21 @@ def test_run_cfl_blowup_exit_3(tmp_path):
         "[fluid]\ninitial = stream_bump\namplitude = 0.1\n"
     )
     assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 3
+
+
+def test_run_escaping_particle_exit_3_keeps_the_last_state(tmp_path, capsys):
+    # at vmax = 1e6 a particle crosses the unit box ~2000 times in one step,
+    # more than reflect's 100 mirrorings
+    text = open(os.path.join(CONFIGS, "acceptance.ini")).read()
+    assert "vmax = 0.5" in text
+    p = tmp_path / "fast.ini"
+    p.write_text(text.replace("vmax = 0.5", "vmax = 1e6"))
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", str(p), "--output", str(out)]) == 3
+    assert "numeric failure: " in capsys.readouterr().err
+    assert (out / "ledger.csv").read_text().startswith("t,E_fluid")
+    for name in ("u_final.vkf", "v_final.vkf", "particles_final.vkf"):
+        assert read_snapshot(out / name).time == 0.0
 
 
 def _resting_fluid_ini(path, cfl_factor):
@@ -483,8 +509,12 @@ def test_config_rejects_rheology_the_stress_law_refuses(tmp_path, rheology):
     ("acceptance", "vmax = 0.5", "vmax = 0"),
     ("two_phase", "temperature = 0.1", "temperature = 0"),
     ("two_phase", "temperature = 0.1", "temperature = -1"),
+    ("two_phase", "amplitude = 0.08", "amplitude = nan"),
+    ("two_phase", "amplitude = 0.08", "amplitude = inf"),
+    ("two_phase", "amplitude = 0.08", "amplitude = -inf"),
 ], ids=["negative-seed", "negative-output-every", "negative-mass", "zero-vmax",
-        "zero-temperature", "negative-temperature"])
+        "zero-temperature", "negative-temperature", "nan-amplitude", "inf-amplitude",
+        "negative-inf-amplitude"])
 def test_config_rejects_values_the_run_cannot_use(tmp_path, name, old, new):
     text = open(os.path.join(CONFIGS, f"{name}.ini")).read()
     assert old in text

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from sprayflow.exponent import (
     CoveringError,
     ExponentField,
-    Slab,
     build_covering,
     conjugate,
     constant_field,
@@ -45,7 +44,7 @@ def test_validate_sinusoidal_modulus_finite():
     # oracle: exhaustive pairwise sweep at grid resolution
     xc, yc = GRID.cell_centers()
     pts = np.column_stack([xc.ravel(), yc.ravel()])
-    s = field.slabs[0].values.ravel()
+    s = field.values[0].ravel()
     ii, jj = np.triu_indices(pts.shape[0], k=1)
     dist = np.hypot(*(pts[ii] - pts[jj]).T)
     keep = (dist > 0) & (dist < 0.5)
@@ -54,21 +53,27 @@ def test_validate_sinusoidal_modulus_finite():
 
 
 def test_validate_rejects_nonfinite():
-    vals = np.full((GRID.nx, GRID.ny), 2.0)
-    vals[3, 3] = np.nan
-    field = ExponentField((Slab(0.0, vals),), 1.0, GRID)
+    vals = np.full((1, GRID.nx, GRID.ny), 2.0)
+    vals[0, 3, 3] = np.nan
+    field = ExponentField((0.0,), vals, 1.0, GRID)
     with pytest.raises(ValueError):
         validate(field)
 
 
 def test_slab_ordering_enforced():
-    vals = np.full((GRID.nx, GRID.ny), 2.0)
+    vals = np.full((1, GRID.nx, GRID.ny), 2.0)
     with pytest.raises(ValueError):
-        ExponentField((Slab(0.5, vals),), 1.0, GRID)  # must start at 0
+        ExponentField((0.5,), vals, 1.0, GRID)  # must start at 0
     with pytest.raises(ValueError):
-        ExponentField((Slab(0.0, vals), Slab(0.0, vals)), 1.0, GRID)
+        ExponentField((0.0, 0.0), np.concatenate([vals, vals]), 1.0, GRID)
     with pytest.raises(ValueError):
-        ExponentField((), 1.0, GRID)
+        ExponentField((), vals[:0], 1.0, GRID)
+
+
+@pytest.mark.parametrize("shape", [(2, 32, 32), (32, 32), (1, 33, 32), (1, 32, 31)])
+def test_values_must_be_one_grid_per_slab_on_the_mesh(shape):
+    with pytest.raises(ValueError, match="shape"):
+        ExponentField((0.0,), np.full(shape, 2.0), 1.0, GRID)
 
 
 def test_slab_lookup_and_durations():
@@ -77,6 +82,10 @@ def test_slab_lookup_and_durations():
     assert field.slab_index(0.39999) == 0
     assert field.slab_index(0.4) == 1
     assert field.slab_index(5.0) == 1  # clamped
+    t = np.array([-1.0, 0.0, 0.39999, 0.4, 0.9, 5.0])
+    np.testing.assert_array_equal(field.slab_index(t), [0, 0, 0, 1, 1, 1])
+    np.testing.assert_array_equal(field.values_at(0.39999), field.values[0])
+    np.testing.assert_array_equal(field.values_at(0.4), field.values[1])
 
 
 def test_sample_takes_one_time_per_position():
@@ -114,7 +123,7 @@ def test_conjugate_is_involution(base, amp):
     field = sinusoidal_field(GRID, 1.0, base=base, amplitude=amp)
     back = conjugate(conjugate(field))
     np.testing.assert_allclose(
-        back.slabs[0].values, field.slabs[0].values, rtol=0, atol=1e-14
+        back.values, field.values, rtol=0, atol=1e-14
     )
 
 
@@ -138,13 +147,12 @@ def test_covering_slowly_varying():
     np.testing.assert_allclose(cov.big_r, 2.0 * cov.q)
     # per-ball stats match a direct scan
     xc, yc = GRID.cell_centers()
-    stack = field.values_stack()
     for b in range(cov.centers.shape[0]):
         mask = (xc - cov.centers[b, 0]) ** 2 + (yc - cov.centers[b, 1]) ** 2 < (
             2 * cov.radius
         ) ** 2
-        assert cov.q[b, 0] == stack[0][mask].min()
-        assert cov.r_sup[b, 0] == stack[0][mask].max()
+        assert cov.q[b, 0] == field.values[0][mask].min()
+        assert cov.r_sup[b, 0] == field.values[0][mask].max()
 
 
 def test_partition_of_unity_sums_to_one():
@@ -163,9 +171,9 @@ def test_partition_of_unity_sums_to_one():
 def test_covering_radius_underflow():
     # exponent jumping by 1.5 between adjacent cells: oscillation cap is
     # unachievable at any radius above two cells
-    vals = np.full((GRID.nx, GRID.ny), 2.0)
-    vals[::2, :] = 3.5
-    field = ExponentField((Slab(0.0, vals),), 1.0, GRID)
+    vals = np.full((1, GRID.nx, GRID.ny), 2.0)
+    vals[0, ::2, :] = 3.5
+    field = ExponentField((0.0,), vals, 1.0, GRID)
     with pytest.raises(CoveringError):
         build_covering(field)
 

@@ -7,7 +7,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from sprayflow.exponent import constant_field, sinusoidal_field, two_phase_switch_field
+from sprayflow.exponent import (
+    ExponentField,
+    constant_field,
+    sinusoidal_field,
+    two_phase_switch_field,
+)
 from sprayflow.fluid import (
     BlowUp,
     CFLViolation,
@@ -42,7 +47,7 @@ def as_vector(vel: VelocityField) -> np.ndarray:
 
 
 def stress_divergence(ops: FluidOps, vel: VelocityField, law: StressLaw, t: float) -> VelocityField:
-    s = law.exponent.slab_at(t).values
+    s = law.exponent.values_at(t)
     return ops.stress_divergence_of(law.eval_packed(s, ops.sym_gradient(vel)))
 
 
@@ -115,7 +120,7 @@ def test_stress_divergence_adjointness(seed):
     law = StressLaw(0.4, 0.6, field)
     vel = random_noslip(seed)
     du = OPS.sym_gradient(vel)
-    stress = law.eval_packed(field.slabs[0].values, du)
+    stress = law.eval_packed(field.values[0], du)
     divs = OPS.stress_divergence_of(stress)
     lhs = -inner(divs, vel)
     rhs = GRID.cell_volume * float(np.sum(stress * du * CW))
@@ -316,8 +321,8 @@ def test_cfl_limit_bounds_pointwise_secant_viscosity():
     du = ops.sym_gradient(vel)
     mag = np.sqrt(np.sum(du**2 * CW, axis=-1))
     assert mag.max() < 1.0
-    g = law.nu0 + law.nu1 * mag ** (field.slabs[0].values - 2.0)
-    assert ops.cfl_limit(vel, law, 0.0) <= grid.h**2 / (2.0 * g.max())
+    g = law.nu0 + law.nu1 * mag ** (field.values[0] - 2.0)
+    assert ops.cfl_limit(vel, law, field.values[0]) <= grid.h**2 / (2.0 * g.max())
 
 
 def test_blowup_detected():
@@ -353,7 +358,32 @@ def test_exponent_switch_takes_effect_on_its_step(monkeypatch):
     state = FluidState(VelocityField.zeros(grid), 0.0)
     for _ in range(11):
         state, _ = fluid_step(FluidOps(grid), state, law, 0.01, VelocityField.zeros(grid))
-    before, after = (slab.values for slab in field.slabs)
+    before, after = field.values
     assert len(seen) == 11
     assert all(np.array_equal(s, before) for s in seen[:10])
     assert np.array_equal(seen[10], after)
+
+
+def test_step_looks_up_the_exponent_once_and_hands_it_to_cfl_limit(monkeypatch):
+    grid = Grid(8, 8)
+    field = two_phase_switch_field(grid, 1.0, 0.1)
+    law = StressLaw(0.1, 0.01, field)
+    looked_up, limited = [], []
+    values_at = ExponentField.values_at
+    cfl_limit = FluidOps.cfl_limit
+
+    def recording_lookup(self, t):
+        looked_up.append(values_at(self, t))
+        return looked_up[-1]
+
+    def recording_limit(self, vel, law, s):
+        limited.append(s)
+        return cfl_limit(self, vel, law, s)
+
+    monkeypatch.setattr(ExponentField, "values_at", recording_lookup)
+    monkeypatch.setattr(FluidOps, "cfl_limit", recording_limit)
+    state = FluidState(VelocityField.zeros(grid), 0.1)
+    fluid_step(FluidOps(grid), state, law, 0.01, VelocityField.zeros(grid))
+    assert len(looked_up) == 1 and len(limited) == 1
+    assert limited[0] is looked_up[0]
+    assert np.array_equal(looked_up[0], field.values[1])

@@ -7,6 +7,7 @@ before taking the max norm."""
 import numpy as np
 import pytest
 
+from sprayflow import pressure
 from sprayflow.grid import Grid
 from sprayflow.pressure import (
     PaddedBox,
@@ -145,6 +146,33 @@ def test_p3_ratio_below_one():
     # k_min > 1 on the padded box, so ||p3||_2 <= ||F||_2 / k_min < ||F||_2
     rep = verify_bounds(GRID, n_samples=10, seed=1)["p3"]
     assert rep.worst <= 1.0 + 1e-6
+
+
+def test_bound_ratios_measure_tensor_sources_in_the_frobenius_norm(monkeypatch):
+    # one fixed source with every component nonzero: a12 counts twice in
+    # |A|_F^2 = a11^2 + a22^2 + 2 a12^2, as in S:Du and the Luxemburg norms
+    grid = Grid(16, 16)
+    box = PaddedBox(grid)
+    src = bump(rad=0.3, grid=grid)[..., None] * np.array([0.3, -0.2, 0.5])
+    monkeypatch.setattr(pressure, "_random_bump_tensor", lambda rng, g: src)
+    reports = verify_bounds(grid, n_samples=10)
+    h2 = grid.cell_volume
+    frob2 = src[..., 0] ** 2 + src[..., 1] ** 2 + 2.0 * src[..., 2] ** 2
+    vec2 = src[..., 0] ** 2 + src[..., 1] ** 2
+
+    def l2(kind, source):
+        p = box.extract(solve(PressureProblem(kind, box.embed(source), box)))
+        return np.sqrt(np.sum(h2 * p**2))
+
+    expected = {
+        "p1": l2("p1", src) / np.sqrt(np.sum(h2 * frob2)),
+        "p2": l2("p2", src) / np.sqrt(np.sum(h2 * frob2**2)),   # ||src||_4^2
+        "p3": l2("p3", src[..., :2]) / np.sqrt(np.sum(h2 * vec2)),
+    }
+    for kind, ratio in expected.items():
+        assert reports[kind].ratios == pytest.approx([ratio] * 10, rel=1e-12), kind
+    # |k.A.k| <= |A|_F |k|^2 pointwise in Fourier space, so p1 is a contraction
+    assert reports["p1"].worst <= 1.0
 
 
 def test_bounds_need_enough_samples():
