@@ -1,8 +1,14 @@
 #!/usr/bin/env python3
-"""Run the reference coupled scenario and print the conservation checks."""
+"""Run the reference coupled scenario and print the conservation checks.
 
+    run_acceptance.py [CONFIG] [--output DIR]
+
+The ledger and the final state go to DIR (default out/run_acceptance), not to
+the config's output_dir, so a `sprayflow run` of the same config keeps its
+own files."""
+
+import argparse
 import os
-import sys
 
 import numpy as np
 
@@ -14,8 +20,12 @@ CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "acceptance.in
 
 
 def main():
-    cfg = load_config(sys.argv[1] if len(sys.argv) > 1 else CONFIG)
-    result = run_scenario(cfg)
+    ap = argparse.ArgumentParser()
+    ap.add_argument("config", nargs="?", default=CONFIG)
+    ap.add_argument("--output", default="out/run_acceptance")
+    args = ap.parse_args()
+    cfg = load_config(args.config)
+    result = run_scenario(cfg, outdir=args.output)
     *_, p0 = build_scene(cfg)
     p = result.particles
     last = result.ledger.last

@@ -3,7 +3,8 @@
 The coupling is a Lie splitting: deposit particle moments, form the drag
 force, advance the fluid one explicit step with it, then push the particles
 through the *new* fluid velocity with the exact frozen-u integrator, whose
-wall reflection works in place.
+wall reflection works in place.  The dissipation and the exchange audit come
+before the push, so all four particle calls share one CIC stencil.
 
 The ledger tracks, per step, both phase energies, the accumulated stress and
 drag dissipation, and the signed energy-budget residual
@@ -140,7 +141,7 @@ def exchange_audit(
     holds to roundoff whatever the state.
     """
     p = particles
-    uk = interpolate_velocity(vel, p.X)
+    uk = interpolate_velocity(vel, p.stencil)
     rel = uk - p.V
     w_f = -float(np.sum(p.w * row_dot(rel, uk))) * dt
     w_p = float(np.sum(p.w * row_dot(rel, p.V))) * dt
@@ -167,7 +168,7 @@ def coupled_step(
     ledger: EnergyLedger,
     cfl_factor: float = 1.0,
 ) -> tuple[FluidState, ParticleEnsemble, LedgerRow]:
-    """One Lie-split step: deposit, drag, fluid step, particle push (new u).
+    """One Lie-split step: deposit, drag, fluid step, audit, particle push.
 
     The step's row is appended to the ledger and returned.  The fluid step is
     refused when dt exceeds cfl_factor times its CFL bound.
@@ -177,14 +178,13 @@ def coupled_step(
     new_state, diag = fluid_step(ops, state, law, dt, drag, cfl_factor=cfl_factor)
     e_before = diag.energy_before + particles.kinetic_energy()
     d_drag = drag_dissipation_exact(particles, new_state.velocity, dt)
+    w_f, w_p, dis = exchange_audit(particles, new_state.velocity, dt)
+    defect = abs(w_f + w_p - dis)
     new_particles = advance(particles, new_state.velocity, dt)
 
     e_fluid = diag.energy_after
     e_kin = new_particles.kinetic_energy()
     res = audit_step(e_before, e_fluid + e_kin, diag.stress_dissipation, d_drag)
-
-    w_f, w_p, dis = exchange_audit(particles, new_state.velocity, dt)
-    defect = abs(w_f + w_p - dis)
 
     prev = ledger.last if ledger.rows else LedgerRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     row = LedgerRow(

@@ -35,16 +35,11 @@ def required_s_min(d: int) -> float:
     return (3 * d + 2) / (d + 2)
 
 
-def s_zero(d: int) -> float:
-    """Auxiliary exponent 3 + 2/d used by the pressure estimates."""
-    return 3.0 + 2.0 / d
-
-
 class CoveringError(RuntimeError):
     """Raised when no admissible covering radius exists on this mesh."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentField:
     """s(t, x) as time slabs on one mesh: values[k] holds s at the cell
     centers from starts[k] until the next start (the last slab until t_end)."""
@@ -104,7 +99,7 @@ class ValidationReport:
     passed: bool  # s_min >= s_min_required
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Covering:
     """Equal-radius ball cover with per-ball, per-slab exponent stats.
 

@@ -17,10 +17,9 @@ Deposition (density and momentum) and velocity interpolation share one
 bilinear (cloud-in-cell) kernel on cell centers.  The cell-center coordinate
 is clamped at the walls, so a particle within half a cell of a wall gives that
 axis's whole weight to the wall cell; the kernel needs at least 2 cells per
-axis.  Each call builds the stencil once, as the flat index of the lower
-corner cell plus the four bilinear weights, and every gather and scatter at
-those positions reads it; the shared kernel is what makes the drag energy
-exchange antisymmetric in the coupling audit.
+axis.  Each ensemble builds its stencil (ParticleEnsemble.stencil) once, and
+a step's deposit and its three interpolations all read it; the shared kernel
+is what makes the drag energy exchange antisymmetric in the coupling audit.
 
 Wall reflection finds the particles that left the domain in one pass and
 mirrors only those rows, in place: advance hands it the position and
@@ -30,6 +29,7 @@ velocity arrays it has just built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,14 +51,16 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass
 class ParticleEnsemble:
     grid: Grid
-    X: np.ndarray      # (n, 2) positions, strictly interior
+    X: np.ndarray      # (n, 2) positions, strictly interior, never written in place
     V: np.ndarray      # (n, 2) velocities
     w: np.ndarray      # (n,) nonnegative weights
     fval: np.ndarray   # (n,) carried pointwise density values
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
+    @cached_property
+    def stencil(self):
+        """The CIC stencil at X, built on first use; advance reflects the new
+        positions before it builds the next ensemble, so X never changes."""
+        return _cic(self.grid, self.X)
 
     @property
     def mass(self) -> float:
@@ -197,11 +199,12 @@ def _scatter(grid: Grid, stencil, values: np.ndarray) -> np.ndarray:
     return out.reshape(grid.nx, grid.ny)
 
 
-def interpolate_velocity(vel: VelocityField, X: np.ndarray) -> np.ndarray:
-    """Fluid velocity at particle positions via the shared bilinear kernel."""
-    uc, vc = vel.cell_centered()
-    stencil = _cic(vel.grid, X)
-    return np.column_stack([_gather(stencil, uc), _gather(stencil, vc)])
+def interpolate_velocity(vel: VelocityField, stencil) -> np.ndarray:
+    """Fluid velocity, (n, 2), at the positions of a CIC stencil."""
+    out = np.empty((stencil[0].shape[0], 2))
+    for k, component in enumerate(vel.cell_centered()):
+        out[:, k] = _gather(stencil, component)
+    return out
 
 
 def deposit(particles: ParticleEnsemble) -> MomentFields:
@@ -209,10 +212,9 @@ def deposit(particles: ParticleEnsemble) -> MomentFields:
     p = particles
     g = p.grid
     inv_vol = 1.0 / g.cell_volume
-    stencil = _cic(g, p.X)
-    rho = _scatter(g, stencil, p.w) * inv_vol
-    jx = _scatter(g, stencil, p.w * p.V[:, 0]) * inv_vol
-    jy = _scatter(g, stencil, p.w * p.V[:, 1]) * inv_vol
+    rho = _scatter(g, p.stencil, p.w) * inv_vol
+    jx = _scatter(g, p.stencil, p.w * p.V[:, 0]) * inv_vol
+    jy = _scatter(g, p.stencil, p.w * p.V[:, 1]) * inv_vol
     return MomentFields(g, rho, jx, jy)
 
 
@@ -262,19 +264,22 @@ def reflect(X: np.ndarray, V: np.ndarray, grid: Grid) -> None:
 def advance(particles: ParticleEnsemble, vel: VelocityField, dt: float) -> ParticleEnsemble:
     """One exact-drag step with the fluid velocity frozen at the start.
 
-    Weights are untouched (mass conservation is structural); fval picks up the
-    closed-form factor e^{d dt} with d = DIM.
+    The new ensemble shares the weights (mass conservation is structural);
+    fval picks up the closed-form factor e^{d dt} with d = DIM.  The sums are
+    formed in place, in u_k's buffer for Xn, and round as the formulas above.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     p = particles
-    uk = interpolate_velocity(vel, p.X)
+    uk = interpolate_velocity(vel, p.stencil)
     decay = np.exp(-dt)
     rel = p.V - uk
-    Vn = uk + rel * decay
-    Xn = p.X + uk * dt + rel * (1.0 - decay)
+    Vn = rel * decay
+    Vn += uk
+    Xn = np.add(np.multiply(uk, dt, out=uk), p.X, out=uk)
+    Xn += np.multiply(rel, 1.0 - decay, out=rel)
     reflect(Xn, Vn, p.grid)
-    return ParticleEnsemble(p.grid, Xn, Vn, p.w.copy(), p.fval * np.exp(DIM * dt))
+    return ParticleEnsemble(p.grid, Xn, Vn, p.w, p.fval * np.exp(DIM * dt))
 
 
 def drag_dissipation_exact(particles: ParticleEnsemble, vel: VelocityField, dt: float) -> float:
@@ -284,6 +289,6 @@ def drag_dissipation_exact(particles: ParticleEnsemble, vel: VelocityField, dt: 
     sum w |u_k - V|^2 (1 - e^{-2 dt}) / 2.
     """
     p = particles
-    uk = interpolate_velocity(vel, p.X)
+    uk = interpolate_velocity(vel, p.stencil)
     rel = p.V - uk
     return float(np.sum(p.w * row_dot(rel, rel))) * (1.0 - np.exp(-2.0 * dt)) / 2.0

@@ -39,7 +39,7 @@ def packed_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StressLaw:
     nu0: float
     nu1: float

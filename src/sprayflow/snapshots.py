@@ -52,7 +52,7 @@ def write_snapshot(path, snap: Snapshot) -> None:
         fh.write(_HEADER.pack(MAGIC, VERSION, snap.d, snap.kind, data.ndim))
         fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
         fh.write(struct.pack("<d", snap.time))
-        fh.write(data.tobytes())
+        fh.write(memoryview(data))
 
 
 def read_snapshot(path) -> Snapshot:

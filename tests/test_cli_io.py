@@ -670,14 +670,17 @@ def _short_acceptance_ini(tmp_path) -> str:
 
 
 def test_run_acceptance_script_smoke(tmp_path):
-    proc = _run_script(tmp_path, "run_acceptance.py", _short_acceptance_ini(tmp_path))
+    outdir = tmp_path / "ra"
+    proc = _run_script(tmp_path, "run_acceptance.py", _short_acceptance_ini(tmp_path),
+                       "--output", str(outdir))
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout
     assert "steps: 50, final t = 0.1" in out
     for label in ("mass drift:", "sup-growth relative err:", "max drag antisymmetry:",
                   "accumulated residual:", "E_fluid = ", "ledger: "):
         assert label in out
-    assert (tmp_path / "out" / "acceptance" / "ledger.csv").is_file()
+    assert (outdir / "ledger.csv").is_file()
+    assert not (tmp_path / "out").exists()
 
 
 def test_energy_convergence_script_smoke(tmp_path):

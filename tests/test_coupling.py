@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sprayflow import kinetic
 from sprayflow.coupling import (
     EnergyLedger,
     audit_step,
@@ -140,6 +141,23 @@ def test_coupled_step_heavy_viscosity_kinetic_decay():
     assert all(b < a for a, b in zip(ekins, ekins[1:]))
     assert all(r.D_drag_cum >= 0.0 for r in led.rows)
     assert all(r.E_kin >= 0.0 for r in led.rows)
+
+
+def test_coupled_step_builds_one_stencil(monkeypatch):
+    # the deposit and the step's three interpolations share one CIC stencil
+    calls, cic = [], kinetic._cic
+
+    def counting_cic(grid, X):
+        calls.append(X)
+        return cic(grid, X)
+
+    law, state, p = scene()
+    monkeypatch.setattr(kinetic, "_cic", counting_cic)
+    led = EnergyLedger()
+    for _ in range(3):
+        x = p.X
+        state, p, _ = coupled_step(OPS, state, p, law, 1e-3, led)
+        assert len(calls) == 1 and calls.pop() is x
 
 
 def test_coupled_step_ledger_accumulates():

@@ -10,12 +10,12 @@ from sprayflow.exponent import (
     constant_field,
     log_holder_modulus,
     required_s_min,
-    s_zero,
     sinusoidal_field,
     two_phase_switch_field,
     validate,
 )
 from sprayflow.grid import Grid
+from sprayflow.rheology import StressLaw
 
 GRID = Grid(32, 32)
 
@@ -23,7 +23,17 @@ GRID = Grid(32, 32)
 def test_required_bound_values():
     assert required_s_min(2) == 2.0
     assert required_s_min(3) == pytest.approx(11.0 / 5.0)
-    assert s_zero(2) == 4.0
+
+
+def test_array_holders_compare_by_identity():
+    # fields over ndarrays: == is identity, never an ambiguous array truth value
+    grid = Grid(8, 8)
+    a, b = constant_field(grid, 1.0, 2.0), constant_field(grid, 1.0, 2.0)
+    law = StressLaw(0.1, 0.1, a)
+    cover = build_covering(a)
+    for x, y in ((a, b), (law, StressLaw(0.1, 0.1, a)), (cover, build_covering(a))):
+        assert x == x and x != y
+        assert len({x, y}) == 2
 
 
 def test_validate_constant_two_passes():
@@ -104,8 +114,8 @@ def test_conjugate_known_values():
     assert conjugate(constant_field(GRID, 1.0, 2.0)).s_min == pytest.approx(2.0)
     c3 = conjugate(constant_field(GRID, 1.0, 3.0))
     assert c3.s_min == pytest.approx(1.5)
-    # s0 = 3 + 2/d at d = 2: (s0/2)' = 2
-    half_s0 = constant_field(GRID, 1.0, s_zero(2) / 2.0)
+    # s0 = 3 + 2/d = 4 at d = 2: (s0/2)' = 2
+    half_s0 = constant_field(GRID, 1.0, 4.0 / 2.0)
     assert conjugate(half_s0).s_max == pytest.approx(2.0)
 
 

@@ -44,7 +44,7 @@ def test_uniform_equal_weights():
 
 def test_zero_preset_empty():
     p = sample_initial(GRID, "zero", 100, mass=1.0)
-    assert p.n == 0
+    assert p.X.shape[0] == 0
     m = deposit(p)
     assert np.all(m.rho == 0.0) and np.all(m.jx == 0.0) and np.all(m.jy == 0.0)
     assert p.kinetic_energy() == 0.0
@@ -123,6 +123,23 @@ def test_advance_weights_untouched():
     p = sample_initial(GRID, "uniform", 50, mass=0.7, seed=2)
     q = advance(p, REST, 0.05)
     np.testing.assert_array_equal(q.w, p.w)
+
+
+def test_advance_leaves_the_old_ensemble_unchanged():
+    # the new ensemble shares w, and u_k's buffer becomes its X: nothing of
+    # the old ensemble, whose cached stencil reads X, is written
+    p = sample_initial(GRID, "uniform", 200, mass=0.7, vmax=3.0, seed=5)
+    before = [a.copy() for a in (p.X, p.V, p.w, p.fval)]
+    rng = np.random.default_rng(6)
+    vel = VelocityField(GRID, rng.standard_normal((GRID.nx + 1, GRID.ny)),
+                        rng.standard_normal((GRID.nx, GRID.ny + 1)))
+    stencil = p.stencil  # built first, as the step's deposit does
+    q = advance(p, vel, 0.2)
+    for old, a in zip(before, (p.X, p.V, p.w, p.fval)):
+        np.testing.assert_array_equal(a, old)
+    for cached, fresh in zip(stencil, _cic(GRID, before[0])):
+        np.testing.assert_array_equal(cached, fresh)
+    assert not np.array_equal(q.X, p.X)
 
 
 def test_advance_rejects_bad_dt():
@@ -266,7 +283,7 @@ def test_interpolation_reproduces_constants_everywhere():
                         np.full((GRID.nx, GRID.ny + 1), -0.4))
     rng = np.random.default_rng(4)
     X = rng.uniform(0.001, 0.999, size=(200, 2))
-    uk = interpolate_velocity(vel, X)
+    uk = interpolate_velocity(vel, _cic(GRID, X))
     np.testing.assert_allclose(uk[:, 0], 0.7, rtol=1e-14)
     np.testing.assert_allclose(uk[:, 1], -0.4, rtol=1e-14)
 
@@ -311,7 +328,7 @@ def test_deposit_is_adjoint_of_interpolation():
     m = deposit(p)
     vol = g.cell_volume
     np.testing.assert_allclose(vol * m.rho.sum(), w.sum(), rtol=1e-14, atol=0)
-    uk = interpolate_velocity(vel, X)
+    uk = interpolate_velocity(vel, _cic(g, X))
     uc, vc = vel.cell_centered()
     mass_side = vol * np.sum(m.rho * uc)
     np.testing.assert_allclose(mass_side, np.sum(w * uk[:, 0]), rtol=1e-13, atol=0)
@@ -320,12 +337,25 @@ def test_deposit_is_adjoint_of_interpolation():
                                rtol=1e-13, atol=0)
 
 
+def test_cached_stencil_interpolates_as_a_fresh_one():
+    g = WALL_GRID
+    rng = np.random.default_rng(31)
+    vel = VelocityField(g, rng.standard_normal((g.nx + 1, g.ny)),
+                        rng.standard_normal((g.nx, g.ny + 1)))
+    X = _wall_particles(g, rng)
+    n = X.shape[0]
+    p = ParticleEnsemble(g, X, rng.standard_normal((n, 2)), np.ones(n), np.ones(n))
+    assert p.stencil is p.stencil
+    np.testing.assert_array_equal(interpolate_velocity(vel, p.stencil),
+                                  interpolate_velocity(vel, _cic(g, X.copy())))
+
+
 def test_interpolation_reproduces_constants_near_walls():
     g = WALL_GRID
     X = _wall_particles(g, np.random.default_rng(22))
     vel = VelocityField(g, np.full((g.nx + 1, g.ny), 0.7),
                         np.full((g.nx, g.ny + 1), -0.4))
-    uk = interpolate_velocity(vel, X)
+    uk = interpolate_velocity(vel, _cic(g, X))
     np.testing.assert_allclose(uk[:, 0], 0.7, rtol=1e-14)
     np.testing.assert_allclose(uk[:, 1], -0.4, rtol=1e-14)
 
@@ -343,7 +373,7 @@ def test_wall_cell_centre_reads_that_cell():
     cells += [(i, 0) for i in range(g.nx)] + [(i, g.ny - 1) for i in range(g.nx)]
     i, j = np.array(cells).T
     centres = np.column_stack([(i + 0.5) * h, (j + 0.5) * h])
-    uk = interpolate_velocity(vel, centres)
+    uk = interpolate_velocity(vel, _cic(g, centres))
     np.testing.assert_allclose(uk[:, 0], uc[i, j], rtol=0, atol=1e-14)
     np.testing.assert_allclose(uk[:, 1], vc[i, j], rtol=0, atol=1e-14)
     # corner cells: both coordinates between the centre and the walls
@@ -352,7 +382,7 @@ def test_wall_cell_centre_reads_that_cell():
                         [s[0], g.ly - s[3]], [g.lx - s[2], s[1]]])
     ci = np.array([0, g.nx - 1, 0, g.nx - 1])
     cj = np.array([0, g.ny - 1, g.ny - 1, 0])
-    uk = interpolate_velocity(vel, corners)
+    uk = interpolate_velocity(vel, _cic(g, corners))
     np.testing.assert_allclose(uk[:, 0], uc[ci, cj], rtol=0, atol=1e-14)
     np.testing.assert_allclose(uk[:, 1], vc[ci, cj], rtol=0, atol=1e-14)
 
