@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 ledgers differ (ledger-diff), 2 config/parse error,
-3 numeric failure (blow-up, CFL refusal, escaping particle), 4 certificate
-(validation) failure.
+Exit codes: 0 success, 1 ledgers differ (ledger-diff), 2 config/parse error
+or unusable input or output path, 3 numeric failure (blow-up, CFL refusal,
+escaping particle), 4 certificate (validation) failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .orlicz import TENSOR_COMP_WEIGHTS, luxemburg_norm, modular
 from .pressure import verify_bounds, verify_locality
 from .rheology import CoercivityError, certify_coercive, certify_monotone
 from .run import CertificateFailure, build_scene, run_scenario
-from .snapshots import KIND_TENSOR, read_snapshot
+from .snapshots import KIND_SCALAR, KIND_TENSOR, KIND_U_FACE, KIND_V_FACE, read_snapshot
 from .studies import fitted_order
 
 EXIT_OK = 0
@@ -97,6 +97,12 @@ def _exponent_values(spec: str, grid: Grid, t_end: float):
 def cmd_norm(args) -> int:
     snap = _read(read_snapshot, args.field)
     data = snap.data
+    # mesh fields only: (nx, ny) cell or face values, (nx, ny, 3) packed tensors
+    comps = {KIND_SCALAR: (), KIND_U_FACE: (), KIND_V_FACE: (), KIND_TENSOR: (3,)}.get(snap.kind)
+    if comps is None or data.ndim != 2 + len(comps) or data.shape[2:] != comps:
+        print(f"{args.field}: kind {snap.kind} with shape {data.shape} is not a mesh field",
+              file=sys.stderr)
+        return EXIT_CONFIG
     cw = TENSOR_COMP_WEIGHTS if snap.kind == KIND_TENSOR else None
     nx, ny = data.shape[0], data.shape[1]
     try:
@@ -171,6 +177,9 @@ def cmd_run(args) -> int:
     except (BlowUp, CFLViolation, EscapeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
+    except OSError as exc:  # the output path is a file, or not writable
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     last = result.ledger.last if result.ledger.rows else None
     if last:
         print(f"finished t = {last.t:g}: E_fluid = {last.E_fluid:.6g}, "

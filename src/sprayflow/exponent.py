@@ -13,9 +13,11 @@ samples pairs and reports the estimate for `sprayflow validate`; no run
 computes it.
 
 Also contains the ball covering with per-ball exponent statistics
-(q_i, r_i, R_i) and a normalized-bump partition of unity.  The program uses
-only whether a covering exists; acceptance criterion 8 and the tests alone
-read the per-ball stats.
+(q_i, r_i, R_i).  The pre-run gate builds only the radius and the per-ball
+stats, and uses only whether a covering exists.  The normalized-bump
+partition of unity, the localisation behind the log-Hoelder argument, is
+built on request by Covering.partition_of_unity(); acceptance criterion 8
+and the tests alone read it and the per-ball stats.
 """
 
 from __future__ import annotations
@@ -101,18 +103,31 @@ class ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class Covering:
-    """Equal-radius ball cover with per-ball, per-slab exponent stats.
-
-    q, r_sup, big_r have shape (nballs, nslabs); zeta is (nballs, nx, ny)
-    and sums to one at every node.
-    """
+    """Equal-radius ball cover; q and r_sup, shape (nballs, nslabs), are the
+    min and the max of s over each doubled ball, per slab."""
 
     centers: np.ndarray
     radius: float
     q: np.ndarray
     r_sup: np.ndarray
-    big_r: np.ndarray
-    zeta: np.ndarray
+
+    @property
+    def big_r(self) -> np.ndarray:
+        """R_i = q_i (1 + 2/d), per ball and slab."""
+        return self.q * (1.0 + 2.0 / DIM)
+
+    def partition_of_unity(self, grid: Grid) -> np.ndarray:
+        """zeta, (nballs, nx, ny): one C^2 bump per ball, normalized to sum
+        to one at every cell center of grid.
+
+        Raises CoveringError if some cell center lies in no ball.
+        """
+        xc, yc = grid.cell_centers()
+        raw = _bump(np.sqrt(_dist2(xc, yc, self.centers)) / self.radius)
+        total = raw.sum(axis=0)
+        if np.any(total <= 0):
+            raise CoveringError("partition of unity has uncovered nodes")
+        return raw / total
 
 
 def validate(field: ExponentField) -> ValidationReport:
@@ -159,14 +174,6 @@ def log_holder_modulus(field: ExponentField) -> tuple[float, ...]:
     return tuple(float(m) for m in moduli.max(axis=1, initial=0.0))
 
 
-def conjugate(field: ExponentField) -> ExponentField:
-    """Pointwise Hoelder conjugate s' = s / (s - 1)."""
-    if field.s_min <= 1.0:
-        raise ValueError("conjugate requires s > 1 everywhere")
-    s = field.values
-    return ExponentField(field.starts, s / (s - 1.0), field.t_end, field.grid)
-
-
 def _ball_centers(grid: Grid, radius: float) -> np.ndarray:
     # lattice spacing = radius: farthest point sits at radius/sqrt(2) < radius,
     # so the open balls cover the closed domain with margin
@@ -180,8 +187,12 @@ def _ball_centers(grid: Grid, radius: float) -> np.ndarray:
 
 def _bump(rho: np.ndarray) -> np.ndarray:
     # C^2 profile, vanishes with two derivatives at rho = 1
-    out = np.clip(1.0 - rho**2, 0.0, None) ** 3
-    return out
+    return np.clip(1.0 - rho**2, 0.0, None) ** 3
+
+
+def _dist2(xc: np.ndarray, yc: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    # squared distance from each ball center to each cell center, (nballs, nx, ny)
+    return (xc - centers[:, 0, None, None]) ** 2 + (yc - centers[:, 1, None, None]) ** 2
 
 
 def build_covering(field: ExponentField) -> Covering:
@@ -201,9 +212,7 @@ def build_covering(field: ExponentField) -> Covering:
                 "covering radius underflow: exponent oscillates too fast for the mesh"
             )
         centers = _ball_centers(grid, radius)
-        dist2 = (xc[None] - centers[:, 0, None, None]) ** 2 + (
-            yc[None] - centers[:, 1, None, None]
-        ) ** 2
+        dist2 = _dist2(xc, yc, centers)
         ok = True
         nb = centers.shape[0]
         q = np.empty((nb, len(field.starts)))
@@ -223,13 +232,7 @@ def build_covering(field: ExponentField) -> Covering:
             break
         radius *= 0.5
 
-    big_r = q * (1.0 + 2.0 / DIM)
-    raw = _bump(np.sqrt(dist2) / radius)
-    total = raw.sum(axis=0)
-    if np.any(total <= 0):
-        raise CoveringError("partition of unity has uncovered nodes")
-    zeta = raw / total
-    return Covering(centers=centers, radius=radius, q=q, r_sup=r_sup, big_r=big_r, zeta=zeta)
+    return Covering(centers=centers, radius=radius, q=q, r_sup=r_sup)
 
 
 # ---------------------------------------------------------------------------

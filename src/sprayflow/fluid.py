@@ -45,7 +45,7 @@ class BlowUp(RuntimeError):
     """Non-finite values appeared in the velocity field."""
 
 
-@dataclass
+@dataclass(eq=False)
 class VelocityField:
     grid: Grid
     u: np.ndarray  # (nx+1, ny)
@@ -54,9 +54,6 @@ class VelocityField:
     @classmethod
     def zeros(cls, grid: Grid) -> "VelocityField":
         return cls(grid, np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1)))
-
-    def copy(self) -> "VelocityField":
-        return VelocityField(self.grid, self.u.copy(), self.v.copy())
 
     def enforce_walls(self) -> None:
         self.u[0, :] = 0.0
@@ -70,10 +67,7 @@ class VelocityField:
         return 0.5 * h2 * (float(np.sum(self.u**2)) + float(np.sum(self.v**2)))
 
     def max_speed(self) -> float:
-        m = 0.0
-        if self.u.size:
-            m = max(float(np.abs(self.u).max()), float(np.abs(self.v).max()))
-        return m
+        return max(float(np.abs(self.u).max()), float(np.abs(self.v).max()))
 
     def cell_centered(self) -> tuple[np.ndarray, np.ndarray]:
         uc = self.u[:-1, :] + self.u[1:, :]
@@ -83,7 +77,7 @@ class VelocityField:
         return uc, vc
 
 
-@dataclass
+@dataclass(eq=False)
 class FluidState:
     velocity: VelocityField
     time: float = 0.0
@@ -274,7 +268,7 @@ class FluidOps:
         h = self.grid.h
         du = self.sym_gradient(vel)
         mag2 = packed_inner(du, du)
-        mmax = float(np.sqrt(mag2.max())) if mag2.size else 0.0
+        mmax = float(np.sqrt(mag2.max()))
         smax = law.s_max
 
         def power(e: float) -> float:

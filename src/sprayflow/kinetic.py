@@ -48,7 +48,7 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
 
 
-@dataclass
+@dataclass(eq=False)
 class ParticleEnsemble:
     grid: Grid
     X: np.ndarray      # (n, 2) positions, strictly interior, never written in place
@@ -70,7 +70,7 @@ class ParticleEnsemble:
         return 0.5 * float(np.sum(self.w * row_dot(self.V, self.V)))
 
 
-@dataclass
+@dataclass(eq=False)
 class MomentFields:
     grid: Grid
     rho: np.ndarray   # (nx, ny) number density, integral of f over v

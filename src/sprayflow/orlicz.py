@@ -92,27 +92,3 @@ def modular_distance(values_n, values, s, lam: float, weights, comp_weights=None
         raise ValueError("lambda must be positive")
     diff = np.asarray(values_n, dtype=float) - np.asarray(values, dtype=float)
     return modular(diff / lam, s, weights, comp_weights)
-
-
-def holder_pairing(phi, psi, s, weights, comp_weights=None) -> float:
-    """Check the Luxemburg-Hoelder bound and return the pairing ratio.
-
-    Asserts integral |phi psi| <= 2 ||phi||_{L^s} ||psi||_{L^{s'}} and returns
-    the ratio of the two sides (0 when either factor vanishes).
-    """
-    s = np.asarray(s, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    mphi = magnitude(phi, w.ndim, comp_weights)
-    mpsi = magnitude(psi, w.ndim, comp_weights)
-    lhs = float(np.sum(w * mphi * mpsi))
-    nphi = luxemburg_norm(phi, s, weights, comp_weights)
-    npsi = luxemburg_norm(psi, s / (s - 1.0), weights, comp_weights)
-    if nphi == 0.0 or npsi == 0.0:
-        if lhs != 0.0:
-            raise AssertionError("pairing nonzero for a zero factor")
-        return 0.0
-    ratio = lhs / (nphi * npsi)
-    if ratio > 2.0 * (1.0 + 1e-12):
-        raise AssertionError(f"Hoelder pairing ratio {ratio} exceeds 2")
-    return ratio
-

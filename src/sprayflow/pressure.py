@@ -46,10 +46,6 @@ class PaddedBox:
         return cells + cells % 2  # even count keeps the embedding symmetric
 
     @property
-    def side(self) -> float:
-        return self.n * self.inner.h
-
-    @property
     def offset(self) -> tuple[int, int]:
         return ((self.n - self.inner.nx) // 2, (self.n - self.inner.ny) // 2)
 
@@ -80,7 +76,7 @@ class PaddedBox:
             raise SupportError("source is not compactly supported inside the box")
 
 
-@dataclass
+@dataclass(eq=False)
 class PressureProblem:
     kind: str
     source: np.ndarray  # on the box: (n, n, 3) packed tensor or (n, n, 2) vector
@@ -140,7 +136,6 @@ def gradient(box: PaddedBox, p: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BoundReport:
-    kind: str
     ratios: tuple[float, ...]       # per sample, skipped (zero) samples omitted
 
     @property
@@ -196,7 +191,7 @@ def verify_bounds(grid: Grid, n_samples: int = 10, seed: int = 0) -> dict[str, B
             if den == 0.0:
                 continue
             ratios.append(num / den)
-        out[kind] = BoundReport(kind, tuple(ratios))
+        out[kind] = BoundReport(tuple(ratios))
     return out
 
 

@@ -56,33 +56,6 @@ class StressLaw:
             raise ValueError("theta must lie in [0, 1)")
         object.__setattr__(self, "s_max", self.exponent.s_max)
 
-    # -- pointwise evaluation ------------------------------------------------
-
-    def _check_sym(self, xi: np.ndarray) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape[-2:] != (2, 2):
-            raise ValueError("expected a 2x2 tensor")
-        if not np.array_equal(xi[..., 0, 1], xi[..., 1, 0]):
-            raise ValueError("input tensor is not symmetric")
-        return xi
-
-    def eval(self, t: float, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """S(t, x, xi) for a symmetric 2x2 tensor (Frobenius |xi|)."""
-        return self._eval_tensor(t, x, xi, regularized=False)
-
-    def eval_regularized(self, t: float, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """S^theta = S + theta * grad_xi |xi|^{s_max} = S + theta s_max |xi|^{s_max-2} xi."""
-        return self._eval_tensor(t, x, xi, regularized=True)
-
-    def _eval_tensor(self, t: float, x: np.ndarray, xi: np.ndarray, regularized: bool) -> np.ndarray:
-        """eval_packed at one point, on a 2x2 tensor packed as (a11, a22, a12)."""
-        xi = self._check_sym(xi)
-        s = self.exponent.sample(t, np.asarray(x, dtype=float))
-        packed = self.eval_packed(s, xi[..., [0, 1, 0], [0, 1, 1]], regularized)
-        return packed[..., [0, 2, 2, 1]].reshape(xi.shape)
-
-    # -- vectorized evaluation on packed tensors -----------------------------
-
     def eval_packed(self, s: np.ndarray, packed: np.ndarray, regularized: bool = True) -> np.ndarray:
         """Apply the law to (..., 3)-packed symmetric tensors (a11, a22, a12)."""
         mag = np.sqrt(packed_inner(packed, packed))
@@ -112,7 +85,6 @@ class MonotonicityReport:
     worst: float   # min of (S(xi1) - S(xi2)) : (xi1 - xi2)
     scale: float   # max of |S(xi1) - S(xi2)| * |xi1 - xi2| over the sweep
     n_samples: int
-    seed: int
 
     @property
     def ok(self) -> bool:
@@ -170,7 +142,6 @@ def certify_monotone(law: StressLaw, n_samples: int = 100_000, seed: int = 0) ->
         worst=float(inner.min()),
         scale=float(np.max(ds_mag * dxi_mag)),
         n_samples=n_samples,
-        seed=seed,
     )
 
 

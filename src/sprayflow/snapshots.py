@@ -38,7 +38,7 @@ class SnapshotError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Snapshot:
     kind: int
     time: float

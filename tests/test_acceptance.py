@@ -176,7 +176,7 @@ def test_criterion_08_covering():
     field = sinusoidal_field(grid, 1.0, base=2.0, amplitude=0.4)
     cov = build_covering(field)
     gap_ok = bool(np.all(cov.big_r - cov.r_sup >= required_s_min(DIM) / DIM))
-    pou = float(np.abs(cov.zeta.sum(axis=0) - 1.0).max())
+    pou = float(np.abs(cov.partition_of_unity(grid).sum(axis=0) - 1.0).max())
     ok = gap_ok and pou <= 1e-12
     _report(8, "covering invariants", ok,
             f"gap holds: {gap_ok}, partition-of-unity defect {pou:.2e}")

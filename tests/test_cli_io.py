@@ -26,6 +26,9 @@ from sprayflow.run import run_scenario
 from sprayflow.snapshots import (
     KIND_PARTICLES,
     KIND_SCALAR,
+    KIND_TENSOR,
+    KIND_U_FACE,
+    KIND_V_FACE,
     Snapshot,
     SnapshotError,
     particles_to_table,
@@ -222,9 +225,16 @@ def test_module_rng_streams_independent():
 
 # -- subcommands --------------------------------------------------------------
 
-def test_validate_shipped_configs():
-    for name in ("minimal.ini", "acceptance.ini", "two_phase.ini"):
+def test_validate_shipped_configs(capsys):
+    # the covering each shipped config passes the pre-run gate with
+    covering = {
+        "minimal.ini": "covering: 1 balls, radius 1.41421",
+        "acceptance.ini": "covering: 1 balls, radius 1.41421",
+        "two_phase.ini": "covering: 1 balls, radius 1.41421",
+    }
+    for name, line in covering.items():
         assert run_cli(["validate", "--config", os.path.join(CONFIGS, name)]) == 0
+        assert line in capsys.readouterr().out.splitlines()
 
 
 def test_validate_bad_exponent_exit_4(tmp_path):
@@ -260,6 +270,30 @@ def test_norm_malformed_exponent_spec_exit_2(tmp_path, capsys, spec):
     write_snapshot(snap, Snapshot(KIND_SCALAR, 0.0, np.full((16, 16), 2.0)))
     assert run_cli(["norm", "--field", str(snap), "--exponent", spec]) == 2
     assert "exponent spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, shape", [
+    (KIND_PARTICLES, (8, 6)), (KIND_SCALAR, (16,)), (KIND_SCALAR, (16, 16, 3)),
+    (KIND_TENSOR, (16, 16)), (KIND_TENSOR, (16, 16, 2)), (7, (16, 16)),
+], ids=["particle-table", "one-d", "scalar-three-d", "tensor-two-d", "tensor-two-comp",
+        "unknown-kind"])
+def test_norm_refuses_a_payload_that_is_no_mesh_field(tmp_path, capsys, kind, shape):
+    snap = tmp_path / "field.vkf"
+    write_snapshot(snap, Snapshot(kind, 0.0, np.full(shape, 2.0)))
+    assert run_cli(["norm", "--field", str(snap), "--exponent", "constant:2"]) == 2
+    captured = capsys.readouterr()
+    assert "not a mesh field" in captured.err
+    assert "modular" not in captured.out
+
+
+@pytest.mark.parametrize("kind, shape", [
+    (KIND_U_FACE, (17, 16)), (KIND_V_FACE, (16, 17)), (KIND_TENSOR, (16, 16, 3)),
+], ids=["u-face", "v-face", "tensor"])
+def test_norm_takes_face_and_tensor_fields(tmp_path, capsys, kind, shape):
+    snap = tmp_path / "field.vkf"
+    write_snapshot(snap, Snapshot(kind, 0.0, np.full(shape, 2.0)))
+    assert run_cli(["norm", "--field", str(snap), "--exponent", "constant:2"]) == 0
+    assert "luxemburg norm" in capsys.readouterr().out
 
 
 def test_norm_time_dependent_exponent_exit_2(tmp_path, capsys):
@@ -361,6 +395,24 @@ def test_run_escaping_particle_exit_3_keeps_the_last_state(tmp_path, capsys):
     assert (out / "ledger.csv").read_text().startswith("t,E_fluid")
     for name in ("u_final.vkf", "v_final.vkf", "particles_final.vkf"):
         assert read_snapshot(out / name).time == 0.0
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_run_output_path_is_a_file_exit_2(tmp_path, capsys, where):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    cfgfile = os.path.join(CONFIGS, "minimal.ini")
+    if where == "flag":
+        argv = ["run", "--config", cfgfile, "--output", str(taken)]
+    else:
+        p = tmp_path / "to_file.ini"
+        text = open(cfgfile).read()
+        assert "output_dir = out/minimal" in text
+        p.write_text(text.replace("out/minimal", str(taken)))
+        argv = ["run", "--config", str(p)]
+    assert run_cli(argv) == 2
+    assert "cannot write output" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
 
 
 def _resting_fluid_ini(path, cfl_factor):
