@@ -70,12 +70,18 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _exponent_values(spec: str, grid: Grid, t_end: float):
-    """s from a snapshot path, or from "preset:x:y" with the preset's value
-    parameters in signature order; a malformed spec, or one whose preset
-    builds more than one time slab, exits 2."""
+def _exponent_values(spec: str, grid: Grid, t_end: float, points: np.ndarray):
+    """s at points (..., 2) of the mesh, from a snapshot path (whose payload
+    must have the points' shape) or from "preset:x:y" with the preset's value
+    parameters in signature order; a malformed spec, a snapshot of another
+    shape, or a preset that builds more than one time slab, exits 2."""
     if ":" not in spec and spec not in PRESETS:
-        return _read(read_snapshot, spec).data
+        s = _read(read_snapshot, spec).data
+        if s.shape != points.shape[:-1]:
+            print(f"exponent snapshot {spec} has shape {s.shape}, "
+                  f"the field {points.shape[:-1]}", file=sys.stderr)
+            sys.exit(EXIT_CONFIG)
+        return s
     name, *numbers = spec.split(":")
     if name not in PRESETS:
         print(f"unknown exponent preset: {name}", file=sys.stderr)
@@ -91,27 +97,41 @@ def _exponent_values(spec: str, grid: Grid, t_end: float):
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"bad exponent spec {spec!r}: {exc}", file=sys.stderr)
         sys.exit(EXIT_CONFIG)
-    return exp.build(grid, t_end).values[0]
+    return exp.build(grid, t_end).sample(0.0, points)
+
+
+# per mesh-field kind: trailing component axes, the run's cell counts from the
+# payload's (n0, n1), and the positions' offsets from a cell's corner in cells
+_MESH_KINDS = {
+    KIND_SCALAR: ((), (0, 0), (0.5, 0.5)),
+    KIND_U_FACE: ((), (1, 0), (0.0, 0.5)),
+    KIND_V_FACE: ((), (0, 1), (0.5, 0.0)),
+    KIND_TENSOR: ((3,), (0, 0), (0.5, 0.5)),
+}
 
 
 def cmd_norm(args) -> int:
     snap = _read(read_snapshot, args.field)
     data = snap.data
-    # mesh fields only: (nx, ny) cell or face values, (nx, ny, 3) packed tensors
-    comps = {KIND_SCALAR: (), KIND_U_FACE: (), KIND_V_FACE: (), KIND_TENSOR: (3,)}.get(snap.kind)
-    if comps is None or data.ndim != 2 + len(comps) or data.shape[2:] != comps:
+    # mesh fields only: cell or face values of a run's mesh, packed cell tensors
+    comps, extra, offset = _MESH_KINDS.get(snap.kind, (None, None, None))
+    if (comps is None or data.ndim != 2 + len(comps) or data.shape[2:] != comps
+            or min(data.shape[0] - extra[0], data.shape[1] - extra[1]) < 1):
         print(f"{args.field}: kind {snap.kind} with shape {data.shape} is not a mesh field",
               file=sys.stderr)
         return EXIT_CONFIG
     cw = TENSOR_COMP_WEIGHTS if snap.kind == KIND_TENSOR else None
-    nx, ny = data.shape[0], data.shape[1]
+    n0, n1 = data.shape[0], data.shape[1]
+    nx, ny = n0 - extra[0], n1 - extra[1]
     try:
         grid = Grid(nx, ny, args.extent, args.extent * ny / nx)
     except ValueError as exc:
         print(f"bad --extent: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    s = _exponent_values(args.exponent, grid, t_end=1.0)
-    w = np.full((nx, ny), grid.cell_volume)
+    points = np.stack(np.meshgrid((np.arange(n0) + offset[0]) * grid.h,
+                                  (np.arange(n1) + offset[1]) * grid.h, indexing="ij"), axis=-1)
+    s = _exponent_values(args.exponent, grid, 1.0, points)
+    w = np.full((n0, n1), grid.cell_volume)
     print(f"modular:  {modular(data, s, w, cw):.12g}")
     print(f"luxemburg norm: {luxemburg_norm(data, s, w, cw):.12g}")
     return EXIT_OK

@@ -173,8 +173,7 @@ def coupled_step(
     The step's row is appended to the ledger and returned.  The fluid step is
     refused when dt exceeds cfl_factor times its CFL bound.
     """
-    moments = deposit(particles)
-    drag = drag_force(moments, state.velocity)
+    drag = drag_force(deposit(particles), state.velocity)
     new_state, diag = fluid_step(ops, state, law, dt, drag, cfl_factor=cfl_factor)
     e_before = diag.energy_before + particles.kinetic_energy()
     d_drag = drag_dissipation_exact(particles, new_state.velocity, dt)

@@ -24,6 +24,13 @@ Three structural identities are engineered to hold to machine precision:
   zero mean.
 
 Symmetric tensors are packed as (nx, ny, 3) = (a11, a22, a12).
+
+fluid_step evaluates Du, then the convection (which reads the trace of Du as
+its cell divergence), then S^theta(Du); it forms S:Du in Du's buffer and drops
+Du before the stress divergence, and drops S and the convection as soon as
+u* no longer needs them.  At benchmark sizes a step costs the bytes it holds
+and moves, not flops, so the order is chosen to keep few grid temporaries
+live at once (about ten cell arrays); no buffer is kept between steps.
 """
 
 from __future__ import annotations
@@ -152,8 +159,11 @@ class FluidOps:
         """Face gradient of a cell scalar; wall-normal faces are zero."""
         h = self.grid.h
         out = VelocityField.zeros(self.grid)
-        out.u[1:-1, :] = (phi[1:, :] - phi[:-1, :]) / h
-        out.v[:, 1:-1] = (phi[:, 1:] - phi[:, :-1]) / h
+        ou, ov = out.u[1:-1, :], out.v[:, 1:-1]
+        np.subtract(phi[1:, :], phi[:-1, :], out=ou)
+        ou /= h
+        np.subtract(phi[:, 1:], phi[:, :-1], out=ov)
+        ov /= h
         return out
 
     def stress_divergence_of(self, stress_packed: np.ndarray) -> VelocityField:
@@ -190,16 +200,19 @@ class FluidOps:
         ov += (s22[:, 1:] - s22[:, :-1]) / h
         return out
 
-    def convective(self, vel: VelocityField) -> VelocityField:
+    def convective(self, vel: VelocityField, du: np.ndarray) -> VelocityField:
         """Skew-symmetric transport term, <conv(u), u> = 0 identically.
 
-        The 1/2 and 1/4 averaging weights are applied as one power-of-two
-        scaling of each difference (dividing by 4h rather than h), which
-        rounds to the same values as averaging first.
+        du is sym_gradient(vel); its trace a11 + a22 is the cell divergence,
+        the same two face differences over h added in the same order as
+        divergence(vel), so it equals that bit for bit.  The 1/2 and 1/4
+        averaging weights are applied as one power-of-two scaling of each
+        difference (dividing by 4h rather than h), which rounds to the same
+        values as averaging first.
         """
         h4 = 4.0 * self.grid.h
         u, v = vel.u, vel.v
-        divc = self.divergence(vel)
+        divc = du[..., 0] + du[..., 1]
         divc *= 0.25
         out = VelocityField.zeros(self.grid)
 
@@ -209,31 +222,40 @@ class FluidOps:
         fx *= fx
         ou = out.u[1:-1, :]
         np.subtract(fx[1:, :], fx[:-1, :], out=ou)
+        del fx
         ou /= h4
         fy = v[:-1, :] + v[1:, :]                          # 2 vn at nodes i=1..nx-1
         un = np.zeros_like(fy)                             # wall rows stay 0: vn = 0 there
         np.add(u[1:-1, :-1], u[1:-1, 1:], out=un[:, 1:-1])
         fy *= un
+        del un
         dy = fy[:, 1:] - fy[:, :-1]
+        del fy
         dy /= h4
         ou += dy
+        del dy
         dface = divc[:-1, :] + divc[1:, :]
         dface *= u[1:-1, :]
         ou -= dface
+        del dface
 
         # v-component on interior y-faces j = 1 .. ny-1
         gy = v[:, :-1] + v[:, 1:]                          # 2 vc at centers
         gy *= gy
         ov = out.v[:, 1:-1]
         np.subtract(gy[:, 1:], gy[:, :-1], out=ov)
+        del gy
         ov /= h4
         gx = u[:, :-1] + u[:, 1:]                          # 2 un at nodes j=1..ny-1
         vn = np.zeros_like(gx)
         np.add(v[:-1, 1:-1], v[1:, 1:-1], out=vn[1:-1, :])
         gx *= vn
+        del vn
         dx = gx[1:, :] - gx[:-1, :]
+        del gx
         dx /= h4
         ov += dx
+        del dx
         dface = divc[:, :-1] + divc[:, 1:]
         dface *= v[:, 1:-1]
         ov -= dface
@@ -308,18 +330,21 @@ def fluid_step(
     if dt > limit:
         raise CFLViolation(f"dt = {dt} exceeds CFL bound {limit}")
 
+    # each grid temporary is dropped after its last reader (module docstring)
     du = ops.sym_gradient(vel)
+    conv = ops.convective(vel, du)
     stress = law.eval_packed(s, du)
-    star = ops.stress_divergence_of(stress)
-    conv = ops.convective(vel)
 
     # S:Du as one packed product rather than rheology.packed_inner: at 256^2
     # the plane-wise sum doubled the step's minor page faults and slowed
-    # fluid_bound steps by ~7 %
-    h2 = ops.grid.cell_volume
-    sdu = stress * du
-    sdu[..., 2] *= 2.0                      # S:Du weights (1, 1, 2)
-    d_stress = float(np.sum(sdu)) * h2 * dt
+    # fluid_bound steps by ~7 %.  It is formed in du's buffer, whose plane-
+    # major layout a fresh product would share, so the sum's order is the same
+    np.multiply(stress, du, out=du)
+    du[..., 2] *= 2.0                       # S:Du weights (1, 1, 2)
+    d_stress = float(np.sum(du)) * ops.grid.cell_volume * dt
+    del du
+    star = ops.stress_divergence_of(stress)
+    del stress
 
     # u* is built in the stress-divergence buffers, term by term in the
     # order (div S - conv + source) * dt + u
@@ -329,6 +354,7 @@ def fluid_step(
         acc += getattr(source, name)
         acc *= dt
         acc += getattr(vel, name)
+    del conv
     star.enforce_walls()
     new_vel, phi = ops.project(star)
     if not (np.all(np.isfinite(new_vel.u)) and np.all(np.isfinite(new_vel.v))):

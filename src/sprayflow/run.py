@@ -12,12 +12,11 @@ from .fluid import FluidOps, FluidState, initial_velocity
 from .kinetic import ParticleEnsemble, sample_initial
 from .rheology import CoercivityError, StressLaw, certify_coercive, certify_monotone
 from .snapshots import (
-    KIND_PARTICLES,
     KIND_SCALAR,
     KIND_U_FACE,
     KIND_V_FACE,
     Snapshot,
-    particles_to_table,
+    write_particles,
     write_snapshot,
 )
 
@@ -84,11 +83,8 @@ def _write_state(outdir: str, tag: str, state: FluidState, particles: ParticleEn
     if state.pressure is not None:
         write_snapshot(os.path.join(outdir, f"p_{tag}.vkf"),
                        Snapshot(KIND_SCALAR, t, state.pressure))
-    write_snapshot(
-        os.path.join(outdir, f"particles_{tag}.vkf"),
-        Snapshot(KIND_PARTICLES, t,
-                 particles_to_table(particles.X, particles.V, particles.w, particles.fval)),
-    )
+    write_particles(os.path.join(outdir, f"particles_{tag}.vkf"), t,
+                    particles.X, particles.V, particles.w, particles.fval)
 
 
 def run_scenario(cfg: ScenarioConfig, outdir: str | None = None) -> RunResult:

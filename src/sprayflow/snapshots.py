@@ -46,13 +46,34 @@ class Snapshot:
     d: int = DIM
 
 
+# rows of the particle table formed and written at a time, so that writing
+# a snapshot never holds the whole (n, 6) table
+BLOCK_ROWS = 8192
+
+
+def _write(path, kind: int, time: float, shape: tuple[int, ...], blocks, d: int = DIM) -> None:
+    """Header, then the payload as C-ordered blocks that tile it row-wise."""
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, VERSION, d, kind, len(shape)))
+        fh.write(struct.pack(f"<{len(shape)}Q", *shape))
+        fh.write(struct.pack("<d", time))
+        for block in blocks:
+            fh.write(memoryview(np.ascontiguousarray(block, dtype="<f8")))
+
+
 def write_snapshot(path, snap: Snapshot) -> None:
     data = np.ascontiguousarray(snap.data, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, snap.d, snap.kind, data.ndim))
-        fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-        fh.write(struct.pack("<d", snap.time))
-        fh.write(memoryview(data))
+    _write(path, snap.kind, snap.time, data.shape, (data,), snap.d)
+
+
+def write_particles(path, time: float, X, V, w, fval) -> None:
+    """The particle table particles_to_table(X, V, w, fval) as a snapshot,
+    formed BLOCK_ROWS rows at a time."""
+    n = len(w)
+    blocks = (particles_to_table(X[a:a + BLOCK_ROWS], V[a:a + BLOCK_ROWS],
+                                 w[a:a + BLOCK_ROWS], fval[a:a + BLOCK_ROWS])
+              for a in range(0, n, BLOCK_ROWS))
+    _write(path, KIND_PARTICLES, time, (n, 6), blocks)
 
 
 def read_snapshot(path) -> Snapshot:

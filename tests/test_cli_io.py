@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprayflow import cli, exponent
+from sprayflow import cli, exponent, snapshots
 from sprayflow.cli import main
 from sprayflow.config import (
     ConfigError,
@@ -34,6 +34,7 @@ from sprayflow.snapshots import (
     particles_to_table,
     read_snapshot,
     table_to_particles,
+    write_particles,
     write_snapshot,
 )
 
@@ -78,6 +79,19 @@ def test_snapshot_particle_table_round_trip(tmp_path):
     np.testing.assert_array_equal(V, V2)
     np.testing.assert_array_equal(w, w2)
     np.testing.assert_array_equal(fv, fv2)
+
+
+@pytest.mark.parametrize("rows", ["zero", "one", "block", "two-blocks-and-one"])
+def test_particle_snapshot_in_row_blocks_matches_the_whole_table(tmp_path, rows):
+    n = {"zero": 0, "one": 1, "block": snapshots.BLOCK_ROWS,
+         "two-blocks-and-one": 2 * snapshots.BLOCK_ROWS + 1}[rows]
+    rng = np.random.default_rng(n)
+    X, V = rng.random((n, 2)), rng.standard_normal((n, 2))
+    w, fv = rng.random(n), rng.random(n)
+    whole, blocked = tmp_path / "whole.vkf", tmp_path / "blocked.vkf"
+    write_snapshot(whole, Snapshot(KIND_PARTICLES, 0.25, particles_to_table(X, V, w, fv)))
+    write_particles(blocked, 0.25, X, V, w, fv)
+    assert blocked.read_bytes() == whole.read_bytes()
 
 
 def test_snapshot_bad_magic(tmp_path):
@@ -275,8 +289,9 @@ def test_norm_malformed_exponent_spec_exit_2(tmp_path, capsys, spec):
 @pytest.mark.parametrize("kind, shape", [
     (KIND_PARTICLES, (8, 6)), (KIND_SCALAR, (16,)), (KIND_SCALAR, (16, 16, 3)),
     (KIND_TENSOR, (16, 16)), (KIND_TENSOR, (16, 16, 2)), (7, (16, 16)),
+    (KIND_U_FACE, (1, 16)),
 ], ids=["particle-table", "one-d", "scalar-three-d", "tensor-two-d", "tensor-two-comp",
-        "unknown-kind"])
+        "unknown-kind", "u-face-without-cells"])
 def test_norm_refuses_a_payload_that_is_no_mesh_field(tmp_path, capsys, kind, shape):
     snap = tmp_path / "field.vkf"
     write_snapshot(snap, Snapshot(kind, 0.0, np.full(shape, 2.0)))
@@ -294,6 +309,44 @@ def test_norm_takes_face_and_tensor_fields(tmp_path, capsys, kind, shape):
     write_snapshot(snap, Snapshot(kind, 0.0, np.full(shape, 2.0)))
     assert run_cli(["norm", "--field", str(snap), "--exponent", "constant:2"]) == 0
     assert "luxemburg norm" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind, shape", [(KIND_U_FACE, (17, 16)), (KIND_V_FACE, (16, 17))],
+                         ids=["u-face", "v-face"])
+def test_norm_weights_face_fields_with_the_run_cell_size(tmp_path, capsys, kind, shape):
+    # a 16^2 run's faces carry cells of side 1/16: 272 faces of |2|^2 / 256
+    snap = tmp_path / "field.vkf"
+    write_snapshot(snap, Snapshot(kind, 0.0, np.full(shape, 2.0)))
+    argv = ["norm", "--field", str(snap), "--exponent", "constant:2", "--extent", "1"]
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    assert "modular:  4.25\n" in out
+
+
+def test_norm_samples_a_preset_exponent_at_the_faces(tmp_path, capsys):
+    # sinusoidal s at the u-faces, given as a snapshot of the face shape,
+    # gives what the preset spec gives
+    grid = Grid(16, 16)
+    faces = np.stack(np.meshgrid(np.arange(17) * grid.h, (np.arange(16) + 0.5) * grid.h,
+                                 indexing="ij"), axis=-1)
+    s = exponent.sinusoidal_field(grid, 1.0, 2.0, 0.3).sample(0.0, faces)
+    field, expo = tmp_path / "field.vkf", tmp_path / "s.vkf"
+    write_snapshot(field, Snapshot(KIND_U_FACE, 0.0, np.full((17, 16), 1.5)))
+    write_snapshot(expo, Snapshot(KIND_U_FACE, 0.0, s))
+    assert run_cli(["norm", "--field", str(field), "--exponent", "sinusoidal:2:0.3"]) == 0
+    from_spec = capsys.readouterr().out
+    assert run_cli(["norm", "--field", str(field), "--exponent", str(expo)]) == 0
+    assert capsys.readouterr().out == from_spec
+
+
+def test_norm_exponent_snapshot_of_another_shape_exit_2(tmp_path, capsys):
+    field, expo = tmp_path / "field.vkf", tmp_path / "s.vkf"
+    write_snapshot(field, Snapshot(KIND_U_FACE, 0.0, np.full((17, 16), 2.0)))
+    write_snapshot(expo, Snapshot(KIND_SCALAR, 0.0, np.full((16, 16), 2.0)))
+    assert run_cli(["norm", "--field", str(field), "--exponent", str(expo)]) == 2
+    captured = capsys.readouterr()
+    assert "shape" in captured.err
+    assert "modular" not in captured.out
 
 
 def test_norm_time_dependent_exponent_exit_2(tmp_path, capsys):

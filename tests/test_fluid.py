@@ -2,6 +2,8 @@
 stress divergence vs. symmetric gradient, skew-symmetric convection, and the
 Leray projection contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,6 +22,7 @@ from sprayflow.fluid import (
     FluidState,
     VelocityField,
     fluid_step,
+    initial_velocity,
     stream_function_field,
 )
 from sprayflow.grid import Grid
@@ -88,10 +91,25 @@ def test_sym_gradient_linear_strain_interior():
     np.testing.assert_allclose(du[1:-1, 1:-1, 2], 0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("grid", [
+    Grid(16, 16), Grid(32, 32), Grid(64, 32, 2.0, 1.0), Grid(24, 24), Grid(16, 24, 1.0, 1.5),
+], ids=["16", "32", "64x32", "24", "16x24"])
+def test_sym_gradient_trace_is_the_divergence_bitwise(grid):
+    # convection reads the trace of Du as its cell divergence; the identity is
+    # exact because both add the same two face differences over h in one order
+    ops = FluidOps(grid)
+    for seed in range(5):
+        vel = random_noslip(seed, grid)
+        du = ops.sym_gradient(vel)
+        trace = du[..., 0] + du[..., 1]
+        assert trace.tobytes() == ops.divergence(vel).tobytes()
+
+
 # -- convection ---------------------------------------------------------------
 
 def test_convective_zero_field():
-    out = OPS.convective(VelocityField.zeros(GRID))
+    vel = VelocityField.zeros(GRID)
+    out = OPS.convective(vel, OPS.sym_gradient(vel))
     assert np.all(out.u == 0.0) and np.all(out.v == 0.0)
 
 
@@ -99,14 +117,14 @@ def test_convective_zero_field():
 @given(seed=st.integers(min_value=0, max_value=2**31))
 def test_convective_skew_symmetry(seed):
     vel = random_noslip(seed)
-    conv = OPS.convective(vel)
+    conv = OPS.convective(vel, OPS.sym_gradient(vel))
     scale = vel.max_speed() ** 3 / GRID.h
     assert abs(inner(conv, vel)) <= 1e-12 * max(scale, 1e-30)
 
 
 def test_convective_skew_symmetry_divfree():
     vel, _ = OPS.project(random_noslip(7))
-    conv = OPS.convective(vel)
+    conv = OPS.convective(vel, OPS.sym_gradient(vel))
     scale = vel.max_speed() ** 3 / GRID.h
     assert abs(inner(conv, vel)) <= 1e-12 * scale
 
@@ -387,3 +405,35 @@ def test_step_looks_up_the_exponent_once_and_hands_it_to_cfl_limit(monkeypatch):
     assert len(looked_up) == 1 and len(limited) == 1
     assert limited[0] is looked_up[0]
     assert np.array_equal(looked_up[0], field.values[1])
+
+
+def test_step_leaves_its_inputs_unmodified():
+    # the step works in place on its own temporaries only
+    law = StressLaw(0.1, 0.05, sinusoidal_field(GRID, 1.0, base=2.2, amplitude=0.2), 0.01)
+    vel, _ = OPS.project(random_noslip(9, scale=0.1))
+    source = random_noslip(10, scale=0.1)
+    before = [a.copy() for a in (vel.u, vel.v, source.u, source.v)]
+    fluid_step(OPS, FluidState(vel, 0.0), law, 1e-4, source)
+    for a, b in zip((vel.u, vel.v, source.u, source.v), before):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_step_transient_memory_within_budget():
+    # peak numpy allocation of one step above what is live on entry, in cell
+    # arrays (nx ny doubles): each grid temporary dies after its last reader
+    grid = Grid(128, 128)
+    ops = FluidOps(grid)
+    law = StressLaw(0.05, 0.1, sinusoidal_field(grid, 1.0, base=2.2, amplitude=0.2), 0.01)
+    state = FluidState(initial_velocity(grid, "stream_bump", 0.1), 0.0)
+    source = random_noslip(11, grid, scale=0.1)
+    dt = 0.5 * ops.cfl_limit(state.velocity, law, law.exponent.values_at(0.0))
+    state, _ = fluid_step(ops, state, law, dt, source)  # warm-up
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fluid_step(ops, state, law, dt, source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = (peak - entry) / (grid.ncells * 8)
+    assert cells <= 14.0, f"fluid_step peak {cells:.1f} cell arrays"
