@@ -154,9 +154,9 @@ def cmd_stress_audit(args) -> int:
         return EXIT_CERTIFICATE
     print(f"coercivity: c = {cert.c:g}, h_bar = {cert.h_bar:g}, "
           f"worst margin {cert.worst_margin:.3e}")
-    if cert.c_theta is not None:
-        print(f"regularized growth: c_theta = {cert.c_theta:g}, "
-              f"h_theta = {cert.h_theta:g}, worst margin {cert.worst_margin_theta:.3e}")
+    if cert.theta is not None:
+        print(f"regularized growth: c_theta = {cert.theta.c:g}, "
+              f"h_theta = {cert.theta.h_bar:g}, worst margin {cert.theta.worst_margin:.3e}")
     if not (mono.ok and cert.ok):
         print("certificates FAILED")
         return EXIT_CERTIFICATE
@@ -219,7 +219,11 @@ def cmd_energy_report(args) -> int:
         residuals.append(led.last.residual_cum)
         print(f"{path}: dt = {dts[-1]:g}, accumulated residual = {residuals[-1]:.6e}")
     if len(dts) >= 2:
-        order = fitted_order(dts, residuals)
+        try:
+            order = fitted_order(dts, residuals)
+        except ValueError as exc:
+            print(f"cannot fit a convergence order: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"fitted convergence order: {order:.3f}")
     return EXIT_OK
 

@@ -31,6 +31,8 @@ Du before the stress divergence, and drops S and the convection as soon as
 u* no longer needs them.  At benchmark sizes a step costs the bytes it holds
 and moves, not flops, so the order is chosen to keep few grid temporaries
 live at once (about ten cell arrays); no buffer is kept between steps.
+The step's CFL bound is h^2 / (2 g) with g the law's own secant viscosity
+g^theta (StressLaw.viscosity) at max|Du|, and h over the largest face velocity.
 """
 
 from __future__ import annotations
@@ -286,23 +288,15 @@ class FluidOps:
 
     def cfl_limit(self, vel: VelocityField, law: StressLaw, s: np.ndarray) -> float:
         """Largest stable dt for vel under law, with s the step's exponent
-        on the mesh."""
+        on the mesh: h^2 / (2 g) and h / max speed, with g the law's own
+        g^theta at max|Du|.  g grows with |xi| and |xi|^(e-2) is monotone in
+        e, so the larger of g at the slab's two extreme exponents bounds it
+        on every cell."""
         h = self.grid.h
         du = self.sym_gradient(vel)
-        mag2 = packed_inner(du, du)
-        mmax = float(np.sqrt(mag2.max()))
-        smax = law.s_max
-
-        def power(e: float) -> float:
-            return mmax ** (e - 2.0) if mmax > 0 else (1.0 if e == 2.0 else 0.0)
-
-        # |xi|^(s-2) <= mmax^(s-2) is largest at the slab's largest exponent
-        # when mmax >= 1 and at its smallest when mmax < 1.  This bounds
-        # StressLaw.viscosity without calling it: at |xi| = 0 the s = 2 power
-        # is 1 here but 0 under the law's mask, so sharing would move the bound
-        worst = max(power(smax), power(float(np.max(s))), power(float(np.min(s))))
-        nu_eff = law.nu0 + (law.nu1 + law.theta * smax) * worst
-        dt_diff = self.grid.h**2 / (2.0 * nu_eff) if nu_eff > 0 else np.inf
+        mmax = float(np.sqrt(packed_inner(du, du).max()))
+        nu_eff = float(law.viscosity(np.array([s.min(), s.max()]), mmax).max())
+        dt_diff = h**2 / (2.0 * nu_eff) if nu_eff > 0 else np.inf
         speed = vel.max_speed()
         dt_conv = h / speed if speed > 0 else np.inf
         return float(min(dt_diff, dt_conv))

@@ -1,15 +1,16 @@
 """Auxiliary pressure problems solved spectrally on a padded periodic box.
 
-The four whole-plane Poisson problems
+The three whole-plane Poisson problems
     -lap p1 =  div div (alpha zeta)      (tensor source)
     -lap p2 = -div div (u (x) u zeta)    (tensor source, opposite sign)
     -lap p3 =  div F                     (vector source)
-    -lap p4 =  div div (theta beta)      (tensor source, like p1)
 are approximated by embedding the physical domain centrally in a periodic box
 four diameters wide, zero-extending the source, and inverting the exact
 Fourier symbols.  Whole-plane uniqueness (decay at infinity) is replaced by
 the zero-mean condition on the box; the padding error is measured by the
-locality report, never assumed away.
+locality report, never assumed away.  The paper's fourth problem,
+-lap p4 = div div (theta beta), has p1's operator, so its source goes
+through p1 as the tensor theta beta.
 
 Symmetric tensors are packed (a11, a22, a12); all transforms are numpy FFTs,
 so solve residuals sit at FFT roundoff.
@@ -24,9 +25,9 @@ import numpy as np
 from .grid import Grid
 from .orlicz import TENSOR_COMP_WEIGHTS, modular
 
-KINDS = ("p1", "p2", "p3", "p4")
+KINDS = ("p1", "p2", "p3")
 
-_TENSOR_KINDS = {"p1": -1.0, "p2": +1.0, "p4": -1.0}
+_TENSOR_KINDS = {"p1": -1.0, "p2": +1.0}
 
 
 class SupportError(ValueError):

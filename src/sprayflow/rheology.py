@@ -1,8 +1,11 @@
 """Constitutive stress law S = (nu0 + nu1 |xi|^{s(t,x)-2}) xi and its
 theta-regularization S + theta * s_max |xi|^{s_max-2} xi.
 
-The exponent regime is s >= 2 (forced by the admissible bound for d = 2, 3),
-so |xi|^{s-2} is continuous at xi = 0 and S(t, x, 0) = 0 exactly.
+Both are S = g xi with one secant viscosity g, written once in
+StressLaw.viscosity: the stress evaluation, the fluid step's CFL bound and
+the coercivity sweep all read it.  The exponent regime is s >= 2 (forced by
+the admissible bound for d = 2, 3), so g is finite and continuous at xi = 0
+(nu0 + nu1 there when s = 2) and S(t, x, 0) = 0 exactly.
 
 Certificates for monotonicity and for the coercivity/growth inequality
     c S:xi >= |xi|^s + |S|^{s'} - h_bar
@@ -56,29 +59,27 @@ class StressLaw:
             raise ValueError("theta must lie in [0, 1)")
         object.__setattr__(self, "s_max", self.exponent.s_max)
 
-    def eval_packed(self, s: np.ndarray, packed: np.ndarray, regularized: bool = True) -> np.ndarray:
-        """Apply the law to (..., 3)-packed symmetric tensors (a11, a22, a12)."""
+    def eval_packed(self, s: np.ndarray, packed: np.ndarray) -> np.ndarray:
+        """Apply S^theta to (..., 3)-packed symmetric tensors (a11, a22, a12)."""
         mag = np.sqrt(packed_inner(packed, packed))
-        return self.viscosity(s, mag, regularized)[..., None] * packed
+        return self.viscosity(s, mag)[..., None] * packed
 
-    def viscosity(self, s: np.ndarray, mag: np.ndarray, regularized: bool) -> np.ndarray:
+    def viscosity(self, s: np.ndarray, mag: np.ndarray | float,
+                  regularized: bool = True) -> np.ndarray:
         """g in S = g xi: nu0 + nu1 |xi|^(s-2), plus theta s_max |xi|^(s_max-2)
-        when regularized; each power term is 0 at |xi| = mag = 0."""
-        pos = mag > 0
-        base = np.where(pos, mag, 1.0)
-        g = np.full_like(mag, self.nu0)
+        when regularized, with mag = |xi|; s and mag broadcast.  For s >= 2 it
+        is continuous at |xi| = 0, where it is nu0 + nu1 at s = 2."""
+        g = np.full(np.broadcast(s, mag).shape, self.nu0)
         if self.nu1 != 0.0:
-            with np.errstate(divide="ignore"):
-                term = base ** (np.asarray(s) - 2.0)
+            term = mag ** (np.asarray(s) - 2.0)
             term *= self.nu1
-            term *= pos                     # |xi| = 0 contributes 0
             g += term
         if regularized and self.theta != 0.0:
-            term = base ** (self.s_max - 2.0)
+            term = mag ** (self.s_max - 2.0)
             term *= self.theta * self.s_max
-            term *= pos
             g += term
         return g
+
 
 @dataclass(frozen=True)
 class MonotonicityReport:
@@ -97,15 +98,11 @@ class CoercivityCertificate:
     c: float
     h_bar: float
     worst_margin: float                  # relative to the size of the swept terms
-    c_theta: float | None = None         # s_max-growth variant, theta > 0 only
-    h_theta: float | None = None         # with h_theta / c_theta = (h_bar + 1) / c
-    worst_margin_theta: float | None = None
+    theta: CoercivityCertificate | None = None   # S^theta's s_max variant, theta > 0
 
     @property
     def ok(self) -> bool:
-        if self.worst_margin < -_MARGIN_RTOL:
-            return False
-        return self.worst_margin_theta is None or self.worst_margin_theta >= -_MARGIN_RTOL
+        return self.worst_margin >= -_MARGIN_RTOL and (self.theta is None or self.theta.ok)
 
 
 def _random_sym_packed(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -168,49 +165,38 @@ def _sweep_margin(law: StressLaw, c: float, h_bar: float, s_lo: float, s_hi: flo
     return float(margin.min())
 
 
+def _search(law: StressLaw, c0: float, h_per_c: float, s_lo: float, s_hi: float,
+            regularized: bool) -> tuple[float, float, float] | None:
+    """(c, h_bar, margin) for the first c = c0 2^k <= 2**64 whose sweep with
+    h_bar = c h_per_c passes, or None."""
+    c = c0
+    while c <= _C_CAP:
+        margin = _sweep_margin(law, c, c * h_per_c, s_lo, s_hi, regularized)
+        if margin >= -_MARGIN_RTOL:
+            return c, c * h_per_c, margin
+        c *= 2.0
+    return None
+
+
 def certify_coercive(law: StressLaw) -> CoercivityCertificate:
     """Find (c, h_bar) by doubling c over a log sweep of |xi| and s.
 
     h_bar = 0 is tried first (it is exact for the pure power law, giving
     c = 2); if no finite c works, the fallback majorant h_bar = c(1+nu0+nu1)
-    is coupled to the doubling.  The Lemma-5.3 s_max variant reuses
-    h_theta / c_theta = (h_bar + 1) / c.
+    is coupled to the doubling.  For theta > 0 the Lemma-5.3 s_max variant
+    doubles on from c with the tied ratio theta.h_bar / theta.c = (h_bar + 1) / c.
     """
-    s_lo, s_hi = law.exponent.s_min, law.exponent.s_max
-
-    def search(h_of_c):
-        c = 1.0
-        while c <= _C_CAP:
-            m = _sweep_margin(law, c, h_of_c(c), s_lo, s_hi, regularized=False)
-            if m >= -_MARGIN_RTOL:
-                return c, h_of_c(c), m
-            c *= 2.0
-        return None
-
-    found = search(lambda c: 0.0)
-    if found is None:
-        found = search(lambda c: c * (1.0 + law.nu0 + law.nu1))
+    s_lo, s_hi = law.exponent.s_min, law.s_max
+    found = (_search(law, 1.0, 0.0, s_lo, s_hi, regularized=False)
+             or _search(law, 1.0, 1.0 + law.nu0 + law.nu1, s_lo, s_hi, regularized=False))
     if found is None:
         raise CoercivityError("coercivity constant exceeds 2**64")
-    c, h_bar, worst = found
-
     if law.theta == 0.0:
         # the s_max-growth variant needs the theta term; without it a
         # variable exponent has no s_max growth at large |xi|
-        return CoercivityCertificate(c=c, h_bar=h_bar, worst_margin=worst)
-
-    # s_max-growth certificate for S^theta with the tied ratio
-    ratio = (h_bar + 1.0) / c
-    ct = c
-    while ct <= _C_CAP:
-        mt = _sweep_margin(law, ct, ct * ratio, law.exponent.s_min, law.s_max, regularized=True)
-        if mt >= -_MARGIN_RTOL:
-            break
-        ct *= 2.0
-    else:
+        return CoercivityCertificate(*found)
+    c, h_bar, _ = found
+    theta = _search(law, c, (h_bar + 1.0) / c, s_lo, s_hi, regularized=True)
+    if theta is None:
         raise CoercivityError("s_max coercivity constant exceeds 2**64")
-
-    return CoercivityCertificate(
-        c=c, h_bar=h_bar, worst_margin=worst,
-        c_theta=ct, h_theta=ct * ratio, worst_margin_theta=mt,
-    )
+    return CoercivityCertificate(*found, theta=CoercivityCertificate(*theta))

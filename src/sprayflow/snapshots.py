@@ -86,8 +86,10 @@ def read_snapshot(path) -> Snapshot:
             raise SnapshotError(f"bad magic {magic!r}")
         if version != VERSION:
             raise SnapshotError(f"unsupported version {version}")
-        dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-        (time,) = struct.unpack("<d", fh.read(8))
+        fields = fh.read(8 * ndim + 8)
+        if len(fields) < 8 * ndim + 8:
+            raise SnapshotError("truncated header")
+        *dims, time = struct.unpack(f"<{ndim}Qd", fields)
         count = int(np.prod(dims)) if ndim else 1
         buf = fh.read(8 * count)
         if len(buf) != 8 * count:

@@ -86,9 +86,19 @@ def dt_study(cfg: ScenarioConfig, outdir) -> tuple[list[float], list[float], lis
 
 
 def fitted_order(dts, residuals) -> float:
-    """Least-squares slope of log |residual| against log dt."""
+    """Least-squares slope of log |residual| against log dt.
+
+    Raises ValueError unless every dt is finite and positive, the dts are not
+    all equal and every residual is finite.
+    """
     dts = np.asarray(dts, dtype=float)
     res = np.abs(np.asarray(residuals, dtype=float))
+    if not np.all(np.isfinite(dts) & (dts > 0)):
+        raise ValueError(f"time steps must be finite and positive, got {dts.tolist()}")
+    if np.unique(dts).size < 2:
+        raise ValueError(f"need two distinct time steps, got {dts.tolist()}")
+    if not np.all(np.isfinite(res)):
+        raise ValueError("a residual is not finite")
     if np.any(res == 0):
         return np.inf
     slope = np.polyfit(np.log(dts), np.log(res), 1)[0]

@@ -153,6 +153,25 @@ def test_criterion_06_stress_certificates(acceptance):
             f"pure power law c={pcert.c:g} h_bar={pcert.h_bar:g}")
 
 
+def test_cfl_limit_unchanged_on_the_acceptance_initial_state():
+    # theta = 0: the law's own viscosity gives the bound the hand-derived
+    # formula of earlier versions gave (value recorded from such a version)
+    cfg = load_config(CONFIG)
+    field, law, state, _ = build_scene(cfg)
+    limit = FluidOps(cfg.grid).cfl_limit(state.velocity, law, field.values_at(0.0))
+    assert limit == pytest.approx(0.00219492364701181, rel=1e-15, abs=0.0)
+
+
+def test_two_phase_coercivity_constants():
+    # `sprayflow stress-audit --config configs/two_phase.ini` prints these; the
+    # S^theta search doubles on from c, so c_theta is not below c
+    _, law, _, _ = build_scene(load_config(os.path.join(os.path.dirname(CONFIG), "two_phase.ini")))
+    cert = certify_coercive(law)
+    assert (cert.c, cert.h_bar) == (256.0, 0.0)
+    assert (cert.theta.c, cert.theta.h_bar) == (256.0, 1.0)
+    assert cert.ok
+
+
 def test_criterion_07_luxemburg_norm():
     rng = np.random.default_rng(0)
     w = np.ones((8, 8)) / 64.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprayflow import cli, exponent, snapshots
+from sprayflow import cli, exponent, snapshots, studies
 from sprayflow.cli import main
 from sprayflow.config import (
     ConfigError,
@@ -108,6 +108,20 @@ def test_snapshot_truncated(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(SnapshotError):
         read_snapshot(path)
+
+
+@pytest.mark.parametrize("cut", [3, 16 + 4], ids=["in-dims", "in-time"])
+def test_snapshot_cut_inside_its_header_exit_2(tmp_path, capsys, cut):
+    # cut after the fixed header plus `cut` bytes of the dims and time fields
+    good = tmp_path / "good.vkf"
+    write_snapshot(good, Snapshot(KIND_SCALAR, 0.0, np.ones((4, 4))))
+    path = tmp_path / "cut.vkf"
+    path.write_bytes(good.read_bytes()[:snapshots._HEADER.size + cut])
+    with pytest.raises(SnapshotError, match="truncated header"):
+        read_snapshot(path)
+    assert run_cli(["norm", "--field", str(path), "--exponent", "constant:2"]) == 2
+    assert run_cli(["norm", "--field", str(good), "--exponent", str(path)]) == 2
+    assert capsys.readouterr().err.count("cannot read") == 2
 
 
 # -- config -------------------------------------------------------------------
@@ -680,6 +694,27 @@ def test_energy_report_fits_order(tmp_path, capsys):
     out = capsys.readouterr().out
     order = float(out.strip().splitlines()[-1].split(":")[1])
     assert order == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("ledgers", [
+    [[(0.01, 1e-3), (0.01, 2e-3)], [(0.005, 1e-3), (0.01, 1e-3)]],
+    [[(0.02, 1e-3), (0.01, 2e-3)], [(0.005, 1e-3), (0.01, 1e-3)]],
+    [[(0.01, 1e-3), (0.02, 2e-3)], [(0.01, 1e-3), (0.02, 2e-3)]],
+    [[(0.01, 1e-3), (0.02, 2e-3)], [(0.01, 1e-3), (0.02, 5e-3)]],
+    [[(0.01, 1e-3), (0.02, float("nan"))], [(0.005, 1e-3), (0.01, 1e-3)]],
+], ids=["zero-dt", "decreasing-t", "same-ledger-twice", "one-dt", "nan-residual"])
+def test_energy_report_refuses_ledgers_it_cannot_fit_exit_2(tmp_path, capsys, ledgers):
+    # (t, residual_cum) per row; the first two rows give the ledger's dt
+    paths = [_write_ledger(tmp_path / f"l{k}.csv",
+                           [(t, 1.0, 1.0, 0.0, 0.0, r) for t, r in rows])
+             for k, rows in enumerate(ledgers)]
+    dts = [rows[1][0] - rows[0][0] for rows in ledgers]
+    with pytest.raises(ValueError):
+        studies.fitted_order(dts, [rows[-1][1] for rows in ledgers])
+    assert run_cli(["energy-report", *paths]) == 2
+    captured = capsys.readouterr()
+    assert "fitted convergence order" not in captured.out
+    assert "cannot fit" in captured.err
 
 
 def test_energy_report_and_norm_unreadable_input_exit_2(tmp_path, capsys):

@@ -343,6 +343,36 @@ def test_cfl_limit_bounds_pointwise_secant_viscosity():
     assert ops.cfl_limit(vel, law, field.values[0]) <= grid.h**2 / (2.0 * g.max())
 
 
+@pytest.mark.parametrize("amp", [0.02, 2.0], ids=["max-Du-below-1", "max-Du-above-1"])
+@pytest.mark.parametrize("slab", [0, 1], ids=["s=2", "switched"])
+def test_cfl_limit_is_the_laws_viscosity_at_max_du(amp, slab):
+    # theta > 0 on a switching exponent: the bound is h^2 / (2 g^theta) at
+    # max|Du| and the worse of the slab's two extreme exponents, written out
+    # by hand here, and stays below the pointwise bound
+    grid = Grid(32, 32)
+    ops = FluidOps(grid)
+    field = two_phase_switch_field(grid, 1.0, 0.5, base_after=2.4, amplitude_after=0.35)
+    law = StressLaw(0.05, 0.5, field, theta=0.1)
+    vel = stream_function_field(
+        grid, lambda x, y: amp * np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2
+    )
+    s = field.values[slab]
+    du = ops.sym_gradient(vel)
+    mag = np.sqrt(np.sum(du**2 * CW, axis=-1))
+    m = mag.max()
+    assert (m > 1.0) == (amp > 1.0)
+    smax = field.values.max()
+
+    def g(e, xi):
+        return 0.05 + 0.5 * xi ** (e - 2.0) + 0.1 * smax * xi ** (smax - 2.0)
+
+    dt_diff = grid.h**2 / (2.0 * max(g(s.min(), m), g(s.max(), m)))
+    assert dt_diff < grid.h / vel.max_speed()
+    limit = ops.cfl_limit(vel, law, s)
+    assert limit == pytest.approx(dt_diff, rel=1e-14)
+    assert limit <= grid.h**2 / (2.0 * g(s, mag).max())
+
+
 def test_blowup_detected():
     vel = VelocityField.zeros(GRID)
     vel.u[5, 5] = np.inf
@@ -368,9 +398,9 @@ def test_exponent_switch_takes_effect_on_its_step(monkeypatch):
     seen = []
     eval_packed = StressLaw.eval_packed
 
-    def recording(self, s, packed, regularized=True):
+    def recording(self, s, packed):
         seen.append(s)
-        return eval_packed(self, s, packed, regularized)
+        return eval_packed(self, s, packed)
 
     monkeypatch.setattr(StressLaw, "eval_packed", recording)
     state = FluidState(VelocityField.zeros(grid), 0.0)

@@ -9,6 +9,7 @@ from sprayflow.rheology import (
     StressLaw,
     certify_coercive,
     certify_monotone,
+    packed_inner,
 )
 
 GRID = Grid(16, 16)
@@ -24,10 +25,11 @@ def law(nu0=1.0, nu1=0.0, field=S2, theta=0.0):
 
 def stress(l, t, x, xi, regularized=False):
     """S, or S^theta when regularized, at (t, x) on a symmetric 2x2 xi,
-    through eval_packed with s = exponent.sample(t, x)."""
+    as viscosity(s, |xi|) xi with s = exponent.sample(t, x)."""
     s = l.exponent.sample(t, x)
-    out = l.eval_packed(s, xi[..., [0, 1, 0], [0, 1, 1]], regularized)
-    return out[..., [0, 2, 2, 1]].reshape(xi.shape)
+    packed = xi[..., [0, 1, 0], [0, 1, 1]]
+    g = l.viscosity(s, np.sqrt(packed_inner(packed, packed)), regularized)
+    return (g[..., None] * packed)[..., [0, 2, 2, 1]].reshape(xi.shape)
 
 
 # -- pointwise evaluation -----------------------------------------------------
@@ -37,6 +39,15 @@ def test_zero_strain_gives_zero_stress_exactly():
     assert np.all(out == 0.0)
     out = stress(law(1.0, 1.0, S3, theta=0.5), 0.0, ORIGIN, np.zeros((2, 2)), True)
     assert np.all(out == 0.0)
+
+
+def test_viscosity_is_continuous_at_zero_strain_for_s_2():
+    # g(0) = nu0 + nu1 at s = 2, the limit of g at |xi| -> 0; S = g xi stays 0
+    g0 = law(0.3, 0.7, S2).viscosity(np.array(2.0), np.array(0.0), regularized=True)
+    assert g0 == 0.3 + 0.7
+    for l in (law(0.3, 0.7, S2), law(0.3, 0.7, S2, theta=0.2)):
+        assert l.viscosity(np.array(2.0), np.array(0.0)) == \
+            l.viscosity(np.array(2.0), np.array(1e-300))
 
 
 def test_newtonian_is_identity_scaling():
@@ -153,13 +164,13 @@ def test_coercive_mixed_law_finite_certificate():
     cert = certify_coercive(law(1.0, 1.0, sinusoidal_field(GRID, 1.0, 2.0, 1.0)))
     assert np.isfinite(cert.c) and np.isfinite(cert.h_bar)
     assert cert.ok
-    assert cert.c_theta is None  # the s_max-growth variant needs theta > 0
+    assert cert.theta is None  # the s_max-growth variant needs theta > 0
 
 
 def test_coercive_theta_variant_tied_ratio():
     cert = certify_coercive(law(0.5, 0.5, VAR, theta=0.2))
     assert cert.ok
-    assert cert.c_theta is not None
+    assert cert.theta is not None and cert.theta.theta is None
     # h^theta / c^theta = (h_bar + 1) / c by construction
-    assert cert.h_theta / cert.c_theta == pytest.approx((cert.h_bar + 1.0) / cert.c)
-    assert cert.worst_margin_theta >= -1e-12
+    assert cert.theta.h_bar / cert.theta.c == pytest.approx((cert.h_bar + 1.0) / cert.c)
+    assert cert.theta.worst_margin >= -1e-12
