@@ -21,7 +21,11 @@ def main():
     dts, residuals, paths = dt_study(load_config(args.config), args.output)
     for dt, r, path in zip(dts, residuals, paths):
         print(f"dt = {dt:g}: accumulated residual = {r:.6e}  ({path})")
-    order = fitted_order(dts, residuals)
+    try:
+        order = fitted_order(dts, residuals)
+    except ValueError as exc:
+        print(f"cannot fit a convergence order: {exc}", file=sys.stderr)
+        return 2
     print(f"fitted order: {order:.3f}")
     return 0 if order >= 0.9 else 1
 

@@ -93,13 +93,6 @@ class FluidState:
     pressure: np.ndarray | None = None  # cell-centered projection multiplier
 
 
-@dataclass
-class StepDiagnostics:
-    energy_before: float
-    energy_after: float
-    stress_dissipation: float   # sum S^theta : Du h^2 dt, pre-step field
-
-
 class FluidOps:
     """Per-mesh operators: slice-stencil sym-gradient and its exact transpose,
     DCT projection."""
@@ -309,13 +302,16 @@ def fluid_step(
     dt: float,
     source: VelocityField,
     cfl_factor: float = 1.0,
-) -> tuple[FluidState, StepDiagnostics]:
+) -> tuple[FluidState, float]:
     """One explicit step u* = u + dt (-conv + div S^theta + source), then
     Leray projection; source is the particles' force on the fluid or a
-    study's right-hand side.  s is looked up once, in the slab at the midpoint
-    t + dt/2 (state.time is a running sum of dt and may fall just short of a
-    switch on the step grid), and serves both the CFL bound and the stress.
-    Refuses the step on CFL violation; raises BlowUp on non-finite values."""
+    study's right-hand side.  Returns the new state and the step's stress
+    dissipation sum S^theta:Du h^2 dt over the pre-step field; it evaluates
+    no energy (the coupled step's ledger records those).  s is looked up
+    once, in the slab at the midpoint t + dt/2 (state.time is a running sum
+    of dt and may fall just short of a switch on the step grid), and serves
+    both the CFL bound and the stress.  Refuses the step on CFL violation;
+    raises BlowUp on non-finite values."""
     vel = state.velocity
     if not (np.all(np.isfinite(vel.u)) and np.all(np.isfinite(vel.v))):
         raise BlowUp(f"non-finite velocity at t = {state.time}")
@@ -353,13 +349,7 @@ def fluid_step(
     new_vel, phi = ops.project(star)
     if not (np.all(np.isfinite(new_vel.u)) and np.all(np.isfinite(new_vel.v))):
         raise BlowUp(f"non-finite velocity after step at t = {state.time}")
-
-    diag = StepDiagnostics(
-        energy_before=vel.energy(),
-        energy_after=new_vel.energy(),
-        stress_dissipation=d_stress,
-    )
-    return FluidState(new_vel, state.time + dt, phi / dt), diag
+    return FluidState(new_vel, state.time + dt, phi / dt), d_stress
 
 
 def stream_function_field(grid: Grid, psi) -> VelocityField:

@@ -51,39 +51,37 @@ def modular(values, s, weights, comp_weights=None) -> float:
 def luxemburg_norm(values, s, weights, comp_weights=None) -> float:
     """inf{lambda > 0 : modular(xi / lambda) <= 1}, by bisection.
 
-    Returns 0 for the zero field.  The modular is strictly decreasing in
-    lambda, so the bracket below is guaranteed once expanded.
+    Returns 0 for the zero field.  |xi| is divided by its maximum M, and r is
+    the modular of xi / M.  Each term of the modular of xi / (M lambda) lies
+    between lambda^(-s_max) and lambda^(-s_min) times its value at lambda = 1,
+    so the root lies in the exact bracket [min, max](r^(1/s_max), r^(1/s_min)),
+    which is the single point r^(1/s) for a constant exponent.  The result is
+    M times the bisected root, so it neither overflows nor underflows however
+    far |xi| is from unit scale.
     """
     s = np.asarray(s, dtype=float)
     w = np.asarray(weights, dtype=float)
     mag = magnitude(values, w.ndim, comp_weights)
-    if not mag.any():
+    top = float(mag.max(initial=0.0))
+    if top == 0.0:
         return 0.0
+    mag = mag / top
 
     def rho(lam: float) -> float:
         return float(np.sum(w * (mag / lam) ** s))
 
-    s_hi = float(np.max(np.broadcast_to(s, mag.shape)))
-    s_lo = float(np.min(np.broadcast_to(s, mag.shape)))
-    total = float(np.sum(np.broadcast_to(w, mag.shape)))
-    # classical-norm seeds: L^{s_max} (measure-adjusted) from below,
-    # L^{s_min} + 1 from above; then safeguard-expand
-    lo = float(np.sum(w * mag**s_hi) ** (1.0 / s_hi)) * min(1.0, total) / (1.0 + total)
-    hi = float(np.sum(w * mag**s_lo) ** (1.0 / s_lo)) + 1.0
-    lo = max(lo, 1e-300)
-    while rho(lo) < 1.0 and lo > 1e-280:
-        lo *= 0.5
-    while rho(hi) > 1.0:
-        hi *= 2.0
+    r = rho(1.0)
+    s_all = np.broadcast_to(s, mag.shape)
+    lo, hi = sorted((r ** (1.0 / float(s_all.max())), r ** (1.0 / float(s_all.min()))))
     for _ in range(_BISECT_MAXIT):
+        if hi - lo <= _BISECT_RTOL * hi:
+            break
         mid = 0.5 * (lo + hi)
         if rho(mid) > 1.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= _BISECT_RTOL * hi:
-            break
-    return 0.5 * (lo + hi)
+    return top * (0.5 * (lo + hi))
 
 
 def modular_distance(values_n, values, s, lam: float, weights, comp_weights=None) -> float:

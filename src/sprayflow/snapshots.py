@@ -3,7 +3,7 @@
 Layout (all little-endian):
     magic   4 bytes  b"VKF1"
     version u32      currently 1
-    d       u32      spatial dimension of the producing run
+    d       u32      spatial dimension, must be grid.DIM = 2
     kind    u8       see KIND_* constants
     ndim    u8       number of payload axes
     dims    u64 * ndim
@@ -43,7 +43,6 @@ class Snapshot:
     kind: int
     time: float
     data: np.ndarray
-    d: int = DIM
 
 
 # rows of the particle table formed and written at a time, so that writing
@@ -51,10 +50,10 @@ class Snapshot:
 BLOCK_ROWS = 8192
 
 
-def _write(path, kind: int, time: float, shape: tuple[int, ...], blocks, d: int = DIM) -> None:
+def _write(path, kind: int, time: float, shape: tuple[int, ...], blocks) -> None:
     """Header, then the payload as C-ordered blocks that tile it row-wise."""
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, d, kind, len(shape)))
+        fh.write(_HEADER.pack(MAGIC, VERSION, DIM, kind, len(shape)))
         fh.write(struct.pack(f"<{len(shape)}Q", *shape))
         fh.write(struct.pack("<d", time))
         for block in blocks:
@@ -63,7 +62,7 @@ def _write(path, kind: int, time: float, shape: tuple[int, ...], blocks, d: int 
 
 def write_snapshot(path, snap: Snapshot) -> None:
     data = np.ascontiguousarray(snap.data, dtype="<f8")
-    _write(path, snap.kind, snap.time, data.shape, (data,), snap.d)
+    _write(path, snap.kind, snap.time, data.shape, (data,))
 
 
 def write_particles(path, time: float, X, V, w, fval) -> None:
@@ -86,6 +85,8 @@ def read_snapshot(path) -> Snapshot:
             raise SnapshotError(f"bad magic {magic!r}")
         if version != VERSION:
             raise SnapshotError(f"unsupported version {version}")
+        if d != DIM:
+            raise SnapshotError(f"dimension {d}, expected {DIM}")
         fields = fh.read(8 * ndim + 8)
         if len(fields) < 8 * ndim + 8:
             raise SnapshotError("truncated header")
@@ -95,7 +96,7 @@ def read_snapshot(path) -> Snapshot:
         if len(buf) != 8 * count:
             raise SnapshotError("truncated payload")
         data = np.frombuffer(buf, dtype="<f8").reshape(dims).copy()
-    return Snapshot(kind=kind, time=time, data=data, d=d)
+    return Snapshot(kind=kind, time=time, data=data)
 
 
 def particles_to_table(X, V, w, fval) -> np.ndarray:

@@ -89,7 +89,7 @@ def fitted_order(dts, residuals) -> float:
     """Least-squares slope of log |residual| against log dt.
 
     Raises ValueError unless every dt is finite and positive, the dts are not
-    all equal and every residual is finite.
+    all equal and every residual is finite and nonzero (the log of 0 is -inf).
     """
     dts = np.asarray(dts, dtype=float)
     res = np.abs(np.asarray(residuals, dtype=float))
@@ -97,9 +97,7 @@ def fitted_order(dts, residuals) -> float:
         raise ValueError(f"time steps must be finite and positive, got {dts.tolist()}")
     if np.unique(dts).size < 2:
         raise ValueError(f"need two distinct time steps, got {dts.tolist()}")
-    if not np.all(np.isfinite(res)):
-        raise ValueError("a residual is not finite")
-    if np.any(res == 0):
-        return np.inf
+    if not np.all(np.isfinite(res) & (res > 0)):
+        raise ValueError(f"residuals must be finite and nonzero, got {res.tolist()}")
     slope = np.polyfit(np.log(dts), np.log(res), 1)[0]
     return float(slope)

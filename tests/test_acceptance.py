@@ -232,11 +232,14 @@ def test_criterion_10_pressure_toolkit():
 
     rep64 = verify_bounds(Grid(64, 64), n_samples=10, seed=0)
     rep128 = verify_bounds(Grid(128, 128), n_samples=10, seed=0)
+    kinds = ("p1", "p2", "p3")
+    positive = all(rep[k].worst > 0 for rep in (rep64, rep128) for k in kinds)
     drift = max(
         max(rep64[k].worst, rep128[k].worst) / min(rep64[k].worst, rep128[k].worst)
-        for k in ("p1", "p2", "p3")
+        for k in kinds
     )
-    ok = e1 <= 1e-8 and e3 <= 1e-8 and drift <= 2.0 and r1 <= 1e-10 and r3 <= 1e-10
+    ok = (positive and e1 <= 1e-8 and e3 <= 1e-8 and drift <= 2.0
+          and r1 <= 1e-10 and r3 <= 1e-10)
     _report(10, "pressure toolkit", ok,
             f"p1 err {e1:.2e}, p3 err {e3:.2e}, ratio drift x{drift:.3f}, "
             f"residuals {r1:.1e}/{r3:.1e}")

@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import os
+import struct
 import subprocess
 import sys
 
@@ -122,6 +123,17 @@ def test_snapshot_cut_inside_its_header_exit_2(tmp_path, capsys, cut):
     assert run_cli(["norm", "--field", str(path), "--exponent", "constant:2"]) == 2
     assert run_cli(["norm", "--field", str(good), "--exponent", str(path)]) == 2
     assert capsys.readouterr().err.count("cannot read") == 2
+
+
+def test_snapshot_of_another_dimension_exit_2(tmp_path, capsys):
+    # a 4x4 scalar snapshot whose header claims d = 3, packed by hand
+    path = tmp_path / "d3.vkf"
+    path.write_bytes(struct.pack("<4sIIBB", b"VKF1", 1, 3, KIND_SCALAR, 2)
+                     + struct.pack("<2Qd", 4, 4, 0.0) + np.ones((4, 4)).astype("<f8").tobytes())
+    with pytest.raises(SnapshotError, match="dimension 3"):
+        read_snapshot(path)
+    assert run_cli(["norm", "--field", str(path), "--exponent", "constant:2"]) == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
 # -- config -------------------------------------------------------------------
@@ -288,7 +300,7 @@ def test_norm_constant_field_matches_hand_value(tmp_path, capsys):
     # L^2 norm of the constant 2 over the unit square is 2
     vals = {line.split(":")[0].strip(): float(line.split(":")[1]) for line in out.strip().splitlines()}
     assert vals["modular"] == pytest.approx(4.0, rel=1e-12)
-    assert vals["luxemburg norm"] == pytest.approx(2.0, rel=1e-8)
+    assert vals["luxemburg norm"] == 2.0  # a constant exponent needs no bisection
 
 
 @pytest.mark.parametrize("spec", ["constant:abc", "constant", "constant:2:3"],
@@ -702,7 +714,9 @@ def test_energy_report_fits_order(tmp_path, capsys):
     [[(0.01, 1e-3), (0.02, 2e-3)], [(0.01, 1e-3), (0.02, 2e-3)]],
     [[(0.01, 1e-3), (0.02, 2e-3)], [(0.01, 1e-3), (0.02, 5e-3)]],
     [[(0.01, 1e-3), (0.02, float("nan"))], [(0.005, 1e-3), (0.01, 1e-3)]],
-], ids=["zero-dt", "decreasing-t", "same-ledger-twice", "one-dt", "nan-residual"])
+    [[(0.01, 0.0), (0.02, 0.0)], [(0.005, 0.0), (0.01, 0.0)]],
+], ids=["zero-dt", "decreasing-t", "same-ledger-twice", "one-dt", "nan-residual",
+        "zero-residual"])
 def test_energy_report_refuses_ledgers_it_cannot_fit_exit_2(tmp_path, capsys, ledgers):
     # (t, residual_cum) per row; the first two rows give the ledger's dt
     paths = [_write_ledger(tmp_path / f"l{k}.csv",

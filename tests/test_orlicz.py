@@ -93,6 +93,17 @@ def test_norm_two_cell_closed_form():
     assert luxemburg_norm(vals, s, w) == pytest.approx(2.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("s", [2.0, 3.0, "variable"])
+@pytest.mark.parametrize("size", [1e-200, 1e-120, 2.0, 1e120, 1e200])
+def test_norm_of_constant_field_at_any_scale(size, s):
+    # |xi| = size on a measure-1 mesh has norm size for every exponent: the
+    # bracket is the point 1 for a constant exponent, and bisection runs to
+    # its tolerance for a variable one
+    expo = np.linspace(1.8, 3.2, 16).reshape(4, 4) if s == "variable" else s
+    rel = 1e-10 if s == "variable" else 1e-15
+    assert abs(luxemburg_norm(np.full((4, 4), size), expo, W1) / size - 1.0) <= rel
+
+
 def test_norm_zero_field():
     assert luxemburg_norm(np.zeros((4, 4)), 2.5, W1) == 0.0
 
