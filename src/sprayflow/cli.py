@@ -21,7 +21,7 @@ from .grid import Grid
 from .kinetic import EscapeError
 from .orlicz import TENSOR_COMP_WEIGHTS, luxemburg_norm, modular
 from .pressure import verify_bounds, verify_locality
-from .rheology import CoercivityError, certify_coercive, certify_monotone
+from .rheology import CoercivityError, certify_coercive, certify_monotone, coercivity_margin
 from .run import CertificateFailure, build_scene, run_scenario
 from .snapshots import KIND_SCALAR, KIND_TENSOR, KIND_U_FACE, KIND_V_FACE, read_snapshot
 from .studies import fitted_order
@@ -139,7 +139,7 @@ def cmd_norm(args) -> int:
 
 def cmd_stress_audit(args) -> int:
     cfg = _load(args.config)
-    field, law, _, _ = build_scene(cfg)
+    _, law, _, _ = build_scene(cfg)
     try:
         mono = certify_monotone(law, n_samples=args.samples, seed=cfg.seed)
     except ValueError as exc:  # a sample count below the sweep's minimum
@@ -152,12 +152,15 @@ def cmd_stress_audit(args) -> int:
     except CoercivityError as exc:
         print(f"coercivity FAILED: {exc}")
         return EXIT_CERTIFICATE
-    print(f"coercivity: c = {cert.c:g}, h_bar = {cert.h_bar:g}, "
-          f"worst margin {cert.worst_margin:.3e}")
+    margin = coercivity_margin(law, cert.c, cert.h_bar)
+    print(f"coercivity: c = {cert.c:g}, h_bar = {cert.h_bar:g}, worst margin {margin.worst:.3e}")
+    ok = mono.ok and margin.ok
     if cert.theta is not None:
+        margin = coercivity_margin(law, cert.theta.c, cert.theta.h_bar, regularized=True)
         print(f"regularized growth: c_theta = {cert.theta.c:g}, "
-              f"h_theta = {cert.theta.h_bar:g}, worst margin {cert.theta.worst_margin:.3e}")
-    if not (mono.ok and cert.ok):
+              f"h_theta = {cert.theta.h_bar:g}, worst margin {margin.worst:.3e}")
+        ok = ok and margin.ok
+    if not ok:
         print("certificates FAILED")
         return EXIT_CERTIFICATE
     print("certificates passed")

@@ -27,7 +27,7 @@ from sprayflow.pressure import (
     solve as pressure_solve,
     verify_bounds,
 )
-from sprayflow.rheology import StressLaw, certify_coercive, certify_monotone
+from sprayflow.rheology import StressLaw, certify_coercive, certify_monotone, coercivity_margin
 from sprayflow.run import build_scene
 from sprayflow.exponent import constant_field
 
@@ -142,14 +142,16 @@ def test_criterion_06_stress_certificates(acceptance):
     mono = certify_monotone(acceptance["law"], n_samples=100_000, seed=0)
     mono_ok = mono.worst >= -1e-13 * mono.scale
     cert = certify_coercive(acceptance["law"])
+    margin = coercivity_margin(acceptance["law"], cert.c, cert.h_bar)
     grid = acceptance["cfg"].grid
     pure = StressLaw(0.0, 1.0, constant_field(grid, 1.0, 3.0))
     pcert = certify_coercive(pure)
-    pure_ok = pcert.c == 2.0 and pcert.h_bar == 0.0 and pcert.worst_margin >= -1e-12
-    ok = mono_ok and cert.ok and pure_ok
+    pure_ok = (pcert.c == 2.0 and pcert.h_bar == 0.0
+               and coercivity_margin(pure, pcert.c, pcert.h_bar).ok)
+    ok = mono_ok and margin.ok and pure_ok
     _report(6, "stress certificates", ok,
             f"monotone worst {mono.worst:.2e} (scale {mono.scale:.2e}), "
-            f"coercive c={cert.c:g} h_bar={cert.h_bar:g} margin {cert.worst_margin:.2e}, "
+            f"coercive c={cert.c:g} h_bar={cert.h_bar:g} margin {margin.worst:.2e}, "
             f"pure power law c={pcert.c:g} h_bar={pcert.h_bar:g}")
 
 
@@ -163,13 +165,27 @@ def test_cfl_limit_unchanged_on_the_acceptance_initial_state():
 
 
 def test_two_phase_coercivity_constants():
-    # `sprayflow stress-audit --config configs/two_phase.ini` prints these; the
-    # S^theta search doubles on from c, so c_theta is not below c
+    # `sprayflow stress-audit --config configs/two_phase.ini` prints these
+    # closed-form constants (rheology module docstring)
     _, law, _, _ = build_scene(load_config(os.path.join(os.path.dirname(CONFIG), "two_phase.ini")))
     cert = certify_coercive(law)
-    assert (cert.c, cert.h_bar) == (256.0, 0.0)
-    assert (cert.theta.c, cert.theta.h_bar) == (256.0, 1.0)
-    assert cert.ok
+    assert cert.c == pytest.approx(200.03723377310746, rel=1e-12)
+    assert cert.h_bar == pytest.approx(5.460802800077377e-4, rel=1e-12)
+    assert cert.theta.c == pytest.approx(8.926358052954996, rel=1e-12)
+    assert cert.theta.h_bar == pytest.approx(1.6170870581084479e-3, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["minimal", "acceptance", "two_phase"])
+def test_coercivity_holds_outside_any_sampled_window(name):
+    # the certificate holds at every mesh exponent over |xi| in [1e-40, 1e40],
+    # far below and above the strains a run visits (1e-30, 1e-15 and 1e12
+    # among them); a sampled search over |xi| in [1e-8, 1e8] gave acceptance
+    # and two_phase (c, h_bar) = (256, 0), false at 1e-15
+    _, law, _, _ = build_scene(load_config(os.path.join(os.path.dirname(CONFIG), f"{name}.ini")))
+    cert = certify_coercive(law)
+    assert coercivity_margin(law, cert.c, cert.h_bar).ok
+    if cert.theta is not None:
+        assert coercivity_margin(law, cert.theta.c, cert.theta.h_bar, regularized=True).ok
 
 
 def test_criterion_07_luxemburg_norm():

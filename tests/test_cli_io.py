@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprayflow import cli, exponent, snapshots, studies
+from sprayflow import cli, exponent, rheology, snapshots, studies
 from sprayflow.cli import main
 from sprayflow.config import (
     ConfigError,
@@ -681,6 +681,20 @@ def test_run_scenario_skips_the_log_holder_estimate(tmp_path, monkeypatch):
     run_scenario(load_config(os.path.join(CONFIGS, "minimal.ini")), outdir=str(tmp_path))
 
 
+def test_run_scenario_samples_no_certificate(tmp_path, monkeypatch):
+    # monotonicity is structural and coercivity closed-form: the pre-run gate
+    # evaluates neither the sampled sweep nor the margin, at any binding
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the run sampled a stress certificate")
+
+    for name in ("certify_monotone", "coercivity_margin"):
+        target = getattr(rheology, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("sprayflow")]:
+            if getattr(module, name, None) is target:
+                monkeypatch.setattr(module, name, forbidden)
+    run_scenario(load_config(os.path.join(CONFIGS, "minimal.ini")), outdir=str(tmp_path))
+
+
 def test_run_bad_exponent_exit_4(tmp_path):
     p = tmp_path / "low.ini"
     p.write_text(
@@ -688,6 +702,19 @@ def test_run_bad_exponent_exit_4(tmp_path):
         "[exponent]\npreset = constant\nvalue = 1.5\n"
     )
     assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 4
+
+
+def test_run_law_without_growth_exit_4(tmp_path, capsys):
+    # acceptance.ini with nu1 = 0: S = nu0 xi has no (s-1)-growth for
+    # s_max = 2.35, so no finite coercivity constant exists
+    with open(os.path.join(CONFIGS, "acceptance.ini")) as fh:
+        text = fh.read()
+    assert "nu1 = 0.005\n" in text and "t_end = 1.0\n" in text
+    p = tmp_path / "no_growth.ini"
+    p.write_text(text.replace("nu1 = 0.005\n", "nu1 = 0.0\n")
+                 .replace("t_end = 1.0\n", "t_end = 0.004\n"))
+    assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 4
+    assert "nu1 = 0" in capsys.readouterr().err
 
 
 def test_energy_report_fits_order(tmp_path, capsys):

@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 from sprayflow.exponent import constant_field, sinusoidal_field
 from sprayflow.grid import Grid
 from sprayflow.rheology import (
+    CoercivityError,
     MonotonicityReport,
     StressLaw,
     certify_coercive,
     certify_monotone,
+    coercivity_margin,
     packed_inner,
 )
 
@@ -146,31 +148,57 @@ def test_monotone_random_pairs(seed):
 
 def test_coercive_pure_power_law_exact_constants():
     # S:xi = |xi|^s and |S|^{s'} = |xi|^s, so c = 2 with h_bar = 0 is exact
-    cert = certify_coercive(law(0.0, 1.0, S3))
+    l = law(0.0, 1.0, S3)
+    cert = certify_coercive(l)
     assert cert.c == 2.0
     assert cert.h_bar == 0.0
-    assert cert.worst_margin >= -1e-12
-    assert cert.ok
+    assert coercivity_margin(l, cert.c, cert.h_bar).ok
 
 
 def test_coercive_newtonian_s2():
-    cert = certify_coercive(law(1.0, 0.0, S2))
+    l = law(1.0, 0.0, S2)
+    cert = certify_coercive(l)
     assert cert.c == 2.0
     assert cert.h_bar == 0.0
-    assert cert.ok
+    assert coercivity_margin(l, cert.c, cert.h_bar).ok
 
 
 def test_coercive_mixed_law_finite_certificate():
-    cert = certify_coercive(law(1.0, 1.0, sinusoidal_field(GRID, 1.0, 2.0, 1.0)))
+    l = law(1.0, 1.0, sinusoidal_field(GRID, 1.0, 2.0, 1.0))
+    cert = certify_coercive(l)
     assert np.isfinite(cert.c) and np.isfinite(cert.h_bar)
-    assert cert.ok
+    assert coercivity_margin(l, cert.c, cert.h_bar).ok
     assert cert.theta is None  # the s_max-growth variant needs theta > 0
 
 
-def test_coercive_theta_variant_tied_ratio():
-    cert = certify_coercive(law(0.5, 0.5, VAR, theta=0.2))
-    assert cert.ok
+def test_coercive_theta_variant_holds_for_all_magnitudes():
+    # both inequalities at every mesh exponent over |xi| in [1e-40, 1e40]
+    l = law(0.5, 0.5, VAR, theta=0.2)
+    cert = certify_coercive(l)
     assert cert.theta is not None and cert.theta.theta is None
-    # h^theta / c^theta = (h_bar + 1) / c by construction
-    assert cert.theta.h_bar / cert.theta.c == pytest.approx((cert.h_bar + 1.0) / cert.c)
-    assert cert.theta.worst_margin >= -1e-12
+    assert coercivity_margin(l, cert.c, cert.h_bar).ok
+    assert coercivity_margin(l, cert.theta.c, cert.theta.h_bar, regularized=True).ok
+
+
+@pytest.mark.parametrize("l", [
+    law(1.0, 0.0, S3),                               # |xi|^s outgrows c nu0 |xi|^2
+    law(1.0, 1.0, constant_field(GRID, 1.0, 1.5)),   # below the closed form's s >= 2
+], ids=["nu1-zero-s-above-2", "s-below-2"])
+def test_coercive_without_a_closed_form_raises(l):
+    with pytest.raises(CoercivityError):
+        certify_coercive(l)
+
+
+@settings(max_examples=50, deadline=None)
+@given(nu0=st.floats(0.0, 10.0), nu1=st.floats(0.0, 10.0), theta=st.floats(0.0, 0.99),
+       s_max=st.floats(2.0, 6.0), frac=st.floats(0.0, 1.0))
+def test_radial_flux_nondecreasing(nu0, nu1, theta, s_max, frac):
+    # the structural monotonicity argument: S = g(|xi|) xi is the gradient of
+    # a convex radial potential because r g(r) is nondecreasing in r
+    if nu0 + nu1 == 0.0:
+        nu1 = 1.0
+    l = StressLaw(nu0, nu1, constant_field(GRID, 1.0, s_max), theta)
+    s = 2.0 + frac * (s_max - 2.0)
+    r = np.logspace(-40.0, 40.0, 401)
+    flux = r * l.viscosity(np.array(s), r)
+    assert np.all(np.diff(flux) >= 0.0)
