@@ -4,7 +4,7 @@ The coupling is a Lie splitting: deposit particle moments, form the drag
 force, advance the fluid one explicit step with it, then push the particles
 through the *new* fluid velocity with the exact frozen-u integrator, whose
 wall reflection works in place.  The dissipation and the exchange audit come
-before the push, so all four particle calls share one CIC stencil.
+before the push, so all four particle calls share one CIC operator.
 
 The ledger is the step's one energy record: it tracks, per step, both phase
 energies, the accumulated stress and drag dissipation, and the signed
@@ -16,10 +16,10 @@ initial state), so each step evaluates the energies of its new state only.
 The residual is reported, never enforced: the sharp budget is an inequality
 at the continuous level, and the convergence study checks the order instead.
 
-Velocity interpolation at particles and moment deposition use the same
-bilinear kernel, which makes the drag energy exchange antisymmetric to
-roundoff (exchange_audit); this identity is the checkable core of the energy
-inequality the scheme shadows.
+Velocity interpolation at particles is the CIC operator P and moment
+deposition is its transpose P^T, which makes the drag energy exchange
+antisymmetric to roundoff (exchange_audit); this identity is the checkable
+core of the energy inequality the scheme shadows.
 """
 
 from __future__ import annotations

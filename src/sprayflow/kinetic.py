@@ -13,13 +13,16 @@ The per-step drag ODE dV/dt = u_k - V with u_k frozen is integrated exactly:
 so the drag never limits the step size, and free decay (u = 0) contracts
 kinetic energy by exactly e^{-2 dt} per step.
 
-Deposition (density and momentum) and velocity interpolation share one
-bilinear (cloud-in-cell) kernel on cell centers.  The cell-center coordinate
-is clamped at the walls, so a particle within half a cell of a wall gives that
-axis's whole weight to the wall cell; the kernel needs at least 2 cells per
-axis.  Each ensemble builds its stencil (ParticleEnsemble.stencil) once, and
-a step's deposit and its three interpolations all read it; the shared kernel
-is what makes the drag energy exchange antisymmetric in the coupling audit.
+The bilinear (cloud-in-cell) kernel on cell centers is one sparse operator
+P, (n particles, ncells), four weights per row: interpolation is P applied to
+each cell-centred velocity component, and deposition (density and momentum)
+is P^T applied to w, w Vx and w Vy, so <P f, g> = <f, P^T g> holds by
+construction.  The cell-center coordinate is clamped at the walls, so a
+particle within half a cell of a wall gives that axis's whole weight to the
+wall cell; the kernel needs at least 2 cells per axis.  Each ensemble builds
+P (ParticleEnsemble.stencil) once, and a step's deposit and its three
+interpolations all read it; the shared operator is what makes the drag energy
+exchange antisymmetric in the coupling audit.
 
 Wall reflection finds the particles that left the domain in one pass and
 mirrors only those rows, in place: advance hands it the position and
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .fluid import VelocityField
 from .grid import DIM, Grid
@@ -57,8 +61,8 @@ class ParticleEnsemble:
     fval: np.ndarray   # (n,) carried pointwise density values
 
     @cached_property
-    def stencil(self):
-        """The CIC stencil at X, built on first use; advance reflects the new
+    def stencil(self) -> sparse.csr_array:
+        """The CIC operator P at X, built on first use; advance reflects the new
         positions before it builds the next ensemble, so X never changes."""
         return _cic(self.grid, self.X)
 
@@ -137,85 +141,80 @@ def sample_initial(
 
 # -- shared bilinear kernel --------------------------------------------------
 
-def _cic(grid: Grid, X: np.ndarray):
-    """Cell-center bilinear stencil: lower-corner indices and four weights.
+_INT32_MAX = np.iinfo(np.int32).max
 
-    Returns (k00, w00, w10, w01, w11).  k00 indexes the lower corner cell
-    (i0, j0) of a raveled (nx, ny) array; corner (i0 + a, j0 + b) sits
-    a * ny + b further on, so it is read through the offset view
-    f[a * ny + b:] at the same index, and w_ab is its weight.  The
-    cell-center coordinate is clamped to [0, n - 1] on each axis before it is
-    split into a lower index in [0, n - 2] and a fraction in [0, 1], so a
-    particle within half a cell of a wall puts that axis's whole weight on the
-    wall cell: the weights still sum to one, deposition conserves mass and
-    interpolation reproduces constants.  The index is clipped as well, so a
-    non-finite position never yields an out-of-range index.  One stencil
-    serves every gather and scatter at the same positions; it needs at least
-    2 cells per axis.
+
+def _cic(grid: Grid, X: np.ndarray) -> sparse.csr_array:
+    """Cell-center bilinear operator P, (n, ncells): row k holds particle k's
+    four weights on a raveled (nx, ny) array, in corner order 00, 10, 01, 11.
+
+    Corner (i0 + a, j0 + b) of the lower corner cell (i0, j0) has weight
+    w_ab.  The cell-center coordinate is clamped to [0, n - 1] on each axis
+    before it is split into a lower index in [0, n - 2] and a fraction in
+    [0, 1], so a particle within half a cell of a wall puts that axis's whole
+    weight on the wall cell: each row sums to one, deposition conserves mass
+    and interpolation reproduces constants.  The index is clipped as well, so
+    a non-finite position never yields an out-of-range index.  The indices are
+    int32 and indptr is arange(0, 4n + 1, 4), so scipy takes the arrays as
+    they are; the kernel needs at least 2 cells per axis.
     """
     nx, ny = grid.nx, grid.ny
     if nx < 2 or ny < 2:
         raise ValueError(f"the CIC stencil needs at least 2 cells per axis, got {nx} x {ny}")
+    n = X.shape[0]
+    if grid.ncells > _INT32_MAX or 4 * n > _INT32_MAX:
+        raise ValueError(f"int32 CIC indices cannot hold {grid.ncells} cells and {n} particles")
     fx = X[:, 0] / grid.h
     fx -= 0.5
     np.clip(fx, 0.0, nx - 1, out=fx)
-    k00 = fx.astype(np.intp)
+    k00 = fx.astype(np.int32)
     np.clip(k00, 0, nx - 2, out=k00)
     fx -= k00
     fy = X[:, 1] / grid.h
     fy -= 0.5
     np.clip(fy, 0.0, ny - 1, out=fy)
-    iy = fy.astype(np.intp)
+    iy = fy.astype(np.int32)
     np.clip(iy, 0, ny - 2, out=iy)
     fy -= iy
     k00 *= ny
     k00 += iy
-    # w11, w10 and w00 reuse the buffers of fy, fx and 1 - fx: one array
-    # more than the fractions, so the stencil's peak memory stays low
-    gx = 1.0 - fx
-    gy = 1.0 - fy
-    w01 = gx * fy
-    w11 = np.multiply(fx, fy, out=fy)
-    w10 = np.multiply(fx, gy, out=fx)
-    w00 = np.multiply(gx, gy, out=gx)
-    return k00, w00, w10, w01, w11
+    del iy
+    indices = np.empty((n, 4), dtype=np.int32)
+    for corner, offset in enumerate((0, ny, 1, ny + 1)):
+        np.add(k00, offset, out=indices[:, corner])
+    del k00
+    # w_ab = (a ? fx : 1 - fx) (b ? fy : 1 - fy).  1 - fy waits in w00's
+    # column, and 1 - fx overwrites fx once w10 and w11 have read it, so no
+    # array beyond the two fractions is allocated
+    data = np.empty((n, 4))
+    gy = np.subtract(1.0, fy, out=data[:, 0])
+    np.multiply(fx, gy, out=data[:, 1])
+    np.multiply(fx, fy, out=data[:, 3])
+    gx = np.subtract(1.0, fx, out=fx)
+    np.multiply(gx, fy, out=data[:, 2])
+    np.multiply(gx, gy, out=data[:, 0])
+    indptr = np.arange(0, 4 * n + 1, 4, dtype=np.int32)
+    return sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=(n, grid.ncells))
 
 
-def _gather(stencil, field: np.ndarray) -> np.ndarray:
-    k00, w00, w10, w01, w11 = stencil
-    ny = field.shape[1]
-    f = field.ravel()
-    return f[k00] * w00 + f[ny:][k00] * w10 + f[1:][k00] * w01 + f[ny + 1:][k00] * w11
-
-
-def _scatter(grid: Grid, stencil, values: np.ndarray) -> np.ndarray:
-    k00, w00, w10, w01, w11 = stencil
-    ny = grid.ny
-    out = np.zeros(grid.ncells)
-    np.add.at(out, k00, values * w00)
-    np.add.at(out[ny:], k00, values * w10)
-    np.add.at(out[1:], k00, values * w01)
-    np.add.at(out[ny + 1:], k00, values * w11)
-    return out.reshape(grid.nx, grid.ny)
-
-
-def interpolate_velocity(vel: VelocityField, stencil) -> np.ndarray:
-    """Fluid velocity, (n, 2), at the positions of a CIC stencil."""
-    out = np.empty((stencil[0].shape[0], 2))
-    for k, component in enumerate(vel.cell_centered()):
-        out[:, k] = _gather(stencil, component)
-    return out
+def interpolate_velocity(vel: VelocityField, stencil: sparse.csr_array) -> np.ndarray:
+    """Fluid velocity, (n, 2), at the particles of a CIC operator: P uc, P vc."""
+    return np.column_stack([stencil @ c.ravel() for c in vel.cell_centered()])
 
 
 def deposit(particles: ParticleEnsemble) -> MomentFields:
-    """Cloud-in-cell density and momentum per cell, from one shared stencil."""
+    """Cloud-in-cell density and momentum per cell, P^T [w, w Vx, w Vy] / h^2,
+    as three contiguous (nx, ny) planes."""
     p = particles
     g = p.grid
+    transpose = p.stencil.T  # CSC view of the same arrays, no copy
     inv_vol = 1.0 / g.cell_volume
-    rho = _scatter(g, p.stencil, p.w) * inv_vol
-    jx = _scatter(g, p.stencil, p.w * p.V[:, 0]) * inv_vol
-    jy = _scatter(g, p.stencil, p.w * p.V[:, 1]) * inv_vol
-    return MomentFields(g, rho, jx, jy)
+    planes = []
+    for values in (p.w, p.w * p.V[:, 0], p.w * p.V[:, 1]):
+        plane = transpose @ values
+        plane *= inv_vol
+        planes.append(plane.reshape(g.nx, g.ny))
+    return MomentFields(g, *planes)
 
 
 # -- dynamics ----------------------------------------------------------------

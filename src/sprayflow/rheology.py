@@ -56,6 +56,9 @@ class StressLaw:
     s_max: float = field(init=False)  # exponent.s_max
 
     def __post_init__(self):
+        # viscosity's np.full(shape, nu0) takes nu0's dtype, so ints become floats
+        for name in ("nu0", "nu1", "theta"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.nu0 < 0 or self.nu1 < 0:
             raise ValueError("viscosity coefficients must be nonnegative")
         if self.nu0 + self.nu1 <= 0:

@@ -137,8 +137,9 @@ def test_advance_leaves_the_old_ensemble_unchanged():
     q = advance(p, vel, 0.2)
     for old, a in zip(before, (p.X, p.V, p.w, p.fval)):
         np.testing.assert_array_equal(a, old)
-    for cached, fresh in zip(stencil, _cic(GRID, before[0])):
-        np.testing.assert_array_equal(cached, fresh)
+    fresh = _cic(GRID, before[0])
+    for part in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(stencil, part), getattr(fresh, part))
     assert not np.array_equal(q.X, p.X)
 
 
@@ -391,3 +392,77 @@ def test_wall_cell_centre_reads_that_cell():
 def test_cic_needs_two_cells_per_axis(nx, ny, lx, ly):
     with pytest.raises(ValueError, match="2 cells"):
         _cic(Grid(nx, ny, lx, ly), np.array([[0.5 * lx, 0.5 * ly]]))
+
+
+# -- the sparse CIC operator P ----------------------------------------------
+
+def _bilinear_oracle(g, X, field):
+    """Four-corner bilinear read of a cell-centred (nx, ny) field, one
+    particle at a time, with the centre coordinate clamped at the walls."""
+    out = np.empty(X.shape[0])
+    for k, (x, y) in enumerate(X):
+        tx = min(max(x / g.h - 0.5, 0.0), g.nx - 1.0)
+        ty = min(max(y / g.h - 0.5, 0.0), g.ny - 1.0)
+        i, j = min(int(tx), g.nx - 2), min(int(ty), g.ny - 2)
+        tx, ty = tx - i, ty - j
+        out[k] = (field[i, j] * ((1.0 - tx) * (1.0 - ty))
+                  + field[i + 1, j] * (tx * (1.0 - ty))
+                  + field[i, j + 1] * ((1.0 - tx) * ty)
+                  + field[i + 1, j + 1] * (tx * ty))
+    return out
+
+
+def test_cic_operator_layout():
+    X = _wall_particles(WALL_GRID, np.random.default_rng(40))
+    n = X.shape[0]
+    P = _cic(WALL_GRID, X)
+    assert P.format == "csr" and P.shape == (n, WALL_GRID.ncells)
+    np.testing.assert_array_equal(P.indptr, np.arange(0, 4 * n + 1, 4))
+    assert P.indices.dtype == np.int32 and P.indptr.dtype == np.int32
+    np.testing.assert_allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.all(P.data >= 0.0)
+
+
+def test_cic_operator_matches_a_bilinear_oracle_bit_for_bit():
+    g = WALL_GRID
+    rng = np.random.default_rng(41)
+    X = _wall_particles(g, rng)
+    vel = VelocityField(g, rng.standard_normal((g.nx + 1, g.ny)),
+                        rng.standard_normal((g.nx, g.ny + 1)))
+    P = _cic(g, X)
+    uc, vc = vel.cell_centered()
+    oracle = np.column_stack([_bilinear_oracle(g, X, uc), _bilinear_oracle(g, X, vc)])
+    np.testing.assert_array_equal(interpolate_velocity(vel, P), oracle)
+    np.testing.assert_array_equal(P @ np.column_stack([uc.ravel(), vc.ravel()]), oracle)
+
+
+def test_cic_operator_transpose_is_its_adjoint():
+    # <P f, g> = <f, P^T g>: the deposit is the exact adjoint of the gather
+    rng = np.random.default_rng(42)
+    X = _wall_particles(WALL_GRID, rng)
+    P = _cic(WALL_GRID, X)
+    f = rng.standard_normal(WALL_GRID.ncells)
+    g = rng.standard_normal(X.shape[0])
+    lhs, rhs = np.dot(P @ f, g), np.dot(f, P.T @ g)
+    assert abs(lhs - rhs) <= 1e-14 * abs(lhs)
+
+
+def test_deposit_conserves_mass_to_roundoff():
+    g = WALL_GRID
+    rng = np.random.default_rng(43)
+    X = _wall_particles(g, rng)
+    n = X.shape[0]
+    w = rng.uniform(0.1, 1.0, n)
+    p = ParticleEnsemble(g, X, rng.standard_normal((n, 2)), w, np.ones(n))
+    m = deposit(p)
+    assert abs(m.rho.sum() * g.cell_volume - w.sum()) <= 1e-15 * w.sum()
+    assert all(a.flags.c_contiguous and a.shape == (g.nx, g.ny) for a in (m.rho, m.jx, m.jy))
+
+
+def test_cic_operator_rejects_int32_overflow():
+    with pytest.raises(ValueError, match="int32"):
+        _cic(Grid(46341, 46341), np.array([[0.5, 0.5]]))
+    # 2**29 rows need 2**31 column indices; a zero-stride view allocates nothing
+    many = np.broadcast_to(np.array([0.5, 0.5]), (2**29, 2))
+    with pytest.raises(ValueError, match="int32"):
+        _cic(GRID, many)

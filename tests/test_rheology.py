@@ -95,6 +95,17 @@ def test_theta_consistency_bound():
         assert np.sqrt(np.sum(diff**2)) <= theta * smax * mag ** (smax - 1.0) * (1 + 1e-12)
 
 
+def test_integer_coefficients_act_as_floats():
+    # np.full(shape, nu0) takes nu0's dtype, so an int nu0 made viscosity raise
+    field = constant_field(Grid(16, 16), 1, 3.0)
+    mag = np.array([0.0, 0.5, 2.0])
+    g = StressLaw(0, 1, field, theta=0).viscosity(np.full(3, 3.0), mag)
+    np.testing.assert_array_equal(
+        g, StressLaw(0.0, 1.0, field).viscosity(np.full(3, 3.0), mag))
+    law_ = StressLaw(1, 0, field)
+    assert all(type(v) is float for v in (law_.nu0, law_.nu1, law_.theta))
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         StressLaw(0.0, 0.0, S2)
