@@ -24,7 +24,7 @@ from .pressure import verify_bounds, verify_locality
 from .rheology import CoercivityError, certify_coercive, certify_monotone, coercivity_margin
 from .run import CertificateFailure, build_scene, run_scenario
 from .snapshots import KIND_SCALAR, KIND_TENSOR, KIND_U_FACE, KIND_V_FACE, read_snapshot
-from .studies import fitted_order
+from .studies import MMS_MESHES, dt_study, fitted_order, manufactured_errors
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -47,6 +47,21 @@ def _read(reader, path):
         return reader(path)
     except (OSError, ValueError) as exc:  # SnapshotError is a ValueError
         print(f"cannot read {path}: {exc}", file=sys.stderr)
+        sys.exit(EXIT_CONFIG)
+
+
+def _run_or_exit(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or exit with the code of the run failure it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except CertificateFailure as exc:
+        print(f"certificate failure: {exc}", file=sys.stderr)
+        sys.exit(EXIT_CERTIFICATE)
+    except (BlowUp, CFLViolation, EscapeError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        sys.exit(EXIT_BLOWUP)
+    except OSError as exc:  # the output path is a file, or not writable
+        print(f"cannot write output: {exc}", file=sys.stderr)
         sys.exit(EXIT_CONFIG)
 
 
@@ -192,22 +207,28 @@ def cmd_pressure_test(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load(args.config)
-    try:
-        result = run_scenario(cfg, outdir=args.output)
-    except CertificateFailure as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
-    except (BlowUp, CFLViolation, EscapeError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    except OSError as exc:  # the output path is a file, or not writable
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    last = result.ledger.last if result.ledger.rows else None
-    if last:
-        print(f"finished t = {last.t:g}: E_fluid = {last.E_fluid:.6g}, "
-              f"E_kin = {last.E_kin:.6g}, residual = {last.residual_cum:.3e}")
+    result = _run_or_exit(run_scenario, cfg, outdir=args.output)
+    rows = result.ledger.rows
+    last = rows[-1]
+    print(f"finished t = {last.t:g} after {len(rows)} steps: E_fluid = {last.E_fluid:.6g}, "
+          f"E_kin = {last.E_kin:.6g}, residual = {last.residual_cum:.3e}")
+    print(f"max drag antisymmetry: {max(r.antisymmetry_defect for r in rows):.3e}")
     print(f"ledger: {result.ledger_path}")
+    return EXIT_OK
+
+
+def _report_order(paths, dts, residuals) -> int:
+    """Print each ledger's dt and residual, then the fitted order of two or
+    more; return 2 when they cannot be fitted."""
+    for path, dt, r in zip(paths, dts, residuals):
+        print(f"{path}: dt = {dt:g}, accumulated residual = {r:.6e}")
+    if len(dts) >= 2:
+        try:
+            order = fitted_order(dts, residuals)
+        except ValueError as exc:
+            print(f"cannot fit a convergence order: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        print(f"fitted convergence order: {order:.3f}")
     return EXIT_OK
 
 
@@ -220,14 +241,25 @@ def cmd_energy_report(args) -> int:
             return EXIT_CONFIG
         dts.append(led.rows[1].t - led.rows[0].t)
         residuals.append(led.last.residual_cum)
-        print(f"{path}: dt = {dts[-1]:g}, accumulated residual = {residuals[-1]:.6e}")
-    if len(dts) >= 2:
-        try:
-            order = fitted_order(dts, residuals)
-        except ValueError as exc:
-            print(f"cannot fit a convergence order: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        print(f"fitted convergence order: {order:.3f}")
+    return _report_order(args.ledgers, dts, residuals)
+
+
+def cmd_study_energy(args) -> int:
+    cfg = _load(args.config)
+    dts, residuals, paths = _run_or_exit(dt_study, cfg, args.output or cfg.output_dir)
+    return _report_order(paths, dts, residuals)
+
+
+def cmd_study_mms(args) -> int:
+    try:
+        errors = manufactured_errors()
+    except ImportError as exc:
+        print(f"study mms needs sympy (the dev extra): {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    for n, err in zip(MMS_MESHES, errors):
+        print(f"n = {n:4d}: L2 error = {err:.6e}")
+    orders = np.log2(np.divide(errors[:-1], errors[1:]))
+    print("observed orders:", ", ".join(f"{o:.3f}" for o in orders))
     return EXIT_OK
 
 
@@ -279,6 +311,15 @@ def main(argv=None) -> int:
     p = sub.add_parser("energy-report", help="fit residual convergence order from ledgers")
     p.add_argument("ledgers", nargs="+")
     p.set_defaults(fn=cmd_energy_report)
+
+    p = sub.add_parser("study", help="convergence studies; they report and do not gate")
+    study = p.add_subparsers(dest="study", required=True)
+    p = study.add_parser("energy", help="residual order of a scenario at dt, dt/2, dt/4")
+    p.add_argument("--config", required=True)
+    p.add_argument("--output", default=None)
+    p.set_defaults(fn=cmd_study_energy)
+    p = study.add_parser("mms", help="manufactured-solution L2 errors and orders")
+    p.set_defaults(fn=cmd_study_mms)
 
     p = sub.add_parser("ledger-diff", help="per-column difference of two ledgers")
     p.add_argument("a")

@@ -9,8 +9,9 @@
 * The dt-halving study of the accumulated energy-budget residual of a
   coupled scenario, with the fitted order of the residual in dt.
 
-The acceptance tests, the scripts and `sprayflow energy-report` call these;
-they hold the only copy of each study.
+The acceptance tests and `sprayflow study` call these, and `sprayflow
+energy-report` fits with `fitted_order`; they hold the only copy of each
+study.
 """
 
 from __future__ import annotations

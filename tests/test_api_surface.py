@@ -1,5 +1,5 @@
 """Guard against test-only API: every public function and method of
-src/sprayflow has a reader in the package or its scripts, or an entry below."""
+src/sprayflow has a reader in the package, or an entry below."""
 
 import ast
 import io
@@ -8,7 +8,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "sprayflow").glob("*.py"))
-SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 # public API that only the tests read, each with the reason it stays
 TEST_ONLY = {
@@ -23,9 +22,9 @@ TEST_ONLY = {
 
 
 def _name_tokens():
-    """(file name, line) of every NAME token in the package and scripts, by name."""
+    """(file name, line) of every NAME token in the package, by name."""
     where = {}
-    for path in PACKAGE + SCRIPTS:
+    for path in PACKAGE:
         for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
             if tok.type == tokenize.NAME:
                 where.setdefault(tok.string, set()).add((path.name, tok.start[0]))

@@ -49,6 +49,10 @@ def run_cli(argv):
         return exc.code
 
 
+# the commands that run a scenario, and so share run's exit codes
+RUNS = (["run"], ["study", "energy"])
+
+
 # -- snapshots ----------------------------------------------------------------
 
 @settings(max_examples=30, deadline=None)
@@ -423,10 +427,14 @@ def test_stress_audit_exit_4_only_for_certificate_errors(monkeypatch):
         run_cli(argv)
 
 
-def test_run_minimal_and_determinism(tmp_path):
+def test_run_minimal_and_determinism(tmp_path, capsys):
+    # minimal.ini has no particles: the report reads the ledger, not the ensemble
     cfgfile = os.path.join(CONFIGS, "minimal.ini")
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli(["run", "--config", cfgfile, "--output", str(out1)]) == 0
+    out = capsys.readouterr().out
+    assert "finished t = 0.05 after 10 steps: " in out
+    assert "max drag antisymmetry: 0.000e+00" in out
     assert run_cli(["run", "--config", cfgfile, "--output", str(out2)]) == 0
     assert filecmp.cmp(out1 / "ledger.csv", out2 / "ledger.csv", shallow=False)
     # quiescent scenario: ledger rows are all zeros
@@ -458,7 +466,8 @@ def test_run_cfl_blowup_exit_3(tmp_path):
         "[rheology]\nnu0 = 0.5\nnu1 = 0.0\n"
         "[fluid]\ninitial = stream_bump\namplitude = 0.1\n"
     )
-    assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 3
+    for command in RUNS:
+        assert run_cli([*command, "--config", str(p), "--output", str(tmp_path / "o")]) == 3
 
 
 def test_run_escaping_particle_exit_3_keeps_the_last_state(tmp_path, capsys):
@@ -482,15 +491,16 @@ def test_run_output_path_is_a_file_exit_2(tmp_path, capsys, where):
     taken.write_text("not a directory\n")
     cfgfile = os.path.join(CONFIGS, "minimal.ini")
     if where == "flag":
-        argv = ["run", "--config", cfgfile, "--output", str(taken)]
+        args = ["--config", cfgfile, "--output", str(taken)]
     else:
         p = tmp_path / "to_file.ini"
         text = open(cfgfile).read()
         assert "output_dir = out/minimal" in text
         p.write_text(text.replace("out/minimal", str(taken)))
-        argv = ["run", "--config", str(p)]
-    assert run_cli(argv) == 2
-    assert "cannot write output" in capsys.readouterr().err
+        args = ["--config", str(p)]
+    for command in RUNS:
+        assert run_cli(command + args) == 2
+        assert "cannot write output" in capsys.readouterr().err
     assert taken.read_text() == "not a directory\n"
 
 
@@ -573,12 +583,14 @@ def test_norm_rejects_extent_not_finite_and_positive(tmp_path, capsys, extent):
     "[fluid]\ninitial = rest\namplitde = 0.1\n",
     "[kinetics]\npreset = uniform\n",
 ], ids=["kinetic-key", "exponent-key", "fluid-key", "section"])
-def test_config_rejects_unknown_keys(tmp_path, extra):
+def test_config_rejects_unknown_keys(tmp_path, capsys, extra):
     p = tmp_path / "typo.ini"
     p.write_text("[domain]\nnx = 16\nny = 16\n[run]\nt_end = 0.01\ndt = 0.005\n" + extra)
     with pytest.raises(ConfigError, match="unknown"):
         load_config(p)
-    assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
+    for command in RUNS:
+        assert run_cli([*command, "--config", str(p), "--output", str(tmp_path / "o")]) == 2
+        assert "config error: unknown" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("keys", [
@@ -701,7 +713,8 @@ def test_run_bad_exponent_exit_4(tmp_path):
         "[domain]\nnx = 16\nny = 16\n[run]\nt_end = 0.1\ndt = 0.01\n"
         "[exponent]\npreset = constant\nvalue = 1.5\n"
     )
-    assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 4
+    for command in RUNS:
+        assert run_cli([*command, "--config", str(p), "--output", str(tmp_path / "o")]) == 4
 
 
 def test_run_law_without_growth_exit_4(tmp_path, capsys):
@@ -831,15 +844,7 @@ def test_pressure_test_minimal_reports(capsys):
     assert sup_p[0] > sup_p[1] > sup_p[2]
 
 
-# -- scripts ------------------------------------------------------------------
-
-def _run_script(tmp_path, name, *args):
-    """Run scripts/<name> in tmp_path, with src on PYTHONPATH."""
-    root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    return subprocess.run([sys.executable, os.path.join(root, "scripts", name), *args],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
-
+# -- reports and studies -----------------------------------------------------
 
 def _short_acceptance_ini(tmp_path) -> str:
     """acceptance.ini cut to t_end = 0.1 (50 steps)."""
@@ -850,30 +855,44 @@ def _short_acceptance_ini(tmp_path) -> str:
     return str(ini)
 
 
-def test_run_acceptance_script_smoke(tmp_path):
+def test_run_reports_the_ledger(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     outdir = tmp_path / "ra"
-    proc = _run_script(tmp_path, "run_acceptance.py", _short_acceptance_ini(tmp_path),
-                       "--output", str(outdir))
-    assert proc.returncode == 0, proc.stderr
-    out = proc.stdout
-    assert "steps: 50, final t = 0.1" in out
-    for label in ("mass drift:", "sup-growth relative err:", "max drag antisymmetry:",
-                  "accumulated residual:", "E_fluid = ", "ledger: "):
+    assert run_cli(["run", "--config", _short_acceptance_ini(tmp_path),
+                    "--output", str(outdir)]) == 0
+    out = capsys.readouterr().out
+    assert "finished t = 0.1 after 50 steps: " in out
+    for label in ("max drag antisymmetry: ", "residual = ", "E_fluid = ", "ledger: "):
         assert label in out
     assert (outdir / "ledger.csv").is_file()
     assert not (tmp_path / "out").exists()
 
 
-def test_energy_convergence_script_smoke(tmp_path):
+def test_study_energy_fits_the_residual_order(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     outdir = tmp_path / "ec"
-    proc = _run_script(tmp_path, "energy_convergence.py",
-                       "--config", _short_acceptance_ini(tmp_path), "--output", str(outdir))
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines[:3]] == ["dt = 0.002", "dt = 0.001", "dt = 0.0005"]
+    assert run_cli(["study", "energy", "--config", _short_acceptance_ini(tmp_path),
+                    "--output", str(outdir)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[1].split(",")[0] for line in lines[:3]] == [
+        "dt = 0.002", "dt = 0.001", "dt = 0.0005"]
     assert all("accumulated residual = " in line for line in lines[:3])
-    assert lines[3].startswith("fitted order: ") and float(lines[3].split(": ")[1]) >= 0.9
+    assert lines[3].startswith("fitted convergence order: ")
+    assert float(lines[3].split(": ")[1]) >= 0.9
     assert all((outdir / f"dt_{k}" / "ledger.csv").is_file() for k in range(3))
+    assert not (tmp_path / "out").exists()
+
+
+def test_study_mms_reports_orders_and_needs_sympy(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "manufactured_errors", lambda: [4e-4, 1e-4, 2.5e-5])
+    assert run_cli(["study", "mms"]) == 0
+    out = capsys.readouterr().out
+    assert "n =   32: L2 error = 4.000000e-04" in out
+    assert "observed orders: 2.000, 2.000" in out
+    monkeypatch.undo()
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    assert run_cli(["study", "mms"]) == 2
+    assert "needs sympy (the dev extra)" in capsys.readouterr().err
 
 
 # -- packaging ----------------------------------------------------------------
