@@ -19,12 +19,12 @@ from .exponent import preset_parameters, validate as validate_field
 from .fluid import BlowUp, CFLViolation
 from .grid import Grid
 from .kinetic import EscapeError
-from .orlicz import TENSOR_COMP_WEIGHTS, luxemburg_norm, modular
+from .orlicz import TENSOR_COMP_WEIGHTS, log_modular, luxemburg_norm, modular
 from .pressure import verify_bounds, verify_locality
 from .rheology import CoercivityError, certify_coercive, certify_monotone, coercivity_margin
 from .run import CertificateFailure, build_scene, run_scenario
 from .snapshots import KIND_SCALAR, KIND_TENSOR, KIND_U_FACE, KIND_V_FACE, read_snapshot
-from .studies import MMS_MESHES, dt_study, fitted_order, manufactured_errors
+from .studies import MMS_MESHES, dt_study, fitted_order, manufactured_errors, observed_orders
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -125,6 +125,15 @@ _MESH_KINDS = {
 }
 
 
+def _exp_text(log_e: float) -> str:
+    """exp(log_e) as mantissa and decimal exponent, also past the double range."""
+    if not np.isfinite(log_e):
+        return f"{np.exp(log_e):.12g}"
+    exp10, frac = divmod(log_e / np.log(10.0), 1.0)
+    mantissa, shift = f"{10.0 ** frac:.9e}".split("e")  # shift is 1 when it rounds to 10
+    return f"{mantissa}e{int(exp10) + int(shift):+d}"
+
+
 def cmd_norm(args) -> int:
     snap = _read(read_snapshot, args.field)
     data = snap.data
@@ -147,7 +156,10 @@ def cmd_norm(args) -> int:
                                   (np.arange(n1) + offset[1]) * grid.h, indexing="ij"), axis=-1)
     s = _exponent_values(args.exponent, grid, 1.0, points)
     w = np.full((n0, n1), grid.cell_volume)
-    print(f"modular:  {modular(data, s, w, cw):.12g}")
+    with np.errstate(over="ignore"):  # past the double range it prints from its log
+        value = modular(data, s, w, cw)
+    text = f"{value:.12g}" if np.isfinite(value) else _exp_text(log_modular(data, s, w, cw))
+    print(f"modular:  {text}")
     print(f"luxemburg norm: {luxemburg_norm(data, s, w, cw):.12g}")
     return EXIT_OK
 
@@ -258,8 +270,7 @@ def cmd_study_mms(args) -> int:
         return EXIT_CONFIG
     for n, err in zip(MMS_MESHES, errors):
         print(f"n = {n:4d}: L2 error = {err:.6e}")
-    orders = np.log2(np.divide(errors[:-1], errors[1:]))
-    print("observed orders:", ", ".join(f"{o:.3f}" for o in orders))
+    print("observed orders:", ", ".join(f"{o:.3f}" for o in observed_orders(errors)))
     return EXIT_OK
 
 

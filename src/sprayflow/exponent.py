@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,11 +65,13 @@ class ExponentField:
             raise ValueError(f"exponent values have shape {self.values.shape}, "
                              f"expected (nslabs, nx, ny) = {shape}")
 
-    @property
+    # cached: validate and StressLaw read them, and each is a full-mesh
+    # reduction; values is never written after construction
+    @cached_property
     def s_min(self) -> float:
         return float(self.values.min())
 
-    @property
+    @cached_property
     def s_max(self) -> float:
         return float(self.values.max())
 
@@ -155,7 +158,7 @@ def log_holder_modulus(field: ExponentField) -> tuple[float, ...]:
     The estimate is sup |s(x)-s(y)| * |log|x-y|| over sampled pairs of cell
     centers with |x-y| < 1/2 (exhaustive when the mesh is small).
     """
-    xc, yc = field.grid.cell_centers()
+    xc, yc = np.broadcast_arrays(*field.grid.cell_centers())
     pts = np.column_stack([xc.ravel(), yc.ravel()])
     n = pts.shape[0]
     if n * (n - 1) // 2 <= _MAX_PAIR_SAMPLES:
@@ -191,7 +194,8 @@ def _bump(rho: np.ndarray) -> np.ndarray:
 
 
 def _dist2(xc: np.ndarray, yc: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # squared distance from each ball center to each cell center, (nballs, nx, ny)
+    # squared distance from each ball center to each cell center of the open
+    # pair xc (nx, 1), yc (1, ny): (nballs, nx, ny)
     return (xc - centers[:, 0, None, None]) ** 2 + (yc - centers[:, 1, None, None]) ** 2
 
 
@@ -201,30 +205,41 @@ def build_covering(field: ExponentField) -> Covering:
     The radius is halved from the domain diameter until the oscillation of s
     over every doubled ball is at most s_min/d in every slab.  Raises
     CoveringError once the radius would drop below two mesh cells.
+
+    Each ball reads only the index box of its doubled ball: a cell more than
+    ceil(2r/h) + 1 cells from the center's cell on either axis lies farther
+    than 2r + h from the center.  Memory is a few cell arrays, whatever the
+    number of balls.
     """
     grid = field.grid
+    h = grid.h
     osc_cap = required_s_min(DIM) / DIM
-    xc, yc = grid.cell_centers()
+    x, y = (c.ravel() for c in grid.cell_centers())
     radius = grid.diameter
     while True:
-        if radius < 2.0 * grid.h:
+        if radius < 2.0 * h:
             raise CoveringError(
                 "covering radius underflow: exponent oscillates too fast for the mesh"
             )
         centers = _ball_centers(grid, radius)
-        dist2 = _dist2(xc, yc, centers)
+        reach = int(np.ceil(2.0 * radius / h)) + 1
         ok = True
         nb = centers.shape[0]
         q = np.empty((nb, len(field.starts)))
         r_sup = np.empty_like(q)
-        for b in range(nb):
-            mask = dist2[b] < (2.0 * radius) ** 2
+        for b, (cx, cy) in enumerate(centers):
+            i, j = int(cx / h), int(cy / h)
+            bi = slice(max(i - reach, 0), i + reach + 1)
+            bj = slice(max(j - reach, 0), j + reach + 1)
+            mask = (x[bi, None] - cx) ** 2 + (y[None, bj] - cy) ** 2 < (2.0 * radius) ** 2
             if not mask.any():
                 ok = False
                 break
-            sub = field.values[:, mask]
-            q[b] = sub.min(axis=1)
-            r_sup[b] = sub.max(axis=1)
+            # masked reductions: the same min and max as over values[:, mask],
+            # without gathering the masked cells
+            box = field.values[:, bi, bj]
+            q[b] = box.min(axis=(1, 2), where=mask, initial=np.inf)
+            r_sup[b] = box.max(axis=(1, 2), where=mask, initial=-np.inf)
             if np.any(r_sup[b] - q[b] > osc_cap):
                 ok = False
                 break

@@ -355,15 +355,17 @@ def fluid_step(
 def stream_function_field(grid: Grid, psi) -> VelocityField:
     """Divergence-free field u = (d psi/dy, -d psi/dx) sampled on faces.
 
-    psi is a callable (x, y) -> scalar; derivatives are exact discrete
-    differences of psi at cell corners, so the result is discretely
-    divergence-free to roundoff.
+    psi is a callable (x, y) -> scalar, called once on the open corner grid
+    x (nx+1, 1), y (1, ny+1); derivatives are exact discrete differences of
+    psi at cell corners, so the result is discretely divergence-free to
+    roundoff.
     """
     h = grid.h
     xn = np.arange(grid.nx + 1) * h
     yn = np.arange(grid.ny + 1) * h
-    px, py = np.meshgrid(xn, yn, indexing="ij")
-    psin = psi(px, py)  # (nx+1, ny+1) corner values
+    px, py = np.meshgrid(xn, yn, indexing="ij", sparse=True)
+    # (nx+1, ny+1) corner values; broadcast_to also takes a constant psi
+    psin = np.broadcast_to(psi(px, py), (grid.nx + 1, grid.ny + 1))
     out = VelocityField.zeros(grid)
     out.u = (psin[:, 1:] - psin[:, :-1]) / h
     out.v = -(psin[1:, :] - psin[:-1, :]) / h

@@ -50,10 +50,12 @@ class Grid:
         return float(np.hypot(self.lx, self.ly))
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cell-center coordinates as (nx, ny) arrays (ij indexing)."""
+        """Cell-center coordinates as the open pair (nx, 1), (1, ny), which
+        broadcast to the (nx, ny) mesh (ij indexing); np.broadcast_arrays
+        gives full arrays where a caller needs them."""
         x = (np.arange(self.nx) + 0.5) * self.h
         y = (np.arange(self.ny) + 0.5) * self.h
-        return np.meshgrid(x, y, indexing="ij")
+        return np.meshgrid(x, y, indexing="ij", sparse=True)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Strict interior test for an (n, 2) array of positions."""

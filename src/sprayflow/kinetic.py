@@ -44,7 +44,8 @@ _MAX_REFLECTIONS = 100
 
 
 class EscapeError(RuntimeError):
-    """A particle failed to return inside the domain after many reflections."""
+    """A particle left the domain for good: it failed to return inside after
+    many reflections, or its position is not finite."""
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -153,10 +154,10 @@ def _cic(grid: Grid, X: np.ndarray) -> sparse.csr_array:
     before it is split into a lower index in [0, n - 2] and a fraction in
     [0, 1], so a particle within half a cell of a wall puts that axis's whole
     weight on the wall cell: each row sums to one, deposition conserves mass
-    and interpolation reproduces constants.  The index is clipped as well, so
-    a non-finite position never yields an out-of-range index.  The indices are
-    int32 and indptr is arange(0, 4n + 1, 4), so scipy takes the arrays as
-    they are; the kernel needs at least 2 cells per axis.
+    and interpolation reproduces constants.  A non-finite position raises
+    EscapeError.  The indices are int32 and indptr is arange(0, 4n + 1, 4),
+    so scipy takes the arrays as they are; the kernel needs at least 2 cells
+    per axis.
     """
     nx, ny = grid.nx, grid.ny
     if nx < 2 or ny < 2:
@@ -166,12 +167,18 @@ def _cic(grid: Grid, X: np.ndarray) -> sparse.csr_array:
         raise ValueError(f"int32 CIC indices cannot hold {grid.ncells} cells and {n} particles")
     fx = X[:, 0] / grid.h
     fx -= 0.5
+    fy = X[:, 1] / grid.h
+    fy -= 0.5
+    # before the clamp, which would turn an infinite coordinate into a wall
+    finite = np.isfinite(fx) & np.isfinite(fy)
+    if not finite.all():
+        raise EscapeError(f"{n - np.count_nonzero(finite)} of {n} particle positions "
+                          "are not finite")
+    del finite
     np.clip(fx, 0.0, nx - 1, out=fx)
     k00 = fx.astype(np.int32)
     np.clip(k00, 0, nx - 2, out=k00)
     fx -= k00
-    fy = X[:, 1] / grid.h
-    fy -= 0.5
     np.clip(fy, 0.0, ny - 1, out=fy)
     iy = fy.astype(np.int32)
     np.clip(iy, 0, ny - 2, out=iy)

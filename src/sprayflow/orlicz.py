@@ -34,18 +34,42 @@ def magnitude(values: np.ndarray, weights_ndim: int, comp_weights=None) -> np.nd
     return np.sqrt(sq)
 
 
-def modular(values, s, weights, comp_weights=None) -> float:
-    """Discrete quadrature of the modular, sum |xi|^s * weight.
-
-    Summation order is the array's flat order, so the result is
-    bit-reproducible.
-    """
+def _modular_operands(values, s, weights, comp_weights):
     s = np.asarray(s, dtype=float)
     w = np.asarray(weights, dtype=float)
     mag = magnitude(values, w.ndim, comp_weights)
     if mag.shape != np.broadcast_shapes(mag.shape, w.shape, s.shape):
         raise ValueError("shape mismatch between field, exponent and weights")
+    return mag, s, w
+
+
+def modular(values, s, weights, comp_weights=None) -> float:
+    """Discrete quadrature of the modular, sum |xi|^s * weight.
+
+    Summation order is the array's flat order, so the result is
+    bit-reproducible.  It overflows to inf once a term |xi|^s leaves the
+    double range; log_modular() stays finite there.
+    """
+    mag, s, w = _modular_operands(values, s, weights, comp_weights)
     return float(np.sum(w * mag**s))
+
+
+def log_modular(values, s, weights, comp_weights=None) -> float:
+    """ln of the modular, summed in log form: the maximum plus the
+    log-sum-exp of s ln|xi| + ln w over the cells where |xi| and w are
+    nonzero, so it is finite for every finite nonzero field; -inf for a
+    zero field.
+    """
+    mag, s, w = _modular_operands(values, s, weights, comp_weights)
+    mag, s, w = np.broadcast_arrays(mag, s, w)
+    keep = (mag != 0.0) & (w != 0.0)  # NaN is kept, and propagates
+    if not keep.any():
+        return -np.inf
+    terms = s[keep] * np.log(mag[keep]) + np.log(w[keep])
+    top = terms.max()
+    if not np.isfinite(top):
+        return float(top)
+    return float(top + np.log(np.sum(np.exp(terms - top))))
 
 
 def luxemburg_norm(values, s, weights, comp_weights=None) -> float:

@@ -70,6 +70,12 @@ def manufactured_errors() -> list[float]:
     return errors
 
 
+def observed_orders(errors) -> list[float]:
+    """log2(e_k / e_{k+1}) for each pair of successive errors of a mesh-halving
+    study."""
+    return [float(o) for o in np.log2(np.divide(errors[:-1], errors[1:]))]
+
+
 def dt_study(cfg: ScenarioConfig, outdir) -> tuple[list[float], list[float], list[str]]:
     """Run cfg at dt, dt/2 and dt/4 into outdir/dt_0, dt_1, dt_2.
 

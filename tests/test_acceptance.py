@@ -219,7 +219,7 @@ def test_criterion_08_covering():
 
 def test_criterion_09_manufactured_solution():
     errors = studies.manufactured_errors()
-    orders = [float(np.log2(a / b)) for a, b in zip(errors, errors[1:])]
+    orders = studies.observed_orders(errors)
     ok = min(orders) >= 1.5
     _report(9, "manufactured solution", ok,
             f"L2 errors {[f'{e:.2e}' for e in errors]}, orders {[f'{o:.2f}' for o in orders]}")

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,19 @@ def test_norm_constant_field_matches_hand_value(tmp_path, capsys):
     vals = {line.split(":")[0].strip(): float(line.split(":")[1]) for line in out.strip().splitlines()}
     assert vals["modular"] == pytest.approx(4.0, rel=1e-12)
     assert vals["luxemburg norm"] == 2.0  # a constant exponent needs no bisection
+
+
+def test_norm_prints_a_modular_past_the_double_range(tmp_path, capsys):
+    # (1e120)^3 over the unit square is 1e360: no overflow warning, no inf
+    snap = tmp_path / "field.vkf"
+    write_snapshot(snap, Snapshot(KIND_SCALAR, 0.0, np.full((16, 16), 1e120)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["norm", "--field", str(snap), "--exponent", "constant:3"]) == 0
+    lines = dict(line.split(":", 1) for line in capsys.readouterr().out.strip().splitlines())
+    mantissa, exponent = lines["modular"].strip().split("e")
+    assert float(mantissa) == pytest.approx(1.0, rel=1e-9) and int(exponent) == 360
+    assert float(lines["luxemburg norm"]) == pytest.approx(1e120, rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", ["constant:abc", "constant", "constant:2:3"],

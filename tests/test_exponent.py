@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,7 @@ def test_validate_sinusoidal_modulus_finite():
     report = validate(field)
     assert report.passed
     # oracle: exhaustive pairwise sweep at grid resolution
-    xc, yc = GRID.cell_centers()
+    xc, yc = np.broadcast_arrays(*GRID.cell_centers())
     pts = np.column_stack([xc.ravel(), yc.ravel()])
     s = field.values[0].ravel()
     ii, jj = np.triu_indices(pts.shape[0], k=1)
@@ -164,6 +166,47 @@ def test_covering_slowly_varying():
         ) ** 2
         assert cov.q[b, 0] == field.values[0][mask].min()
         assert cov.r_sup[b, 0] == field.values[0][mask].max()
+
+
+def full_mask_covering(field):
+    """The covering by the full-mesh formula: every ball masks the whole
+    (nx, ny) mesh at every radius tried."""
+    grid = field.grid
+    xc, yc = grid.cell_centers()
+    radius = grid.diameter
+    while True:
+        nbx, nby = (max(1, int(np.ceil(ell / radius))) for ell in (grid.lx, grid.ly))
+        gx, gy = np.meshgrid((np.arange(nbx) + 0.5) * grid.lx / nbx,
+                             (np.arange(nby) + 0.5) * grid.ly / nby, indexing="ij")
+        centers = np.column_stack([gx.ravel(), gy.ravel()])
+        masks = [(xc - cx) ** 2 + (yc - cy) ** 2 < (2.0 * radius) ** 2 for cx, cy in centers]
+        q = np.array([field.values[:, m].min(axis=1) for m in masks])
+        r_sup = np.array([field.values[:, m].max(axis=1) for m in masks])
+        if np.all(r_sup - q <= required_s_min(2) / 2):
+            return centers, radius, q, r_sup
+        radius *= 0.5
+
+
+@pytest.mark.parametrize("field, nballs", [
+    (sinusoidal_field(Grid(128, 128), 1.0, base=2.0, amplitude=1.5), 529),
+    (sinusoidal_field(Grid(64, 64), 1.0, base=2.2, amplitude=0.15), 1),
+    (two_phase_switch_field(Grid(64, 64), 1.0, switch_time=0.5, amplitude_after=1.2), 144),
+], ids=["529-balls", "acceptance-preset", "two-slabs"])
+def test_covering_memory_is_a_few_cell_arrays(field, nballs):
+    grid = field.grid
+    tracemalloc.start()
+    try:
+        cov = build_covering(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cov.centers.shape[0] == nballs
+    assert peak <= 8 * grid.ncells * 8  # eight float cell arrays, whatever nballs
+    centers, radius, q, r_sup = full_mask_covering(field)
+    np.testing.assert_array_equal(cov.centers, centers)
+    assert cov.radius == radius
+    np.testing.assert_array_equal(cov.q, q)
+    np.testing.assert_array_equal(cov.r_sup, r_sup)
 
 
 def test_partition_of_unity_sums_to_one():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -392,6 +394,15 @@ def test_wall_cell_centre_reads_that_cell():
 def test_cic_needs_two_cells_per_axis(nx, ny, lx, ly):
     with pytest.raises(ValueError, match="2 cells"):
         _cic(Grid(nx, ny, lx, ly), np.array([[0.5 * lx, 0.5 * ly]]))
+
+
+def test_cic_refuses_non_finite_positions():
+    # neither the cast warning nor NaN weights: one error naming the rows
+    X = np.array([[np.nan, 0.5], [np.inf, 0.3], [0.5, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EscapeError, match="2 of 3 particle positions are not finite"):
+            _cic(GRID, X)
 
 
 # -- the sparse CIC operator P ----------------------------------------------

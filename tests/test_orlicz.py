@@ -1,12 +1,15 @@
 """Modular / Luxemburg-norm numerics, checked against closed forms and an
 independent golden-section oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sprayflow.orlicz import (
     TENSOR_COMP_WEIGHTS,
+    log_modular,
     luxemburg_norm,
     modular,
     modular_distance,
@@ -50,6 +53,25 @@ def test_modular_of_ones_is_one():
 
 def test_modular_constant_two():
     assert modular(np.full((4, 4), 2.0), 2.0, W1) == pytest.approx(4.0)
+
+
+def test_log_modular_matches_the_direct_sum_in_range():
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal((8, 8, 3))
+    vals[2, 3] = 0.0  # a zero cell is left out of the log sum
+    s = rng.uniform(2.0, 4.0, (8, 8))
+    w = np.full((8, 8), 1.0 / 64)
+    direct = modular(vals, s, w, TENSOR_COMP_WEIGHTS)
+    assert log_modular(vals, s, w, TENSOR_COMP_WEIGHTS) == pytest.approx(np.log(direct), rel=1e-14)
+    assert log_modular(np.zeros((4, 4)), 2.0, W1) == -np.inf
+
+
+def test_log_modular_finite_past_the_double_range():
+    # sum over 16 cells of (1/16) (1e120)^3 = 1e360, which overflows a double
+    vals = np.full((4, 4), 1e120)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_modular(vals, 3.0, W1) == pytest.approx(360.0 * np.log(10.0), rel=1e-15)
 
 
 def test_modular_two_cell_hand_sum():
