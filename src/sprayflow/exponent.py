@@ -65,15 +65,26 @@ class ExponentField:
             raise ValueError(f"exponent values have shape {self.values.shape}, "
                              f"expected (nslabs, nx, ny) = {shape}")
 
-    # cached: validate and StressLaw read them, and each is a full-mesh
-    # reduction; values is never written after construction
+    # cached: the pre-run gate and StressLaw read them, and each slab
+    # extreme is one pass over the mesh; values is never written after
+    # construction, and the cached arrays are read-only
+    @cached_property
+    def slab_min(self) -> np.ndarray:
+        """(nslabs,): the least s of each slab."""
+        return _frozen(self.values.min(axis=(1, 2)))
+
+    @cached_property
+    def slab_max(self) -> np.ndarray:
+        """(nslabs,): the greatest s of each slab."""
+        return _frozen(self.values.max(axis=(1, 2)))
+
     @cached_property
     def s_min(self) -> float:
-        return float(self.values.min())
+        return float(self.slab_min.min())
 
     @cached_property
     def s_max(self) -> float:
-        return float(self.values.max())
+        return float(self.slab_max.max())
 
     def slab_index(self, t):
         """Index of the slab holding time t, a scalar or an array of times;
@@ -94,6 +105,11 @@ class ExponentField:
         i = np.clip((x[..., 0] / h - 0.5).round().astype(int), 0, self.grid.nx - 1)
         j = np.clip((x[..., 1] / h - 0.5).round().astype(int), 0, self.grid.ny - 1)
         return self.values[self.slab_index(t), i, j]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -139,9 +155,11 @@ def validate(field: ExponentField) -> ValidationReport:
     Raises ValueError on a non-finite value.  A finite s has a finite
     log-Hoelder modulus on the mesh, since |s_i - s_j| |log d| is finite for
     0 < d < 1/2, so the estimate decides nothing here and lives apart in
-    log_holder_modulus().
+    log_holder_modulus().  A NaN or an infinity anywhere in a slab shows in
+    that slab's minimum or maximum, so the cached extremes decide finiteness
+    without another pass over the mesh.
     """
-    if not np.all(np.isfinite(field.values)):
+    if not (np.all(np.isfinite(field.slab_min)) and np.all(np.isfinite(field.slab_max))):
         raise ValueError("exponent field contains non-finite values")
     smin_req = required_s_min(DIM)
     return ValidationReport(
@@ -205,49 +223,60 @@ def build_covering(field: ExponentField) -> Covering:
     The radius is halved from the domain diameter until the oscillation of s
     over every doubled ball is at most s_min/d in every slab.  Raises
     CoveringError once the radius would drop below two mesh cells.
-
-    Each ball reads only the index box of its doubled ball: a cell more than
-    ceil(2r/h) + 1 cells from the center's cell on either axis lies farther
-    than 2r + h from the center.  Memory is a few cell arrays, whatever the
-    number of balls.
     """
     grid = field.grid
-    h = grid.h
     osc_cap = required_s_min(DIM) / DIM
-    x, y = (c.ravel() for c in grid.cell_centers())
     radius = grid.diameter
-    while True:
-        if radius < 2.0 * h:
-            raise CoveringError(
-                "covering radius underflow: exponent oscillates too fast for the mesh"
-            )
+    while radius >= 2.0 * grid.h:
         centers = _ball_centers(grid, radius)
-        reach = int(np.ceil(2.0 * radius / h)) + 1
-        ok = True
-        nb = centers.shape[0]
-        q = np.empty((nb, len(field.starts)))
-        r_sup = np.empty_like(q)
-        for b, (cx, cy) in enumerate(centers):
-            i, j = int(cx / h), int(cy / h)
-            bi = slice(max(i - reach, 0), i + reach + 1)
-            bj = slice(max(j - reach, 0), j + reach + 1)
-            mask = (x[bi, None] - cx) ** 2 + (y[None, bj] - cy) ** 2 < (2.0 * radius) ** 2
-            if not mask.any():
-                ok = False
-                break
-            # masked reductions: the same min and max as over values[:, mask],
-            # without gathering the masked cells
-            box = field.values[:, bi, bj]
-            q[b] = box.min(axis=(1, 2), where=mask, initial=np.inf)
-            r_sup[b] = box.max(axis=(1, 2), where=mask, initial=-np.inf)
-            if np.any(r_sup[b] - q[b] > osc_cap):
-                ok = False
-                break
-        if ok:
-            break
+        stats = _ball_stats(field, centers, radius, osc_cap)
+        if stats is not None:
+            return Covering(centers, radius, *stats)
         radius *= 0.5
+    raise CoveringError(
+        "covering radius underflow: exponent oscillates too fast for the mesh"
+    )
 
-    return Covering(centers=centers, radius=radius, q=q, r_sup=r_sup)
+
+def _ball_stats(field: ExponentField, centers: np.ndarray, radius: float,
+                osc_cap: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """(q, r_sup) of the balls of this radius, or None once a doubled ball
+    oscillates by more than osc_cap (or holds no cell center).
+
+    When 2r reaches the domain diameter, every doubled ball holds every cell
+    center (ball and cell centers lie in the domain), so its min and max are
+    the cached slab extremes; the first radius tried is always such a one.
+    Otherwise each ball reads only the index box of its doubled ball: a cell
+    more than ceil(2r/h) + 1 cells from the center's cell on either axis lies
+    farther than 2r + h from the center.  Memory is a few cell arrays,
+    whatever the number of balls.
+    """
+    grid = field.grid
+    nb = centers.shape[0]
+    if 2.0 * radius >= grid.diameter:
+        if np.any(field.slab_max - field.slab_min > osc_cap):
+            return None
+        return np.tile(field.slab_min, (nb, 1)), np.tile(field.slab_max, (nb, 1))
+    h = grid.h
+    x, y = (c.ravel() for c in grid.cell_centers())
+    reach = int(np.ceil(2.0 * radius / h)) + 1
+    q = np.empty((nb, len(field.starts)))
+    r_sup = np.empty_like(q)
+    for b, (cx, cy) in enumerate(centers):
+        i, j = int(cx / h), int(cy / h)
+        bi = slice(max(i - reach, 0), i + reach + 1)
+        bj = slice(max(j - reach, 0), j + reach + 1)
+        mask = (x[bi, None] - cx) ** 2 + (y[None, bj] - cy) ** 2 < (2.0 * radius) ** 2
+        if not mask.any():
+            return None
+        # masked reductions: the same min and max as over values[:, mask],
+        # without gathering the masked cells
+        box = field.values[:, bi, bj]
+        q[b] = box.min(axis=(1, 2), where=mask, initial=np.inf)
+        r_sup[b] = box.max(axis=(1, 2), where=mask, initial=-np.inf)
+        if np.any(r_sup[b] - q[b] > osc_cap):
+            return None
+    return q, r_sup
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +290,8 @@ def sinusoidal_field(
     grid: Grid, t_end: float, base: float = 2.0, amplitude: float = 0.3
 ) -> ExponentField:
     xc, yc = grid.cell_centers()
-    vals = base + amplitude * np.sin(np.pi * xc / grid.lx) * np.sin(np.pi * yc / grid.ly)
+    vals = amplitude * np.sin(np.pi * xc / grid.lx) * np.sin(np.pi * yc / grid.ly)
+    vals += base
     return ExponentField((0.0,), vals[None], t_end, grid)
 
 
@@ -279,9 +309,8 @@ def two_phase_switch_field(
     xc, yc = grid.cell_centers()
     values = np.empty((2, grid.nx, grid.ny))
     values[0] = value_before
-    values[1] = base_after + amplitude_after * np.sin(np.pi * xc / grid.lx) * np.sin(
-        np.pi * yc / grid.ly
-    )
+    values[1] = amplitude_after * np.sin(np.pi * xc / grid.lx) * np.sin(np.pi * yc / grid.ly)
+    values[1] += base_after
     return ExponentField((0.0, switch_time), values, t_end, grid)
 
 

@@ -107,7 +107,7 @@ class FluidOps:
         lam_y = 2.0 * (1.0 - np.cos(np.pi * np.arange(ny) / ny)) / h**2
         lam = lam_x[:, None] + lam_y[None, :]
         lam[0, 0] = np.inf
-        self._inv_lam = 1.0 / lam
+        self._inv_lam = np.divide(1.0, lam, out=lam)
 
     # -- differential operators ---------------------------------------------
 
@@ -366,9 +366,14 @@ def stream_function_field(grid: Grid, psi) -> VelocityField:
     px, py = np.meshgrid(xn, yn, indexing="ij", sparse=True)
     # (nx+1, ny+1) corner values; broadcast_to also takes a constant psi
     psin = np.broadcast_to(psi(px, py), (grid.nx + 1, grid.ny + 1))
-    out = VelocityField.zeros(grid)
-    out.u = (psin[:, 1:] - psin[:, :-1]) / h
-    out.v = -(psin[1:, :] - psin[:-1, :]) / h
+    u = np.subtract(psin[:, 1:], psin[:, :-1])
+    u /= h
+    v = np.subtract(psin[1:, :], psin[:-1, :])
+    # negated, not psin[:-1] - psin[1:]: the two differ in the sign of a zero
+    # difference, which the mirror column of an odd mesh has
+    np.negative(v, out=v)
+    v /= h
+    out = VelocityField(grid, u, v)
     out.enforce_walls()
     return out
 

@@ -25,6 +25,7 @@ inequality, so coercivity_margin's ok allows a roundoff band of 1e-12.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,19 +70,24 @@ class StressLaw:
 
     def eval_packed(self, s: np.ndarray, packed: np.ndarray) -> np.ndarray:
         """Apply S^theta to (..., 3)-packed symmetric tensors (a11, a22, a12)."""
-        mag = np.sqrt(packed_inner(packed, packed))
-        return self.viscosity(s, mag)[..., None] * packed
+        mag = packed_inner(packed, packed)
+        np.sqrt(mag, out=mag)
+        g = self.viscosity(s, mag)
+        del mag   # dead before the (..., 3) product, which sets the peak
+        return g[..., None] * packed
 
     def viscosity(self, s: np.ndarray, mag: np.ndarray | float,
                   regularized: bool = True) -> np.ndarray:
         """g in S = g xi: nu0 + nu1 |xi|^(s-2), plus theta s_max |xi|^(s_max-2)
         when regularized, with mag = |xi|; s and mag broadcast.  For s >= 2 it
         is continuous at |xi| = 0, where it is nu0 + nu1 at s = 2."""
-        g = np.full(np.broadcast(s, mag).shape, self.nu0)
         if self.nu1 != 0.0:
-            term = mag ** (np.asarray(s) - 2.0)
-            term *= self.nu1
-            g += term
+            # nu1 |xi|^(s-2) + nu0 in the power term's own buffer
+            g = mag ** (np.asarray(s) - 2.0)
+            g *= self.nu1
+            g += self.nu0
+        else:
+            g = np.full(np.broadcast(s, mag).shape, self.nu0)
         if regularized and self.theta != 0.0:
             term = mag ** (self.s_max - 2.0)
             term *= self.theta * self.s_max
@@ -165,20 +171,41 @@ def _young_gap(a) -> np.ndarray:
 def certify_coercive(law: StressLaw) -> CoercivityCertificate:
     """Closed-form (c, h_bar), and (c_theta, h_theta) when theta > 0 (module
     docstring).  CoercivityError for s_min < 2, outside the closed form, and
-    for nu1 = 0 with s_max > 2, where no finite c exists."""
+    for nu1 = 0 with s_max > 2, where no finite c exists.
+
+    The maxima over the mesh exponents s > 2 are taken without listing them.
+    With s' = s/(s-1), decreasing in s, and k = 1 + [nu0 > 0]:
+    * c's terms (1 + (k nu1)^{s'}/k)/nu1 and (k nu0)^{s'-1} are monotone in s,
+      so each peaks at s_lo, the least mesh exponent above 2, or at s_max;
+    * h(s) = k^{s'-1} nu0^{s'} kappa(s'/2) (zero when nu0 = 0) with
+      a = s'/2 in (1/2, 1) has d ln h/ds' = ln(k nu0) + ln a / (2 (1-a)^2).
+      The second term decreases strictly in a, from ln(1/4) at a = 1/2 to
+      -inf at a = 1: its a-derivative has the sign of 1/a - 1 + 2 ln a,
+      which increases for a > 1/2 up to 0 at a = 1, so is negative on
+      (1/2, 1).  Hence h is unimodal in s.
+      For k nu0 <= 4 the derivative is negative on the whole range, and h
+      increases in s up to s_max.  Otherwise h rises up to the root s* and
+      falls after it, so its mesh maximum is at one of the two mesh
+      exponents on either side of s*: bisection finds a*, and two masked
+      reductions find the neighbours.
+    All three terms are then evaluated at those few exponents, by the same
+    formulas a listing of every distinct exponent would use.
+    """
     nu0, nu1, p = law.nu0, law.nu1, law.s_max
-    s = np.unique(law.exponent.values)
-    s_min = s[0]
+    s_min = law.exponent.s_min
     if s_min < 2.0:
         raise CoercivityError(f"s_min = {s_min:g} < 2: outside the closed form's regime")
     g = nu0 + nu1   # s = 2 is the linear law S = g xi
     c, h_bar = ((1.0 + g * g) / g if s_min == 2.0 else 0.0), 0.0
-    s = s[s > 2.0]
-    if s.size:
+    if p > 2.0:
         if nu1 == 0.0:
             raise CoercivityError(f"nu1 = 0 with s_max = {p:g} > 2: no finite c")
+        k = 1.0 + (nu0 > 0.0)
+        values = law.exponent.values
+        s_lo = s_min if s_min > 2.0 else float(values.min(where=values > 2.0, initial=np.inf))
+        s = np.array([s_lo, p, *_h_peak_neighbours(values, k * nu0)])
         sc = s / (s - 1.0)
-        kf = (1.0 + (nu0 > 0.0)) ** (sc - 1.0)   # k^{s'-1}, with nu1 > 0 here
+        kf = k ** (sc - 1.0)   # k^{s'-1}, with nu1 > 0 here
         c = max(c, float(np.max((1.0 + kf * nu1**sc) / nu1)),
                 float(np.max(kf * nu0 ** (sc - 1.0))))
         h_bar = float(np.max(kf * nu0**sc * _young_gap(sc / 2.0)))
@@ -191,6 +218,25 @@ def certify_coercive(law: StressLaw) -> CoercivityCertificate:
     # kappa decreases on (0, 1], so kappa((s - 1)/(p - 1)) peaks at s_min
     gap = nu0**pc * _young_gap(pc / p) + nu1**pc * _young_gap((s_min - 1.0) / (p - 1.0))
     return CoercivityCertificate(c, h_bar, CoercivityCertificate(c_theta, kf * float(gap)))
+
+
+def _h_peak_neighbours(values: np.ndarray, k_nu0: float) -> list[float]:
+    """The mesh exponents above 2 on either side of h's peak s*
+    (certify_coercive); none when k nu0 <= 4, where h peaks at s_max."""
+    if k_nu0 <= 4.0:
+        return []
+    log_k_nu0 = math.log(k_nu0)
+    lo, hi = 0.5, 1.0   # d ln h/ds' > 0 at lo, <= 0 at hi
+    while (a := 0.5 * (lo + hi)) not in (lo, hi):
+        if log_k_nu0 + math.log(a) / (2.0 * (1.0 - a) ** 2) > 0.0:
+            lo = a
+        else:
+            hi = a
+    s_star = 2.0 * hi / (2.0 * hi - 1.0)   # s = s'/(s'-1) at s' = 2a; hi > 1/2
+    below = np.less_equal(values, s_star)
+    left = float(values.max(where=below, initial=-np.inf))
+    right = float(values.min(where=np.logical_not(below, out=below), initial=np.inf))
+    return [e for e in (left, right) if 2.0 < e < np.inf]
 
 
 def coercivity_margin(law: StressLaw, c: float, h_bar: float,

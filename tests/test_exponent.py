@@ -85,6 +85,18 @@ def test_validate_rejects_nonfinite():
         validate(field)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_nonfinite_in_a_later_slab(bad):
+    # finiteness is read off the cached slab extremes, which a NaN or an
+    # infinity anywhere in the slab reaches
+    vals = np.full((2, GRID.nx, GRID.ny), 2.5)
+    vals[1, 7, 20] = bad
+    field = ExponentField((0.0, 0.5), vals, 1.0, GRID)
+    with pytest.raises(ValueError):
+        validate(field)
+    assert not field.slab_min.flags.writeable and not field.slab_max.flags.writeable
+
+
 def test_slab_ordering_enforced():
     vals = np.full((1, GRID.nx, GRID.ny), 2.0)
     with pytest.raises(ValueError):
@@ -187,11 +199,22 @@ def full_mask_covering(field):
         radius *= 0.5
 
 
+# the exponents of the shipped configs, on any mesh: each is covered by the
+# first, whole-mesh radius
+SHIPPED_PRESETS = {
+    "minimal": lambda g: constant_field(g, 0.05, 2.0),
+    "acceptance": lambda g: sinusoidal_field(g, 1.0, base=2.2, amplitude=0.15),
+    "two_phase": lambda g: two_phase_switch_field(g, 0.5, switch_time=0.25),
+}
+
+
 @pytest.mark.parametrize("field, nballs", [
     (sinusoidal_field(Grid(128, 128), 1.0, base=2.0, amplitude=1.5), 529),
     (sinusoidal_field(Grid(64, 64), 1.0, base=2.2, amplitude=0.15), 1),
     (two_phase_switch_field(Grid(64, 64), 1.0, switch_time=0.5, amplitude_after=1.2), 144),
-], ids=["529-balls", "acceptance-preset", "two-slabs"])
+    *((preset(Grid(n, n)), 1) for n in (64, 256) for preset in SHIPPED_PRESETS.values()),
+], ids=["529-balls", "acceptance-preset", "two-slabs",
+        *(f"{name}-{n}" for n in (64, 256) for name in SHIPPED_PRESETS)])
 def test_covering_memory_is_a_few_cell_arrays(field, nballs):
     grid = field.grid
     tracemalloc.start()

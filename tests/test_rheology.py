@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprayflow.exponent import constant_field, sinusoidal_field
+from sprayflow.exponent import constant_field, sinusoidal_field, two_phase_switch_field
 from sprayflow.grid import Grid
 from sprayflow.rheology import (
     CoercivityError,
     MonotonicityReport,
     StressLaw,
+    _young_gap,
     certify_coercive,
     certify_monotone,
     coercivity_margin,
@@ -198,6 +201,61 @@ def test_coercive_theta_variant_holds_for_all_magnitudes():
 def test_coercive_without_a_closed_form_raises(l):
     with pytest.raises(CoercivityError):
         certify_coercive(l)
+
+
+def listed_coercive_constants(l):
+    """(c, h_bar, c_theta, h_theta) with every distinct mesh exponent listed
+    (np.unique) and each maximum taken over the list: the reference for the
+    closed form's few-exponent evaluation."""
+    nu0, nu1, p = l.nu0, l.nu1, l.s_max
+    s = np.unique(l.exponent.values)
+    g = nu0 + nu1
+    c, h_bar = ((1.0 + g * g) / g if s[0] == 2.0 else 0.0), 0.0
+    above = s[s > 2.0]
+    if above.size:
+        sc = above / (above - 1.0)
+        kf = (1.0 + (nu0 > 0.0)) ** (sc - 1.0)
+        c = max(c, np.max((1.0 + kf * nu1**sc) / nu1), np.max(kf * nu0 ** (sc - 1.0)))
+        h_bar = np.max(kf * nu0**sc * _young_gap(sc / 2.0))
+    if l.theta == 0.0:
+        return c, h_bar
+    pc = p / (p - 1.0)
+    coef = np.array([a for a in (nu0, nu1, l.theta * p) if a > 0.0])
+    kf = coef.size ** (pc - 1.0)
+    gaps = nu0**pc * _young_gap(pc / p) + nu1**pc * _young_gap((s - 1.0) / (p - 1.0))
+    return c, h_bar, (1.0 + kf * np.sum(coef**pc)) / (l.theta * p), kf * np.max(gaps)
+
+
+MESH_64 = Grid(64, 64)
+
+
+@pytest.mark.parametrize("field, n_interior", [
+    (constant_field(MESH_64, 1.0, 2.0), 0),
+    (constant_field(MESH_64, 1.0, 2.5), 0),
+    (sinusoidal_field(MESH_64, 1.0, amplitude=0.15), 0),
+    (sinusoidal_field(MESH_64, 1.0, amplitude=1.5), 6),
+    (sinusoidal_field(MESH_64, 1.0, amplitude=3.0), 12),
+    (two_phase_switch_field(MESH_64, 1.0, switch_time=0.5), 0),
+], ids=["constant-2", "constant-2.5", "sin-0.15", "sin-1.5", "sin-3", "two_phase"])
+def test_closed_form_maxima_equal_the_listed_evaluation(field, n_interior):
+    # nu0 = 3 and 10 give k nu0 = 6 and 20 > 4, where h_bar's maximum can sit
+    # at an interior exponent: n_interior of the 30 laws put it there
+    interior = 0
+    for nu0, nu1, theta in itertools.product((0.0, 0.05, 1.0, 3.0, 10.0), (0.005, 0.5, 2.0),
+                                             (0.0, 0.05)):
+        l = law(nu0, nu1, field, theta)
+        cert = certify_coercive(l)
+        got = (cert.c, cert.h_bar) + ((cert.theta.c, cert.theta.h_bar) if theta else ())
+        np.testing.assert_allclose(got, listed_coercive_constants(l), rtol=1e-13, atol=0.0)
+        assert coercivity_margin(l, cert.c, cert.h_bar).ok
+        if theta:
+            assert coercivity_margin(l, cert.theta.c, cert.theta.h_bar, regularized=True).ok
+        s = np.unique(field.values)
+        s = s[s > 2.0]
+        sc = s / (s - 1.0)
+        h = 2.0 ** (sc - 1.0) * nu0**sc * _young_gap(sc / 2.0)
+        interior += bool(s.size and nu0 and 0 < np.argmax(h) < s.size - 1)
+    assert interior == n_interior
 
 
 @settings(max_examples=50, deadline=None)
