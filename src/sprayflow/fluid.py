@@ -25,12 +25,15 @@ Three structural identities are engineered to hold to machine precision:
 
 Symmetric tensors are packed as (nx, ny, 3) = (a11, a22, a12).
 
-fluid_step evaluates Du, then the convection (which reads the trace of Du as
-its cell divergence), then S^theta(Du); it forms S:Du in Du's buffer and drops
-Du before the stress divergence, and drops S and the convection as soon as
-u* no longer needs them.  At benchmark sizes a step costs the bytes it holds
-and moves, not flops, so the order is chosen to keep few grid temporaries
-live at once (about ten cell arrays); no buffer is kept between steps.
+fluid_step evaluates Du, keeps its trace (the cell divergence), writes
+S^theta(Du) over Du, takes the stress divergence and drops S; it reads the
+stress dissipation off that divergence as -<div S, u> h^2 dt, and only then
+forms the convection and builds u* in the divergence's buffers.  At
+benchmark sizes a step costs the bytes it holds and moves, not flops, so the
+order keeps few grid temporaries live at once: the transient peak is about
+7.4 cell arrays at 256^2, reached while the convection is formed beside u*'s
+buffers.  The operators write their difference temporaries into buffers
+they already hold, and no buffer is kept between steps.
 The step's CFL bound is h^2 / (2 g) with g the law's own secant viscosity
 g^theta (StressLaw.viscosity) at max|Du|, and h over the largest face velocity.
 """
@@ -43,7 +46,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from .grid import Grid
-from .rheology import StressLaw, packed_inner
+from .rheology import StressLaw
 
 
 class CFLViolation(RuntimeError):
@@ -84,6 +87,21 @@ class VelocityField:
         vc = self.v[:, :-1] + self.v[:, 1:]
         vc *= 0.5
         return uc, vc
+
+
+def _head(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """A C-contiguous (m, n) view of the first m n values of the contiguous
+    buffer buf, for a temporary that reuses a dead buffer: numpy runs
+    strided 2-D operands through slower buffered loops."""
+    return buf.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
+
+
+def _walled_pair(grid: Grid) -> VelocityField:
+    """An output pair with zero wall-normal faces and an unset interior,
+    which the caller writes in full."""
+    out = VelocityField(grid, np.empty((grid.nx + 1, grid.ny)), np.empty((grid.nx, grid.ny + 1)))
+    out.enforce_walls()
+    return out
 
 
 @dataclass(eq=False)
@@ -134,7 +152,9 @@ class FluidOps:
         np.subtract(su[:, 2:], su[:, :-2], out=a12[:, 1:-1])
         a12[:, 0] = su[:, 1] + su[:, 0]
         a12[:, -1] = -(su[:, -1] + su[:, -2])
-        a12[1:-1, :] += sv[2:, :] - sv[:-2, :]
+        dsv = su[:-2, :]                   # su is dead: it takes dx sv
+        np.subtract(sv[2:, :], sv[:-2, :], out=dsv)
+        a12[1:-1, :] += dsv
         a12[0, :] += sv[1, :] + sv[0, :]
         a12[-1, :] -= sv[-1, :] + sv[-2, :]
         a12 *= 0.125 / h
@@ -153,7 +173,7 @@ class FluidOps:
     def gradient(self, phi: np.ndarray) -> VelocityField:
         """Face gradient of a cell scalar; wall-normal faces are zero."""
         h = self.grid.h
-        out = VelocityField.zeros(self.grid)
+        out = _walled_pair(self.grid)
         ou, ov = out.u[1:-1, :], out.v[:, 1:-1]
         np.subtract(phi[1:, :], phi[:-1, :], out=ou)
         ou /= h
@@ -169,11 +189,12 @@ class FluidOps:
         minus the cell-to-face difference, the odd-mirror centred difference
         becomes minus the centred difference with even (edge-replicated)
         ghosts, and the face-to-cell average becomes the cell-to-face
-        average.  Wall-normal faces stay zero.
+        average.  Wall-normal faces stay zero.  The difference terms are
+        formed in the one scratch array e.
         """
         h = self.grid.h
         s11, s22, s12 = (stress_packed[..., k] for k in range(3))
-        out = VelocityField.zeros(self.grid)
+        out = _walled_pair(self.grid)
 
         # u: (S11[i] - S11[i-1]) / h + (E[i-1] + E[i]) / (4h), E = dy S12
         e = np.empty_like(s12)
@@ -183,7 +204,10 @@ class FluidOps:
         ou = out.u[1:-1, :]
         np.add(e[:-1, :], e[1:, :], out=ou)
         ou *= 0.25 / h
-        ou += (s11[1:, :] - s11[:-1, :]) / h
+        d = e[:-1, :]
+        np.subtract(s11[1:, :], s11[:-1, :], out=d)
+        d /= h
+        ou += d
 
         # v: (S22[j] - S22[j-1]) / h + (F[j-1] + F[j]) / (4h), F = dx S12
         np.subtract(s12[2:, :], s12[:-2, :], out=e[1:-1, :])
@@ -192,24 +216,27 @@ class FluidOps:
         ov = out.v[:, 1:-1]
         np.add(e[:, :-1], e[:, 1:], out=ov)
         ov *= 0.25 / h
-        ov += (s22[:, 1:] - s22[:, :-1]) / h
+        d = _head(e, ov.shape)
+        np.subtract(s22[:, 1:], s22[:, :-1], out=d)
+        d /= h
+        ov += d
         return out
 
-    def convective(self, vel: VelocityField, du: np.ndarray) -> VelocityField:
+    def convective(self, vel: VelocityField, div: np.ndarray) -> VelocityField:
         """Skew-symmetric transport term, <conv(u), u> = 0 identically.
 
-        du is sym_gradient(vel); its trace a11 + a22 is the cell divergence,
-        the same two face differences over h added in the same order as
-        divergence(vel), so it equals that bit for bit.  The 1/2 and 1/4
-        averaging weights are applied as one power-of-two scaling of each
-        difference (dividing by 4h rather than h), which rounds to the same
-        values as averaging first.
+        div is the cell divergence of vel: divergence(vel), or the trace
+        a11 + a22 of sym_gradient(vel), which equals it bit for bit.  It is
+        scratch: convective scales it in place.  The 1/2 and 1/4 averaging
+        weights are applied as one power-of-two scaling of each difference
+        (dividing by 4h rather than h), which rounds to the same values as
+        averaging first.  The node products' buffers un, vn take the
+        differences and the face divergences after their last read.
         """
         h4 = 4.0 * self.grid.h
         u, v = vel.u, vel.v
-        divc = du[..., 0] + du[..., 1]
-        divc *= 0.25
-        out = VelocityField.zeros(self.grid)
+        div *= 0.25
+        out = _walled_pair(self.grid)
 
         # u-component on interior x-faces i = 1 .. nx-1:
         # d(uc^2)/dx + d(vn un)/dy - u (face-averaged div) / 2
@@ -220,19 +247,19 @@ class FluidOps:
         del fx
         ou /= h4
         fy = v[:-1, :] + v[1:, :]                          # 2 vn at nodes i=1..nx-1
-        un = np.zeros_like(fy)                             # wall rows stay 0: vn = 0 there
+        un = np.empty_like(fy)
+        un[:, 0] = un[:, -1] = 0.0                         # vn = 0 on the walls
         np.add(u[1:-1, :-1], u[1:-1, 1:], out=un[:, 1:-1])
         fy *= un
-        del un
-        dy = fy[:, 1:] - fy[:, :-1]
+        d = _head(un, ou.shape)
+        np.subtract(fy[:, 1:], fy[:, :-1], out=d)          # dy
         del fy
-        dy /= h4
-        ou += dy
-        del dy
-        dface = divc[:-1, :] + divc[1:, :]
-        dface *= u[1:-1, :]
-        ou -= dface
-        del dface
+        d /= h4
+        ou += d
+        np.add(div[:-1, :], div[1:, :], out=d)             # face divergence
+        d *= u[1:-1, :]
+        ou -= d
+        del un, d
 
         # v-component on interior y-faces j = 1 .. ny-1
         gy = v[:, :-1] + v[:, 1:]                          # 2 vc at centers
@@ -242,18 +269,18 @@ class FluidOps:
         del gy
         ov /= h4
         gx = u[:, :-1] + u[:, 1:]                          # 2 un at nodes j=1..ny-1
-        vn = np.zeros_like(gx)
+        vn = np.empty_like(gx)
+        vn[0, :] = vn[-1, :] = 0.0
         np.add(v[:-1, 1:-1], v[1:, 1:-1], out=vn[1:-1, :])
         gx *= vn
-        del vn
-        dx = gx[1:, :] - gx[:-1, :]
+        d = vn[:-1, :]
+        np.subtract(gx[1:, :], gx[:-1, :], out=d)          # dx
         del gx
-        dx /= h4
-        ov += dx
-        del dx
-        dface = divc[:, :-1] + divc[:, 1:]
-        dface *= v[:, 1:-1]
-        ov -= dface
+        d /= h4
+        ov += d
+        np.add(div[:, :-1], div[:, 1:], out=d)
+        d *= v[:, 1:-1]
+        ov -= d
         return out
 
     # -- projection ----------------------------------------------------------
@@ -286,8 +313,18 @@ class FluidOps:
         e, so the larger of g at the slab's two extreme exponents bounds it
         on every cell."""
         h = self.grid.h
+        # |Du|^2 squared in Du's own planes, in packed_inner's order
         du = self.sym_gradient(vel)
-        mmax = float(np.sqrt(packed_inner(du, du).max()))
+        a11, a22, a12 = (du[..., k] for k in range(3))
+        del du
+        a11 *= a11
+        a22 *= a22
+        a11 += a22
+        a12 *= a12
+        a12 *= 2.0
+        a11 += a12
+        mmax = float(np.sqrt(a11.max()))
+        del a11, a22, a12
         nu_eff = float(law.viscosity(np.array([s.min(), s.max()]), mmax).max())
         dt_diff = h**2 / (2.0 * nu_eff) if nu_eff > 0 else np.inf
         speed = vel.max_speed()
@@ -306,8 +343,11 @@ def fluid_step(
     """One explicit step u* = u + dt (-conv + div S^theta + source), then
     Leray projection; source is the particles' force on the fluid or a
     study's right-hand side.  Returns the new state and the step's stress
-    dissipation sum S^theta:Du h^2 dt over the pre-step field; it evaluates
-    no energy (the coupled step's ledger records those).  s is looked up
+    dissipation sum S^theta:Du h^2 dt over the pre-step field, computed as
+    -<div S^theta, u> h^2 dt (equal to roundoff, since the divergence is
+    minus the exact transpose of Du); it evaluates no energy (the coupled
+    step's ledger records those).  S^theta is written over Du, and the
+    convection is formed after the stress divergence.  s is looked up
     once, in the slab at the midpoint t + dt/2 (state.time is a running sum
     of dt and may fall just short of a switch on the step grid), and serves
     both the CFL bound and the stress.  Refuses the step on CFL violation;
@@ -322,19 +362,18 @@ def fluid_step(
 
     # each grid temporary is dropped after its last reader (module docstring)
     du = ops.sym_gradient(vel)
-    conv = ops.convective(vel, du)
-    stress = law.eval_packed(s, du)
-
-    # S:Du as one packed product rather than rheology.packed_inner: at 256^2
-    # the plane-wise sum doubled the step's minor page faults and slowed
-    # fluid_bound steps by ~7 %.  It is formed in du's buffer, whose plane-
-    # major layout a fresh product would share, so the sum's order is the same
-    np.multiply(stress, du, out=du)
-    du[..., 2] *= 2.0                       # S:Du weights (1, 1, 2)
-    d_stress = float(np.sum(du)) * ops.grid.cell_volume * dt
+    div = du[..., 0] + du[..., 1]             # the convection's cell divergence
+    stress = law.eval_packed(s, du, out=du)   # S^theta(Du) in Du's buffer
     del du
     star = ops.stress_divergence_of(stress)
     del stress
+
+    # sum S:Du h^2 dt as -<div S, u> h^2 dt: the divergence is minus the
+    # exact transpose of Du, so the two agree to roundoff
+    d_stress = -float(np.vdot(star.u, vel.u) + np.vdot(star.v, vel.v))
+    d_stress *= ops.grid.cell_volume * dt
+    conv = ops.convective(vel, div)
+    del div
 
     # u* is built in the stress-divergence buffers, term by term in the
     # order (div S - conv + source) * dt + u
@@ -349,7 +388,8 @@ def fluid_step(
     new_vel, phi = ops.project(star)
     if not (np.all(np.isfinite(new_vel.u)) and np.all(np.isfinite(new_vel.v))):
         raise BlowUp(f"non-finite velocity after step at t = {state.time}")
-    return FluidState(new_vel, state.time + dt, phi / dt), d_stress
+    phi /= dt
+    return FluidState(new_vel, state.time + dt, phi), d_stress
 
 
 def stream_function_field(grid: Grid, psi) -> VelocityField:

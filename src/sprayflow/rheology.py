@@ -68,13 +68,18 @@ class StressLaw:
             raise ValueError("theta must lie in [0, 1)")
         object.__setattr__(self, "s_max", self.exponent.s_max)
 
-    def eval_packed(self, s: np.ndarray, packed: np.ndarray) -> np.ndarray:
-        """Apply S^theta to (..., 3)-packed symmetric tensors (a11, a22, a12)."""
+    def eval_packed(self, s: np.ndarray, packed: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """Apply S^theta to (..., 3)-packed symmetric tensors (a11, a22, a12).
+
+        S is written into out, a fresh array by default; out=packed overwrites
+        the strain with its stress (the fluid step's use), with the same values.
+        """
         mag = packed_inner(packed, packed)
         np.sqrt(mag, out=mag)
         g = self.viscosity(s, mag)
         del mag   # dead before the (..., 3) product, which sets the peak
-        return g[..., None] * packed
+        return np.multiply(g[..., None], packed, out=out)
 
     def viscosity(self, s: np.ndarray, mag: np.ndarray | float,
                   regularized: bool = True) -> np.ndarray:

@@ -10,7 +10,8 @@ Layout (all little-endian):
     time    f64
     payload f64, row-major (C order)
 
-Round-trips are bitwise exact: the payload is the raw IEEE-754 buffer.
+Round-trips are bitwise exact: the payload is the raw IEEE-754 buffer.  The
+file ends with the payload; a short payload or trailing bytes are an error.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ def read_snapshot(path) -> Snapshot:
         buf = fh.read(8 * count)
         if len(buf) != 8 * count:
             raise SnapshotError("truncated payload")
+        if fh.read(1):
+            raise SnapshotError(f"trailing bytes after the {count}-value payload")
         data = np.frombuffer(buf, dtype="<f8").reshape(dims).copy()
     return Snapshot(kind=kind, time=time, data=data)
 

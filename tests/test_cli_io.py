@@ -130,6 +130,28 @@ def test_snapshot_cut_inside_its_header_exit_2(tmp_path, capsys, cut):
     assert capsys.readouterr().err.count("cannot read") == 2
 
 
+@pytest.mark.parametrize("extra", ["one-byte", "two-particle-rows"])
+def test_snapshot_with_trailing_bytes_exit_2(tmp_path, capsys, extra):
+    # the header fixes the payload's size, so anything after it is corruption
+    # (here, particle rows appended to a table); it must not read as the table
+    rng = np.random.default_rng(3)
+    table = particles_to_table(rng.random((5, 2)), rng.random((5, 2)), rng.random(5), rng.random(5))
+    path = tmp_path / "long.vkf"
+    write_snapshot(path, Snapshot(KIND_PARTICLES, 0.0, table))
+    tail = b"\x00" if extra == "one-byte" else table[:2].astype("<f8").tobytes()
+    path.write_bytes(path.read_bytes() + tail)
+    with pytest.raises(SnapshotError, match="trailing"):
+        read_snapshot(path)
+    field = tmp_path / "field.vkf"
+    write_snapshot(field, Snapshot(KIND_SCALAR, 0.0, np.full((4, 4), 2.0)))
+    field.write_bytes(field.read_bytes() + tail)
+    good = tmp_path / "good.vkf"
+    write_snapshot(good, Snapshot(KIND_SCALAR, 0.0, np.full((4, 4), 2.0)))
+    assert run_cli(["norm", "--field", str(field), "--exponent", "constant:2"]) == 2
+    assert run_cli(["norm", "--field", str(good), "--exponent", str(field)]) == 2
+    assert capsys.readouterr().err.count("cannot read") == 2
+
+
 def test_snapshot_of_another_dimension_exit_2(tmp_path, capsys):
     # a 4x4 scalar snapshot whose header claims d = 3, packed by hand
     path = tmp_path / "d3.vkf"

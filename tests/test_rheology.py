@@ -109,6 +109,23 @@ def test_integer_coefficients_act_as_floats():
     assert all(type(v) is float for v in (law_.nu0, law_.nu1, law_.theta))
 
 
+@pytest.mark.parametrize("layout", ["C", "plane-major"])
+def test_eval_packed_into_its_input_matches_the_fresh_result(layout):
+    # the fluid step writes S over Du (plane-major, from sym_gradient):
+    # out=xi returns xi's own buffer, holding the fresh result bit for bit
+    rng = np.random.default_rng(4)
+    xi = rng.standard_normal((16, 16, 3)) * 10.0 ** rng.uniform(-3, 3, (16, 16, 1))
+    if layout == "plane-major":
+        xi = np.moveaxis(np.ascontiguousarray(np.moveaxis(xi, -1, 0)), 0, -1)
+    for l in (law(0.05, 0.1, VAR, theta=0.01), law(0.05, 0.1, VAR), law(1.0, 0.0)):
+        s = l.exponent.values[0]
+        fresh = l.eval_packed(s, xi)
+        buf = xi.copy(order="K")
+        out = l.eval_packed(s, buf, out=buf)
+        assert out is buf
+        assert out.tobytes() == fresh.tobytes()
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         StressLaw(0.0, 0.0, S2)
