@@ -123,14 +123,12 @@ def drag_force(moments: MomentFields, vel: VelocityField) -> VelocityField:
     # rounds to the same values
     rho, jx, jy = moments.rho, moments.jx, moments.jy
     out = VelocityField.zeros(vel.grid)
-    f = rho[:-1, :] + rho[1:, :]
-    f *= vel.u[1:-1, :]
-    f -= jx[:-1, :] + jx[1:, :]
-    np.multiply(f, -0.5, out=out.u[1:-1, :])
-    f = rho[:, :-1] + rho[:, 1:]
-    f *= vel.v[:, 1:-1]
-    f -= jy[:, :-1] + jy[:, 1:]
-    np.multiply(f, -0.5, out=out.v[:, 1:-1])
+    cells = ((rho, jx), (rho.T, jy.T))
+    for (r, j), (un, _), (fn, _) in zip(cells, vel.axes(), out.axes()):
+        f = r[:-1] + r[1:]
+        f *= un[1:-1]
+        f -= j[:-1] + j[1:]
+        np.multiply(f, -0.5, out=fn[1:-1])
     return out
 
 

@@ -25,6 +25,12 @@ Three structural identities are engineered to hold to machine precision:
 
 Symmetric tensors are packed as (nx, ny, 3) = (a11, a22, a12).
 
+The scheme is symmetric under swapping x and y (u <-> v^T, S11 <-> S22^T),
+so each stencil is written once, along its normal axis 0, and applied to
+the two face pairs of VelocityField.axes, (u, v) and (v^T, u^T); a
+transposed view is a view, so the arithmetic is that of two hand-written
+halves and the v-half's scratch stays contiguous in memory order.
+
 fluid_step evaluates Du, keeps its trace (the cell divergence), writes
 S^theta(Du) over Du, takes the stress divergence and drops S; it reads the
 stress dissipation off that divergence as -<div S, u> h^2 dt, and only then
@@ -46,7 +52,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from .grid import Grid
-from .rheology import StressLaw
+from .rheology import StressLaw, packed_inner
 
 
 class CFLViolation(RuntimeError):
@@ -67,33 +73,57 @@ class VelocityField:
     def zeros(cls, grid: Grid) -> "VelocityField":
         return cls(grid, np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1)))
 
+    def axes(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """The (normal, tangential) face pairs (u, v) and (v^T, u^T): in
+        each, axis 0 is the normal component's wall-normal axis, so a
+        stencil written along axis 0 of the first pair serves both."""
+        return (self.u, self.v), (self.v.T, self.u.T)
+
     def enforce_walls(self) -> None:
-        self.u[0, :] = 0.0
-        self.u[-1, :] = 0.0
-        self.v[:, 0] = 0.0
-        self.v[:, -1] = 0.0
+        for normal, _ in self.axes():
+            normal[0] = 0.0
+            normal[-1] = 0.0
 
     def energy(self) -> float:
         """Kinetic energy (1/2) sum |u|^2 h^2 over face values."""
         h2 = self.grid.cell_volume
-        return 0.5 * h2 * (float(np.sum(self.u**2)) + float(np.sum(self.v**2)))
+        return 0.5 * h2 * sum(float(np.sum(normal**2)) for normal, _ in self.axes())
 
     def max_speed(self) -> float:
-        return max(float(np.abs(self.u).max()), float(np.abs(self.v).max()))
+        return max(float(np.abs(normal).max()) for normal, _ in self.axes())
 
     def cell_centered(self) -> tuple[np.ndarray, np.ndarray]:
-        uc = self.u[:-1, :] + self.u[1:, :]
+        uc, vc = (normal[:-1] + normal[1:] for normal, _ in self.axes())
         uc *= 0.5
-        vc = self.v[:, :-1] + self.v[:, 1:]
         vc *= 0.5
-        return uc, vc
+        return uc, vc.T
 
 
 def _head(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """A C-contiguous (m, n) view of the first m n values of the contiguous
-    buffer buf, for a temporary that reuses a dead buffer: numpy runs
-    strided 2-D operands through slower buffered loops."""
+    """A (m, n) view of the first m n values of the contiguous buffer buf,
+    for a temporary that reuses a dead buffer: numpy runs strided 2-D
+    operands through slower buffered loops.  The view is C-contiguous, or,
+    for an F-contiguous (transposed) buf, the transposed head of buf.T."""
+    if not buf.flags.c_contiguous:
+        return _head(buf.T, shape[::-1]).T
     return buf.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
+
+
+def _diff(f: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """(f[i+1] - f[i]) / h along axis 0, into out if given."""
+    out = np.subtract(f[1:], f[:-1], out=out)
+    out /= h
+    return out
+
+
+def _odd_centred(f: np.ndarray, out: np.ndarray) -> None:
+    """out = f[i+1] - f[i-1] along axis 0, with the odd ghosts f[-1] = -f[0]
+    and f[n] = -f[n-1] (the mirrored quantity vanishes on the wall).  The
+    wall rows are plain expressions: numpy 2.4.6 gets np.negative(x, out=y)
+    wrong for float64 views 8 elements apart."""
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[0] = f[1] + f[0]
+    out[-1] = -(f[-1] + f[-2])
 
 
 def _walled_pair(grid: Grid) -> VelocityField:
@@ -140,45 +170,30 @@ class FluidOps:
         same values.
         """
         h = self.grid.h
-        u, v = vel.u, vel.v
         out = np.empty((3, self.grid.nx, self.grid.ny))
         a11, a22, a12 = out
-        np.subtract(u[1:, :], u[:-1, :], out=a11)
-        a11 /= h
-        np.subtract(v[:, 1:], v[:, :-1], out=a22)
-        a22 /= h
-        su = u[:-1, :] + u[1:, :]
-        sv = v[:, :-1] + v[:, 1:]
-        np.subtract(su[:, 2:], su[:, :-2], out=a12[:, 1:-1])
-        a12[:, 0] = su[:, 1] + su[:, 0]
-        a12[:, -1] = -(su[:, -1] + su[:, -2])
-        dsv = su[:-2, :]                   # su is dead: it takes dx sv
-        np.subtract(sv[2:, :], sv[:-2, :], out=dsv)
-        a12[1:-1, :] += dsv
-        a12[0, :] += sv[1, :] + sv[0, :]
-        a12[-1, :] -= sv[-1, :] + sv[-2, :]
+        sums = []
+        for (normal, _), diag in zip(vel.axes(), (a11, a22.T)):
+            _diff(normal, h, out=diag)
+            sums.append(normal[:-1] + normal[1:])
+        su, sv = sums                     # 2 uc and (2 vc)^T
+        _odd_centred(su.T, a12.T)         # dy su
+        _odd_centred(sv.T, su)            # dx sv, in su's dead buffer
+        a12 += su
         a12 *= 0.125 / h
         return np.moveaxis(out, 0, -1)
 
     def divergence(self, vel: VelocityField) -> np.ndarray:
         """Cell-centered divergence of face velocities, shape (nx, ny)."""
-        h = self.grid.h
-        div = vel.u[1:, :] - vel.u[:-1, :]
-        div /= h
-        dv = vel.v[:, 1:] - vel.v[:, :-1]
-        dv /= h
-        div += dv
+        div, dv = (_diff(normal, self.grid.h) for normal, _ in vel.axes())
+        div += dv.T
         return div
 
     def gradient(self, phi: np.ndarray) -> VelocityField:
         """Face gradient of a cell scalar; wall-normal faces are zero."""
-        h = self.grid.h
         out = _walled_pair(self.grid)
-        ou, ov = out.u[1:-1, :], out.v[:, 1:-1]
-        np.subtract(phi[1:, :], phi[:-1, :], out=ou)
-        ou /= h
-        np.subtract(phi[:, 1:], phi[:, :-1], out=ov)
-        ov /= h
+        for (normal, _), p in zip(out.axes(), (phi, phi.T)):
+            _diff(p, self.grid.h, out=normal[1:-1])
         return out
 
     def stress_divergence_of(self, stress_packed: np.ndarray) -> VelocityField:
@@ -195,31 +210,20 @@ class FluidOps:
         h = self.grid.h
         s11, s22, s12 = (stress_packed[..., k] for k in range(3))
         out = _walled_pair(self.grid)
-
-        # u: (S11[i] - S11[i-1]) / h + (E[i-1] + E[i]) / (4h), E = dy S12
         e = np.empty_like(s12)
-        np.subtract(s12[:, 2:], s12[:, :-2], out=e[:, 1:-1])
-        e[:, 0] = s12[:, 1] - s12[:, 0]
-        e[:, -1] = s12[:, -1] - s12[:, -2]
-        ou = out.u[1:-1, :]
-        np.add(e[:-1, :], e[1:, :], out=ou)
-        ou *= 0.25 / h
-        d = e[:-1, :]
-        np.subtract(s11[1:, :], s11[:-1, :], out=d)
-        d /= h
-        ou += d
-
-        # v: (S22[j] - S22[j-1]) / h + (F[j-1] + F[j]) / (4h), F = dx S12
-        np.subtract(s12[2:, :], s12[:-2, :], out=e[1:-1, :])
-        e[0, :] = s12[1, :] - s12[0, :]
-        e[-1, :] = s12[-1, :] - s12[-2, :]
-        ov = out.v[:, 1:-1]
-        np.add(e[:, :-1], e[:, 1:], out=ov)
-        ov *= 0.25 / h
-        d = _head(e, ov.shape)
-        np.subtract(s22[:, 1:], s22[:, :-1], out=d)
-        d /= h
-        ov += d
+        # normal face i: (Snn[i] - Snn[i-1]) / h + (E[i-1] + E[i]) / (4h),
+        # E the tangential centred difference of S12 (dy S12 for u)
+        planes = ((s11, s12, e), (s22.T, s12.T, e.T))
+        for (snn, st, et), (normal, _) in zip(planes, out.axes()):
+            np.subtract(st[:, 2:], st[:, :-2], out=et[:, 1:-1])
+            et[:, 0] = st[:, 1] - st[:, 0]
+            et[:, -1] = st[:, -1] - st[:, -2]
+            o = normal[1:-1]
+            np.add(et[:-1], et[1:], out=o)
+            o *= 0.25 / h
+            d = _head(et, o.shape)
+            _diff(snn, h, out=d)
+            o += d
         return out
 
     def convective(self, vel: VelocityField, div: np.ndarray) -> VelocityField:
@@ -230,57 +234,37 @@ class FluidOps:
         scratch: convective scales it in place.  The 1/2 and 1/4 averaging
         weights are applied as one power-of-two scaling of each difference
         (dividing by 4h rather than h), which rounds to the same values as
-        averaging first.  The node products' buffers un, vn take the
-        differences and the face divergences after their last read.
+        averaging first.  The node products' buffers take the differences
+        and the face divergences after their last read.
         """
         h4 = 4.0 * self.grid.h
-        u, v = vel.u, vel.v
         div *= 0.25
         out = _walled_pair(self.grid)
 
-        # u-component on interior x-faces i = 1 .. nx-1:
-        # d(uc^2)/dx + d(vn un)/dy - u (face-averaged div) / 2
-        fx = u[:-1, :] + u[1:, :]                          # 2 uc at centers
-        fx *= fx
-        ou = out.u[1:-1, :]
-        np.subtract(fx[1:, :], fx[:-1, :], out=ou)
-        del fx
-        ou /= h4
-        fy = v[:-1, :] + v[1:, :]                          # 2 vn at nodes i=1..nx-1
-        un = np.empty_like(fy)
-        un[:, 0] = un[:, -1] = 0.0                         # vn = 0 on the walls
-        np.add(u[1:-1, :-1], u[1:-1, 1:], out=un[:, 1:-1])
-        fy *= un
-        d = _head(un, ou.shape)
-        np.subtract(fy[:, 1:], fy[:, :-1], out=d)          # dy
-        del fy
-        d /= h4
-        ou += d
-        np.add(div[:-1, :], div[1:, :], out=d)             # face divergence
-        d *= u[1:-1, :]
-        ou -= d
-        del un, d
-
-        # v-component on interior y-faces j = 1 .. ny-1
-        gy = v[:, :-1] + v[:, 1:]                          # 2 vc at centers
-        gy *= gy
-        ov = out.v[:, 1:-1]
-        np.subtract(gy[:, 1:], gy[:, :-1], out=ov)
-        del gy
-        ov /= h4
-        gx = u[:, :-1] + u[:, 1:]                          # 2 un at nodes j=1..ny-1
-        vn = np.empty_like(gx)
-        vn[0, :] = vn[-1, :] = 0.0
-        np.add(v[:-1, 1:-1], v[1:, 1:-1], out=vn[1:-1, :])
-        gx *= vn
-        d = vn[:-1, :]
-        np.subtract(gx[1:, :], gx[:-1, :], out=d)          # dx
-        del gx
-        d /= h4
-        ov += d
-        np.add(div[:, :-1], div[:, 1:], out=d)
-        d *= v[:, 1:-1]
-        ov -= d
+        # normal component n (u, then v^T) on its interior faces:
+        # dn(nc^2) + dt(tn nn) - n (face-averaged div) / 2, with nc its cell
+        # value and tn, nn the tangential and normal velocities at nodes
+        for (n, t), (normal, _), dv in zip(vel.axes(), out.axes(), (div, div.T)):
+            f = n[:-1] + n[1:]                             # 2 nc at centers
+            f *= f
+            o = normal[1:-1]
+            np.subtract(f[1:], f[:-1], out=o)
+            del f
+            o /= h4
+            f = t[:-1] + t[1:]                             # 2 tn at interior nodes
+            nn = np.empty_like(f)
+            nn[:, 0] = nn[:, -1] = 0.0                     # nn = 0 on the walls
+            np.add(n[1:-1, :-1], n[1:-1, 1:], out=nn[:, 1:-1])
+            f *= nn
+            d = _head(nn, o.shape)
+            np.subtract(f[:, 1:], f[:, :-1], out=d)        # dt
+            del f
+            d /= h4
+            o += d
+            np.add(dv[:-1], dv[1:], out=d)                 # face divergence
+            d *= n[1:-1]
+            o -= d
+            del nn, d                                      # before the next half allocates
         return out
 
     # -- projection ----------------------------------------------------------
@@ -299,8 +283,8 @@ class FluidOps:
         coef *= self._inv_lam
         phi = idctn(coef, type=2, norm="ortho", overwrite_x=True)
         out = self.gradient(phi)
-        np.subtract(vel.u, out.u, out=out.u)
-        np.subtract(vel.v, out.v, out=out.v)
+        for (a, _), (grad, _) in zip(vel.axes(), out.axes()):
+            np.subtract(a, grad, out=grad)
         out.enforce_walls()
         return out, phi
 
@@ -313,18 +297,8 @@ class FluidOps:
         e, so the larger of g at the slab's two extreme exponents bounds it
         on every cell."""
         h = self.grid.h
-        # |Du|^2 squared in Du's own planes, in packed_inner's order
         du = self.sym_gradient(vel)
-        a11, a22, a12 = (du[..., k] for k in range(3))
-        del du
-        a11 *= a11
-        a22 *= a22
-        a11 += a22
-        a12 *= a12
-        a12 *= 2.0
-        a11 += a12
-        mmax = float(np.sqrt(a11.max()))
-        del a11, a22, a12
+        mmax = float(np.sqrt(packed_inner(du, du).max()))
         nu_eff = float(law.viscosity(np.array([s.min(), s.max()]), mmax).max())
         dt_diff = h**2 / (2.0 * nu_eff) if nu_eff > 0 else np.inf
         speed = vel.max_speed()
@@ -377,12 +351,11 @@ def fluid_step(
 
     # u* is built in the stress-divergence buffers, term by term in the
     # order (div S - conv + source) * dt + u
-    for name in ("u", "v"):
-        acc = getattr(star, name)
-        acc -= getattr(conv, name)
-        acc += getattr(source, name)
+    for (acc, _), (c, _), (f, _), (x, _) in zip(*(w.axes() for w in (star, conv, source, vel))):
+        acc -= c
+        acc += f
         acc *= dt
-        acc += getattr(vel, name)
+        acc += x
     del conv
     star.enforce_walls()
     new_vel, phi = ops.project(star)
