@@ -12,10 +12,11 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, ExponentSpec, load_config
+from .config import ConfigError, PresetSpec, build_preset, check_preset, load_config
+from .config import preset_parameters
 from .coupling import LEDGER_RTOL, EnergyLedger, ledger_differences
 from .exponent import PRESETS, CoveringError, build_covering, log_holder_modulus
-from .exponent import preset_parameters, validate as validate_field
+from .exponent import validate as validate_field
 from .fluid import BlowUp, CFLViolation
 from .grid import Grid
 from .kinetic import EscapeError
@@ -67,7 +68,7 @@ def _run_or_exit(fn, *args, **kwargs):
 
 def cmd_validate(args) -> int:
     cfg = _load(args.config)
-    field = cfg.exponent.build(cfg.grid, cfg.t_end)
+    field = build_preset("exponent", cfg.exponent, cfg.grid, cfg.t_end)
     report = validate_field(field)
     print(f"s range: [{report.s_min:.6g}, {report.s_max:.6g}]")
     print(f"required lower bound: {report.s_min_required:.6g}")
@@ -101,18 +102,18 @@ def _exponent_values(spec: str, grid: Grid, t_end: float, points: np.ndarray):
     if name not in PRESETS:
         print(f"unknown exponent preset: {name}", file=sys.stderr)
         sys.exit(EXIT_CONFIG)
-    keys = preset_parameters(name)
+    keys = tuple(preset_parameters("exponent", name))
     try:
         if len(numbers) > len(keys):
             raise ValueError(f"{name} takes at most {len(keys)} numbers ({', '.join(keys)})")
-        exp = ExponentSpec(name, dict(zip(keys, map(float, numbers))))
-        nslabs = len(exp.check(t_end).starts)
+        exp = PresetSpec(name, dict(zip(keys, map(float, numbers))))
+        nslabs = len(check_preset("exponent", exp, Grid(1, 1), t_end).starts)
         if nslabs > 1:
             raise ValueError(f"{name} builds {nslabs} time slabs; norm takes one exponent")
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"bad exponent spec {spec!r}: {exc}", file=sys.stderr)
         sys.exit(EXIT_CONFIG)
-    return exp.build(grid, t_end).sample(0.0, points)
+    return build_preset("exponent", exp, grid, t_end).sample(0.0, points)
 
 
 # per mesh-field kind: trailing component axes, the run's cell counts from the

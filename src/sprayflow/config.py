@@ -6,26 +6,29 @@ pair reproduces a run byte for byte.  Module RNG streams are derived from the
 scenario seed and the module name, so adding a consumer never perturbs
 another module's draws.
 
-Each section's keys are dataclass fields ([domain] Grid, [run] and [rheology]
-ScenarioConfig, [kinetic] KineticSpec, [fluid] FluidSpec) or, in [exponent],
-the preset's value parameters.  Defaults live only in the dataclasses:
-load_config passes the keys a file sets, each parsed by its field's type.
+The [domain], [run] and [rheology] keys are dataclass fields (Grid and
+ScenarioConfig), each parsed by its field's type; their defaults live only in
+the dataclasses.  [exponent], [kinetic] and [fluid] each name a preset
+(PRESET_SECTIONS) and set its value parameters: the preset's signature is the
+one source of its keys, their types and their defaults, and a key the preset
+does not take, or a required one it lacks, is a config error.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import inspect
 import zlib
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from .exponent import ExponentField, PRESETS, preset_parameters, validate
-from .fluid import initial_velocity
+from .exponent import PRESETS, validate
+from .fluid import INITIAL_VELOCITIES
 from .grid import DIM, Grid
-from .kinetic import sample_initial
+from .kinetic import INITIAL_PRESETS
 from .rheology import StressLaw
 
 
@@ -39,44 +42,55 @@ def module_rng(seed: int, module: str) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class ExponentSpec:
-    preset: str = "constant"
+class PresetSpec:
+    """A preset section: the preset's name and the value parameters it is given."""
+    preset: str
     params: dict = field(default_factory=dict)
 
-    def check(self, t_end: float) -> ExponentField:
-        """The preset built on a one-cell mesh, or ConfigError if it cannot be.
-
-        A key the preset does not take, a key it needs and lacks, a value it
-        refuses (a switch time outside (0, t_end)) or a value validate()
-        refuses (nan, inf) is a config error here, not an exception from
-        build() or validate().
-        """
-        if self.preset not in PRESETS:
-            raise ConfigError(f"unknown exponent preset: {self.preset!r}")
-        try:
-            trial = self.build(Grid(1, 1), t_end)
-            validate(trial)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"[exponent] preset {self.preset!r}: {exc}") from exc
-        return trial
-
-    def build(self, grid: Grid, t_end: float) -> ExponentField:
-        return PRESETS[self.preset](grid, t_end, **self.params)
-
 
 @dataclass(frozen=True)
-class KineticSpec:
-    preset: str = "zero"
-    n_particles: int = 0
-    mass: float = 0.0
-    vmax: float = 1.0
-    temperature: float = 1.0
+class _PresetSection:
+    key: str          # the key that names the preset
+    default: str      # the preset when that key is absent
+    builders: dict    # preset name -> builder
+    leading: int      # arguments each builder takes before its value parameters
 
 
-@dataclass(frozen=True)
-class FluidSpec:
-    initial: str = "rest"        # one of fluid.INITIAL_VELOCITIES
-    amplitude: float = 0.0
+PRESET_SECTIONS = {
+    "exponent": _PresetSection("preset", "constant", PRESETS, 2),       # (grid, t_end)
+    "kinetic": _PresetSection("preset", "zero", INITIAL_PRESETS, 2),    # (grid, rng)
+    "fluid": _PresetSection("initial", "rest", INITIAL_VELOCITIES, 1),  # (grid,)
+}
+
+
+def preset_parameters(section: str, name: str) -> dict[str, str]:
+    """The value parameters of a section's preset, in signature order, each
+    with its annotation: the builder's parameters after the leading ones."""
+    sec = PRESET_SECTIONS[section]
+    params = list(inspect.signature(sec.builders[name]).parameters.values())
+    return {p.name: p.annotation for p in params[sec.leading:]}
+
+
+def build_preset(section: str, spec: PresetSpec, *leading):
+    """The section's preset built on its leading arguments (PRESET_SECTIONS)."""
+    builders = PRESET_SECTIONS[section].builders
+    if spec.preset not in builders:
+        raise ValueError(f"unknown preset; expected one of {', '.join(builders)}")
+    return builders[spec.preset](*leading, **spec.params)
+
+
+def check_preset(section: str, spec: PresetSpec, *leading):
+    """build_preset, or ConfigError if the preset cannot be built: an unknown
+    preset, a key it does not take, a key it needs and lacks, a value it
+    refuses (a switch time outside (0, t_end)) or, for an exponent, a value
+    validate() refuses (nan, inf)."""
+    try:
+        built = build_preset(section, spec, *leading)
+        if section == "exponent":
+            validate(built)
+        return built
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"[{section}] preset {spec.preset!r}: {exc}") from exc
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -88,9 +102,9 @@ class ScenarioConfig:
     nu0: float = 1.0
     nu1: float = 0.0
     theta: float = 0.0
-    exponent: ExponentSpec
-    kinetic: KineticSpec
-    fluid: FluidSpec
+    exponent: PresetSpec
+    kinetic: PresetSpec
+    fluid: PresetSpec
     cfl_factor: float = 1.0
     output_every: int = 0        # 0 = final state only
     output_dir: str = "out"
@@ -118,16 +132,12 @@ class ScenarioConfig:
                 f"{n_steps} steps end at t = {n_steps * self.dt}"
             )
         kin = self.kinetic
-        try:
-            sample_initial(self.grid, kin.preset, min(kin.n_particles, 1), mass=kin.mass,
-                           vmax=kin.vmax, temperature=kin.temperature)
-        except ValueError as exc:
-            raise ConfigError(f"[kinetic] preset {kin.preset!r}: {exc}") from exc
-        try:
-            initial_velocity(Grid(1, 1), self.fluid.initial, self.fluid.amplitude)
-        except ValueError as exc:
-            raise ConfigError(f"[fluid] {exc}") from exc
-        trial = self.exponent.check(self.t_end)
+        if "n_particles" in kin.params:  # the trial samples at most one particle
+            kin = PresetSpec(kin.preset, {**kin.params,
+                                          "n_particles": min(kin.params["n_particles"], 1)})
+        check_preset("kinetic", kin, self.grid, np.random.default_rng(0))
+        check_preset("fluid", self.fluid, Grid(1, 1))
+        trial = check_preset("exponent", self.exponent, Grid(1, 1), self.t_end)
         for start in trial.starts:
             if not self._on_step_grid(start):
                 raise ConfigError(f"[exponent] switch at t = {start} "
@@ -154,13 +164,19 @@ _SECTION_FIELDS = {
     "run": _fields(ScenarioConfig, ("t_end", "dt", "seed", "cfl_factor",
                                     "output_every", "output_dir")),
     "rheology": _fields(ScenarioConfig, ("nu0", "nu1", "theta")),
-    "kinetic": _fields(KineticSpec),
-    "fluid": _fields(FluidSpec),
+}
+
+# per preset section, every value key of its presets with the annotation it
+# is parsed by; no two presets of a section annotate a key differently
+_PRESET_KEYS = {
+    section: {k: t for name in sec.builders for k, t in preset_parameters(section, name).items()}
+    for section, sec in PRESET_SECTIONS.items()
 }
 
 # every key load_config reads, per section; anything else is a config error
 _SECTION_KEYS = {name: set(fields) for name, fields in _SECTION_FIELDS.items()}
-_SECTION_KEYS["exponent"] = {"preset"}.union(*map(preset_parameters, PRESETS))
+_SECTION_KEYS.update({section: {PRESET_SECTIONS[section].key, *keys}
+                      for section, keys in _PRESET_KEYS.items()})
 
 
 def _check_known_keys(cp: configparser.ConfigParser, path) -> None:
@@ -183,6 +199,16 @@ def _read_section(cp: configparser.ConfigParser, name: str) -> dict:
     return {k: _PARSERS[fields[k].type](v) for k, v in section.items()}
 
 
+def _read_preset(cp: configparser.ConfigParser, name: str) -> PresetSpec:
+    """Preset section `name`: the preset its key names (or the default one)
+    and the other keys, each parsed by its preset parameter's annotation;
+    the trial build in ScenarioConfig refuses what the preset cannot take."""
+    sec = PRESET_SECTIONS[name]
+    values = dict(cp[name]) if cp.has_section(name) else {}
+    preset = values.pop(sec.key, sec.default)
+    return PresetSpec(preset, {k: _PARSERS[_PRESET_KEYS[name][k]](v) for k, v in values.items()})
+
+
 def load_config(path) -> ScenarioConfig:
     cp = configparser.ConfigParser()
     try:
@@ -193,15 +219,11 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"cannot read config file: {path}")
     _check_known_keys(cp, path)
     try:
-        exp = dict(cp["exponent"]) if cp.has_section("exponent") else {}
-        preset = {"preset": exp.pop("preset")} if "preset" in exp else {}
         return ScenarioConfig(
             grid=Grid(**_read_section(cp, "domain")),
             **_read_section(cp, "run"),
             **_read_section(cp, "rheology"),
-            exponent=ExponentSpec(**preset, params={k: float(v) for k, v in exp.items()}),
-            kinetic=KineticSpec(**_read_section(cp, "kinetic")),
-            fluid=FluidSpec(**_read_section(cp, "fluid")),
+            **{name: _read_preset(cp, name) for name in PRESET_SECTIONS},
         )
     except ConfigError:
         raise

@@ -22,7 +22,6 @@ and the tests alone read it and the per-ball stats.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -319,8 +318,3 @@ PRESETS = {
     "sinusoidal": sinusoidal_field,
     "two_phase_switch": two_phase_switch_field,
 }
-
-
-def preset_parameters(name: str) -> tuple[str, ...]:
-    """The value parameters of preset `name`: its signature after (grid, t_end)."""
-    return tuple(inspect.signature(PRESETS[name]).parameters)[2:]

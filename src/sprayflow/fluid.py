@@ -391,22 +391,19 @@ def stream_function_field(grid: Grid, psi) -> VelocityField:
     return out
 
 
-INITIAL_VELOCITIES = ("rest", "stream_bump")
-
-
-def initial_velocity(grid: Grid, preset: str, amplitude: float) -> VelocityField:
-    """Initial field of a named preset: "rest" (zero) or "stream_bump", the
-    field of the stream function amplitude sin^2(pi x/lx) sin^2(pi y/ly).
-    The amplitude must be finite, whatever the preset."""
-    if preset not in INITIAL_VELOCITIES:
-        raise ValueError(f"unknown initial velocity preset {preset!r}, "
-                         f"expected one of {', '.join(INITIAL_VELOCITIES)}")
+def stream_bump(grid: Grid, amplitude: float) -> VelocityField:
+    """The field of the stream function amplitude sin^2(pi x/lx) sin^2(pi y/ly);
+    the amplitude must be finite."""
     if not np.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
-    if preset == "rest" or amplitude == 0.0:
+    if amplitude == 0.0:
         return VelocityField.zeros(grid)
 
     def psi(x, y):
         return amplitude * np.sin(np.pi * x / grid.lx) ** 2 * np.sin(np.pi * y / grid.ly) ** 2
 
     return stream_function_field(grid, psi)
+
+
+# the initial velocities by name
+INITIAL_VELOCITIES = {"rest": VelocityField.zeros, "stream_bump": stream_bump}

@@ -85,59 +85,74 @@ class MomentFields:
 
 # -- initial data -----------------------------------------------------------
 
-INITIAL_PRESETS = ("zero", "uniform", "maxwellian")
+def zero(grid: Grid, rng: np.random.Generator) -> ParticleEnsemble:
+    """The empty ensemble."""
+    empty = np.zeros((0, 2))
+    return ParticleEnsemble(grid, empty, empty.copy(), np.zeros(0), np.zeros(0))
 
 
-def sample_initial(
-    grid: Grid,
-    preset: str,
-    n_particles: int,
-    mass: float = 1.0,
-    vmax: float = 1.0,
-    temperature: float = 1.0,
-    seed: int = 0,
-) -> ParticleEnsemble:
-    """Equal-weight particle sample of a named initial phase-space density.
+def uniform(grid: Grid, rng: np.random.Generator, n_particles: int, mass: float,
+            vmax: float = 1.0) -> ParticleEnsemble:
+    """Uniform in x, and in v on the box [-vmax, vmax]^2."""
+    X = _positions(grid, rng, n_particles, mass, vmax=vmax)
+    if X is None:
+        return zero(grid, rng)
+    V = rng.uniform(-vmax, vmax, size=(n_particles, 2))
+    density = mass / (grid.lx * grid.ly * (2.0 * vmax) ** 2)
+    return ParticleEnsemble(grid, X, V, np.full(n_particles, mass / n_particles),
+                            np.full(n_particles, density))
 
-    Presets: "zero" (empty ensemble), "uniform" (box in x and v, speeds up to
-    vmax per component), "maxwellian" (uniform in x, Gaussian in v).  fval
-    carries the pointwise density of the preset at each sample.  The values
-    are checked before the empty-ensemble shortcut, whatever the preset.
-    """
-    if preset not in INITIAL_PRESETS:
-        raise ValueError(f"unknown initial-data preset: {preset!r}")
+
+def maxwellian(grid: Grid, rng: np.random.Generator, n_particles: int, mass: float,
+               temperature: float = 1.0) -> ParticleEnsemble:
+    """Uniform in x, Gaussian in v with variance `temperature` per component."""
+    X = _positions(grid, rng, n_particles, mass, temperature=temperature)
+    if X is None:
+        return zero(grid, rng)
+    V = rng.normal(0.0, np.sqrt(temperature), size=(n_particles, 2))
+    fval = (
+        mass / (grid.lx * grid.ly) / (2.0 * np.pi * temperature)
+        * np.exp(-row_dot(V, V) / (2.0 * temperature))
+    )
+    return ParticleEnsemble(grid, X, V, np.full(n_particles, mass / n_particles), fval)
+
+
+def _positions(grid: Grid, rng: np.random.Generator, n_particles: int, mass: float,
+               **spread: float) -> np.ndarray | None:
+    """(n, 2) positions uniform in the domain and inside its wall margins, or
+    None for a massless sample.  Refuses a mass that is negative or not
+    finite, a velocity spread (vmax, temperature) that is not positive and
+    finite, and a sample of positive mass with no particle."""
     if not (np.isfinite(mass) and mass >= 0.0):
         raise ValueError(f"mass must be finite and nonnegative, got {mass}")
-    for name, value in (("vmax", vmax), ("temperature", temperature)):
+    for name, value in spread.items():
         if not (np.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    if preset == "zero" or mass == 0.0:
-        empty = np.zeros((0, 2))
-        return ParticleEnsemble(grid, empty, empty.copy(), np.zeros(0), np.zeros(0))
+    if mass == 0.0:
+        return None
     if n_particles < 1:
         raise ValueError("need at least one particle")
-    rng = np.random.default_rng(seed)
-    area = grid.lx * grid.ly
     X = np.column_stack([
         rng.uniform(0.0, grid.lx, size=n_particles),
         rng.uniform(0.0, grid.ly, size=n_particles),
     ])
-    if preset == "uniform":
-        V = rng.uniform(-vmax, vmax, size=(n_particles, 2))
-        density = mass / (area * (2.0 * vmax) ** 2)
-        fval = np.full(n_particles, density)
-    else:  # maxwellian
-        V = rng.normal(0.0, np.sqrt(temperature), size=(n_particles, 2))
-        fval = (
-            mass / area / (2.0 * np.pi * temperature)
-            * np.exp(-row_dot(V, V) / (2.0 * temperature))
-        )
-    w = np.full(n_particles, mass / n_particles)
-    # keep samples off the walls so the interior invariant holds from step 0
-    eps = 1e-12 * grid.lx
-    X[:, 0] = np.clip(X[:, 0], eps, grid.lx - eps)
-    X[:, 1] = np.clip(X[:, 1], eps, grid.ly - eps)
-    return ParticleEnsemble(grid, X, V, w, fval)
+    # off the walls, so the interior invariant holds from step 0
+    _clip_inside(X, grid)
+    return X
+
+
+# the initial phase-space densities by name; each samples equal weights
+# summing to `mass` and carries the preset's pointwise density in fval
+INITIAL_PRESETS = {"zero": zero, "uniform": uniform, "maxwellian": maxwellian}
+
+
+def sample_initial(grid: Grid, preset: str, *args, seed=0, **params) -> ParticleEnsemble:
+    """The named initial preset's sample, drawn from default_rng(seed) (a
+    Generator is drawn from as it is); args and params are its value
+    parameters."""
+    if preset not in INITIAL_PRESETS:
+        raise ValueError(f"unknown initial-data preset: {preset!r}")
+    return INITIAL_PRESETS[preset](grid, np.random.default_rng(seed), *args, **params)
 
 
 # -- shared bilinear kernel --------------------------------------------------
@@ -226,6 +241,17 @@ def deposit(particles: ParticleEnsemble) -> MomentFields:
 
 # -- dynamics ----------------------------------------------------------------
 
+def _wall_margins(grid: Grid) -> tuple[float, float]:
+    """Per axis, how far a particle stays from the walls: 1e-12 of the extent."""
+    return 1e-12 * grid.lx, 1e-12 * grid.ly
+
+
+def _clip_inside(X: np.ndarray, grid: Grid) -> None:
+    """Clip each axis of the (n, 2) positions X to [eps, L - eps], in place."""
+    for axis, (ell, eps) in enumerate(zip((grid.lx, grid.ly), _wall_margins(grid))):
+        np.clip(X[:, axis], eps, ell - eps, out=X[:, axis])
+
+
 def reflect(X: np.ndarray, V: np.ndarray, grid: Grid) -> None:
     """Specular reflection of overshooting trajectory segments, in place.
 
@@ -236,7 +262,7 @@ def reflect(X: np.ndarray, V: np.ndarray, grid: Grid) -> None:
     are mirrored and nudged, and every other row is left as it is.
     """
     extents = (grid.lx, grid.ly)
-    eps = tuple(1e-12 * ell for ell in extents)
+    eps = _wall_margins(grid)
     x, y = X[:, 0], X[:, 1]
     rows = np.flatnonzero(
         (x < eps[0]) | (x > extents[0] - eps[0]) | (y < eps[1]) | (y > extents[1] - eps[1])
@@ -259,10 +285,9 @@ def reflect(X: np.ndarray, V: np.ndarray, grid: Grid) -> None:
         if not outside:
             break
     else:
-        raise EscapeError("particle still outside after 100 reflections")
+        raise EscapeError(f"particle still outside after {_MAX_REFLECTIONS} reflections")
     # a segment ending on or within eps of a wall is nudged inside
-    for axis, ell in enumerate(extents):
-        np.clip(Xr[:, axis], eps[axis], ell - eps[axis], out=Xr[:, axis])
+    _clip_inside(Xr, grid)
     X[rows] = Xr
     V[rows] = Vr
 

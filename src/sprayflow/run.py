@@ -5,11 +5,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .config import ScenarioConfig, module_rng
+from .config import ScenarioConfig, build_preset, module_rng
 from .coupling import EnergyLedger, coupled_step
 from .exponent import CoveringError, build_covering, validate
-from .fluid import FluidOps, FluidState, initial_velocity
-from .kinetic import ParticleEnsemble, sample_initial
+from .fluid import FluidOps, FluidState
+from .kinetic import ParticleEnsemble
 from .rheology import CoercivityError, StressLaw, certify_coercive
 from .snapshots import (
     KIND_SCALAR,
@@ -35,18 +35,10 @@ class RunResult:
 
 def build_scene(cfg: ScenarioConfig):
     """(exponent field, stress law, fluid state, particles) for a scenario."""
-    field = cfg.exponent.build(cfg.grid, cfg.t_end)
+    field = build_preset("exponent", cfg.exponent, cfg.grid, cfg.t_end)
     law = StressLaw(cfg.nu0, cfg.nu1, field, cfg.theta)
-    state = FluidState(initial_velocity(cfg.grid, cfg.fluid.initial, cfg.fluid.amplitude))
-    particles = sample_initial(
-        cfg.grid,
-        cfg.kinetic.preset,
-        cfg.kinetic.n_particles,
-        mass=cfg.kinetic.mass,
-        vmax=cfg.kinetic.vmax,
-        temperature=cfg.kinetic.temperature,
-        seed=module_rng(cfg.seed, "kinetic"),
-    )
+    state = FluidState(build_preset("fluid", cfg.fluid, cfg.grid))
+    particles = build_preset("kinetic", cfg.kinetic, cfg.grid, module_rng(cfg.seed, "kinetic"))
     return field, law, state, particles
 
 

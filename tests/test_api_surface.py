@@ -14,6 +14,7 @@ TEST_ONLY = {
     "exponent.Covering.big_r": "R_i of the paper's covering; acceptance criterion 8 gates R_i - r_i",
     "exponent.Covering.partition_of_unity": "the log-Hoelder localisation; criterion 8 reads it",
     "grid.Grid.contains": "verification helper the tests share",
+    "kinetic.sample_initial": "a preset's sample from a seed; the run builds through config.build_preset",
     "orlicz.modular_distance": "modular convergence; ROADMAP item 8 gives it a program reader",
     "pressure.residual": "verification helper the tests share",
     "pressure.LocalityReport.monotone": "verification helper the tests share",

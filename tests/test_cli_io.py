@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import inspect
 import os
 import struct
 import subprocess
@@ -14,12 +15,12 @@ from sprayflow import cli, exponent, rheology, snapshots, studies
 from sprayflow.cli import main
 from sprayflow.config import (
     ConfigError,
-    ExponentSpec,
-    FluidSpec,
-    KineticSpec,
+    PRESET_SECTIONS,
+    PresetSpec,
     ScenarioConfig,
     load_config,
     module_rng,
+    preset_parameters,
 )
 from sprayflow.fluid import CFLViolation
 from sprayflow.grid import DIM, Grid
@@ -191,7 +192,7 @@ def test_config_rejects_garbage(tmp_path):
 
 
 # every key of every section, each set to a value that is not its default;
-# [exponent] holds one preset's keys at a time
+# [exponent] and [kinetic] hold one preset's keys at a time
 EVERY_KEY_INI = """
 [domain]
 nx = 16
@@ -212,15 +213,15 @@ nu0 = 0.2
 nu1 = 0.01
 theta = 0.1
 [kinetic]
-preset = maxwellian
-n_particles = 5
-mass = 0.02
-vmax = 0.7
-temperature = 0.3
+{kinetic}
 [fluid]
 initial = stream_bump
 amplitude = 0.2
 """
+
+
+def _preset_keys(spec):
+    return "\n".join(f"{k} = {v}" for k, v in {"preset": spec.preset, **spec.params}.items())
 
 
 @pytest.mark.parametrize("preset, params", [
@@ -230,24 +231,46 @@ amplitude = 0.2
                           "base_after": 2.3, "amplitude_after": 0.1}),
 ])
 def test_config_round_trip_every_key(tmp_path, preset, params):
-    keys = "\n".join(f"{k} = {v}" for k, v in {"preset": preset, **params}.items())
-    p = tmp_path / "every.ini"
-    p.write_text(EVERY_KEY_INI.format(exponent=keys))
-    cfg = load_config(p)
-    expected = ScenarioConfig(
-        grid=Grid(16, 8, 4.0, 2.0), t_end=0.5, dt=0.01, seed=9, nu0=0.2, nu1=0.01,
-        theta=0.1, exponent=ExponentSpec(preset, params),
-        kinetic=KineticSpec("maxwellian", 5, 0.02, 0.7, 0.3),
-        fluid=FluidSpec("stream_bump", 0.2),
-        cfl_factor=0.5, output_every=3, output_dir="elsewhere",
-    )
-    assert cfg == expected
-    assert repr(cfg) == repr(expected)  # 9 and 9.0 compare equal; their reprs do not
-    # a field with a default that no key of the file sets would still hold it
-    for obj in (cfg, cfg.grid, cfg.kinetic, cfg.fluid):
-        for f in dataclasses.fields(obj):
-            if f.default is not dataclasses.MISSING:
-                assert getattr(obj, f.name) != f.default, f"{type(obj).__name__}.{f.name}"
+    exponent = PresetSpec(preset, params)
+    # each kinetic preset that takes values, with its own optional key
+    for kinetic in (PresetSpec("uniform", {"n_particles": 5, "mass": 0.02, "vmax": 0.7}),
+                    PresetSpec("maxwellian", {"n_particles": 5, "mass": 0.02,
+                                              "temperature": 0.3})):
+        p = tmp_path / f"every-{kinetic.preset}.ini"
+        p.write_text(EVERY_KEY_INI.format(exponent=_preset_keys(exponent),
+                                          kinetic=_preset_keys(kinetic)))
+        cfg = load_config(p)
+        expected = ScenarioConfig(
+            grid=Grid(16, 8, 4.0, 2.0), t_end=0.5, dt=0.01, seed=9, nu0=0.2, nu1=0.01,
+            theta=0.1, exponent=exponent, kinetic=kinetic,
+            fluid=PresetSpec("stream_bump", {"amplitude": 0.2}),
+            cfl_factor=0.5, output_every=3, output_dir="elsewhere",
+        )
+        assert cfg == expected
+        assert repr(cfg) == repr(expected)  # 9 and 9.0 compare equal; their reprs do not
+        # a field with a default that no key of the file sets would still hold it
+        for obj in (cfg, cfg.grid):
+            for f in dataclasses.fields(obj):
+                if f.default is not dataclasses.MISSING:
+                    assert getattr(obj, f.name) != f.default, f"{type(obj).__name__}.{f.name}"
+        # and so would a preset's value parameter that the file leaves out
+        for name in PRESET_SECTIONS:
+            spec = getattr(cfg, name)
+            signature = inspect.signature(PRESET_SECTIONS[name].builders[spec.preset]).parameters
+            assert spec.params.keys() == preset_parameters(name, spec.preset).keys()
+            for key, value in spec.params.items():
+                assert value != signature[key].default, f"[{name}] {key}"
+
+
+def test_preset_keys_have_one_type_per_section():
+    # load_config parses a preset section's key by its annotation, so the
+    # presets of a section agree on it, and it names a parser
+    for section, presets in PRESET_SECTIONS.items():
+        types = {}
+        for name in presets.builders:
+            for key, kind in preset_parameters(section, name).items():
+                assert kind in ("int", "float", "str"), (section, name, key)
+                assert types.setdefault(key, kind) == kind, (section, key)
 
 
 def test_config_minimal_file_yields_dataclass_defaults(tmp_path):
@@ -256,8 +279,8 @@ def test_config_minimal_file_yields_dataclass_defaults(tmp_path):
                  "[exponent]\nvalue = 2.0\n")
     cfg = load_config(p)
     expected = ScenarioConfig(grid=Grid(16, 16), t_end=0.1, dt=0.01,
-                              exponent=ExponentSpec(params={"value": 2.0}),
-                              kinetic=KineticSpec(), fluid=FluidSpec())
+                              exponent=PresetSpec("constant", {"value": 2.0}),
+                              kinetic=PresetSpec("zero"), fluid=PresetSpec("rest"))
     assert cfg == expected
     assert repr(cfg) == repr(expected)
 
@@ -649,11 +672,26 @@ def test_config_rejects_exponent_keys_the_preset_cannot_build(tmp_path, keys):
     assert run_cli(["validate", "--config", str(p)]) == 2
 
 
+KINETIC = "preset = uniform\nn_particles = 4096\nmass = 0.05\nvmax = 0.5\n"
+FLUID = "initial = stream_bump\namplitude = 0.1\n"
+
+
+# a preset name no builder knows, a key the named preset does not take, and a
+# required key it lacks: none is silently ignored or defaulted
 @pytest.mark.parametrize("old, new", [
     ("initial = stream_bump", "initial = vortex"),
     ("preset = uniform", "preset = gaussian"),
     ("n_particles = 4096", "n_particles = 0"),
-], ids=["fluid-initial", "kinetic-preset", "uniform-without-particles"])
+    ("preset = uniform", "preset = maxwellian"),
+    ("vmax = 0.5", "temperature = 0.5"),
+    (KINETIC, "preset = zero\nn_particles = 4096\n"),
+    (KINETIC, "preset = zero\nmass = 0.05\n"),
+    (FLUID, "initial = rest\namplitude = 0.1\n"),
+    ("mass = 0.05\n", ""),
+    (FLUID, "initial = stream_bump\n"),
+], ids=["fluid-initial", "kinetic-preset", "uniform-without-particles", "maxwellian-vmax",
+        "uniform-temperature", "zero-n-particles", "zero-mass", "rest-amplitude",
+        "uniform-without-mass", "stream-bump-without-amplitude"])
 def test_config_rejects_presets_the_run_cannot_build(tmp_path, old, new):
     text = open(os.path.join(CONFIGS, "acceptance.ini")).read()
     assert old in text

@@ -87,7 +87,7 @@ def test_exchange_audit_antisymmetry_random(seed):
 
 
 def test_exchange_audit_empty():
-    p = sample_initial(GRID, "zero", 0)
+    p = sample_initial(GRID, "zero")
     assert exchange_audit(p, uniform_u(1.0, 0.0), 0.1) == (0.0, 0.0, 0.0)
 
 
@@ -109,8 +109,8 @@ def test_audit_pure_kinetic_decay_exact():
 def scene(mass=0.1, nu0=0.05, amp=0.05, theta=0.0, seed=2):
     field = constant_field(GRID, 10.0, 2.2)
     law = StressLaw(nu0, 0.005, field, theta)
-    p = sample_initial(GRID, "uniform" if mass else "zero", 512, mass=mass,
-                       vmax=0.4, seed=seed)
+    p = (sample_initial(GRID, "uniform", 512, mass=mass, vmax=0.4, seed=seed) if mass
+         else sample_initial(GRID, "zero"))
     vel = stream_function_field(
         GRID, lambda x, y: amp * np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2
     )

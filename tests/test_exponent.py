@@ -35,7 +35,7 @@ def test_array_holders_compare_by_identity():
     a, b = constant_field(grid, 1.0, 2.0), constant_field(grid, 1.0, 2.0)
     law = StressLaw(0.1, 0.1, a)
     cover = build_covering(a)
-    p, q = sample_initial(grid, "uniform", 4), sample_initial(grid, "uniform", 4)
+    p, q = (sample_initial(grid, "uniform", 4, mass=1.0) for _ in range(2))
     vel = VelocityField.zeros(grid)
     box = PaddedBox(grid)
     src = box.embed(np.ones((8, 8, 3)))

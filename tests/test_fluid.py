@@ -23,7 +23,7 @@ from sprayflow.fluid import (
     FluidState,
     VelocityField,
     fluid_step,
-    initial_velocity,
+    stream_bump,
     stream_function_field,
 )
 from sprayflow.grid import Grid
@@ -528,7 +528,7 @@ def _step_transient_cells(n):
     grid = Grid(n, n)
     ops = FluidOps(grid)
     law = StressLaw(0.05, 0.1, sinusoidal_field(grid, 1.0, base=2.2, amplitude=0.2), 0.01)
-    state = FluidState(initial_velocity(grid, "stream_bump", 0.1), 0.0)
+    state = FluidState(stream_bump(grid, 0.1), 0.0)
     source = random_noslip(11, grid, scale=0.1)
     dt = 0.5 * ops.cfl_limit(state.velocity, law, law.exponent.values_at(0.0))
     state, _ = fluid_step(ops, state, law, dt, source)  # warm-up

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sprayflow.config import preset_parameters
 from sprayflow.fluid import VelocityField
 from sprayflow.grid import Grid
 from sprayflow.kinetic import (
@@ -45,7 +46,7 @@ def test_uniform_equal_weights():
 
 
 def test_zero_preset_empty():
-    p = sample_initial(GRID, "zero", 100, mass=1.0)
+    p = sample_initial(GRID, "zero")
     assert p.X.shape[0] == 0
     m = deposit(p)
     assert np.all(m.rho == 0.0) and np.all(m.jx == 0.0) and np.all(m.jy == 0.0)
@@ -89,9 +90,16 @@ def test_zero_particle_count_rejected():
         "zero-temperature", "negative-temperature"])
 def test_sample_values_the_sampler_cannot_use_rejected(preset, kwargs, name):
     # a negative mass gives negative weights; vmax or temperature <= 0 divides
-    # by zero or takes the root of a negative number; every preset refuses them
-    with pytest.raises(ValueError, match=name):
-        sample_initial(GRID, preset, 10, **kwargs)
+    # by zero or takes the root of a negative number; every preset that takes
+    # the key refuses them, and a preset that does not take it refuses the key
+    takes = preset_parameters("kinetic", preset)
+    count = {"n_particles": 10} if "n_particles" in takes else {}
+    if kwargs.keys() <= takes.keys():
+        with pytest.raises(ValueError, match=name):
+            sample_initial(GRID, preset, **count, **kwargs)
+    else:
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            sample_initial(GRID, preset, **count, **kwargs)
 
 
 # -- advance ------------------------------------------------------------------
