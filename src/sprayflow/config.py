@@ -81,15 +81,23 @@ def build_preset(section: str, spec: PresetSpec, *leading):
 
 def check_preset(section: str, spec: PresetSpec, *leading):
     """build_preset, or ConfigError if the preset cannot be built: an unknown
-    preset, a key it does not take, a key it needs and lacks, a value it
-    refuses (a switch time outside (0, t_end)) or, for an exponent, a value
-    validate() refuses (nan, inf)."""
+    preset, a key it does not take, a key it needs and lacks (the keys are
+    bound to the builder's signature before it runs), a value it refuses (a
+    switch time outside (0, t_end)) or, for an exponent, a value validate()
+    refuses (nan, inf).  A TypeError raised inside a builder is a bug and
+    propagates."""
+    builders = PRESET_SECTIONS[section].builders
     try:
+        if spec.preset in builders:  # else build_preset refuses the name
+            try:
+                inspect.signature(builders[spec.preset]).bind(*leading, **spec.params)
+            except TypeError as exc:
+                raise ValueError(exc) from exc
         built = build_preset(section, spec, *leading)
         if section == "exponent":
             validate(built)
         return built
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"[{section}] preset {spec.preset!r}: {exc}") from exc
 
 
@@ -133,8 +141,10 @@ class ScenarioConfig:
             )
         kin = self.kinetic
         if "n_particles" in kin.params:  # the trial samples at most one particle
-            kin = PresetSpec(kin.preset, {**kin.params,
-                                          "n_particles": min(kin.params["n_particles"], 1)})
+            n = kin.params["n_particles"]
+            if not isinstance(n, (int, np.integer)):
+                raise ConfigError(f"[kinetic] n_particles must be an integer, got {n!r}")
+            kin = PresetSpec(kin.preset, {**kin.params, "n_particles": min(n, 1)})
         check_preset("kinetic", kin, self.grid, np.random.default_rng(0))
         check_preset("fluid", self.fluid, Grid(1, 1))
         trial = check_preset("exponent", self.exponent, Grid(1, 1), self.t_end)

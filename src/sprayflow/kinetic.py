@@ -24,6 +24,11 @@ P (ParticleEnsemble.stencil) once, and a step's deposit and its three
 interpolations all read it; the shared operator is what makes the drag energy
 exchange antisymmetric in the coupling audit.
 
+The initial presets are `zero` (the empty ensemble), `uniform` and
+`maxwellian`; the last two sample n_particles >= 1 equal weights of positive
+total mass, so a massless `uniform` or `maxwellian` is refused, not turned
+into the empty ensemble.
+
 Wall reflection finds the particles that left the domain in one pass and
 mirrors only those rows, in place: advance hands it the position and
 velocity arrays it has just built.
@@ -95,8 +100,6 @@ def uniform(grid: Grid, rng: np.random.Generator, n_particles: int, mass: float,
             vmax: float = 1.0) -> ParticleEnsemble:
     """Uniform in x, and in v on the box [-vmax, vmax]^2."""
     X = _positions(grid, rng, n_particles, mass, vmax=vmax)
-    if X is None:
-        return zero(grid, rng)
     V = rng.uniform(-vmax, vmax, size=(n_particles, 2))
     density = mass / (grid.lx * grid.ly * (2.0 * vmax) ** 2)
     return ParticleEnsemble(grid, X, V, np.full(n_particles, mass / n_particles),
@@ -107,8 +110,6 @@ def maxwellian(grid: Grid, rng: np.random.Generator, n_particles: int, mass: flo
                temperature: float = 1.0) -> ParticleEnsemble:
     """Uniform in x, Gaussian in v with variance `temperature` per component."""
     X = _positions(grid, rng, n_particles, mass, temperature=temperature)
-    if X is None:
-        return zero(grid, rng)
     V = rng.normal(0.0, np.sqrt(temperature), size=(n_particles, 2))
     fval = (
         mass / (grid.lx * grid.ly) / (2.0 * np.pi * temperature)
@@ -118,18 +119,16 @@ def maxwellian(grid: Grid, rng: np.random.Generator, n_particles: int, mass: flo
 
 
 def _positions(grid: Grid, rng: np.random.Generator, n_particles: int, mass: float,
-               **spread: float) -> np.ndarray | None:
-    """(n, 2) positions uniform in the domain and inside its wall margins, or
-    None for a massless sample.  Refuses a mass that is negative or not
-    finite, a velocity spread (vmax, temperature) that is not positive and
-    finite, and a sample of positive mass with no particle."""
-    if not (np.isfinite(mass) and mass >= 0.0):
-        raise ValueError(f"mass must be finite and nonnegative, got {mass}")
+               **spread: float) -> np.ndarray:
+    """(n, 2) positions uniform in the domain and inside its wall margins.
+    Refuses a mass or a velocity spread (vmax, temperature) that is not
+    positive and finite, and a sample with no particle: the empty ensemble
+    is the `zero` preset."""
+    if not (np.isfinite(mass) and mass > 0.0):
+        raise ValueError(f"mass must be finite and positive, got {mass}")
     for name, value in spread.items():
         if not (np.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    if mass == 0.0:
-        return None
     if n_particles < 1:
         raise ValueError("need at least one particle")
     X = np.column_stack([

@@ -83,9 +83,7 @@ def luxemburg_norm(values, s, weights, comp_weights=None) -> float:
     M times the bisected root, so it neither overflows nor underflows however
     far |xi| is from unit scale.
     """
-    s = np.asarray(s, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    mag = magnitude(values, w.ndim, comp_weights)
+    mag, s, w = _modular_operands(values, s, weights, comp_weights)
     top = float(mag.max(initial=0.0))
     if top == 0.0:
         return 0.0

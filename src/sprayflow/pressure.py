@@ -6,11 +6,14 @@ The three whole-plane Poisson problems
     -lap p3 =  div F                     (vector source)
 are approximated by embedding the physical domain centrally in a periodic box
 four diameters wide, zero-extending the source, and inverting the exact
-Fourier symbols.  Whole-plane uniqueness (decay at infinity) is replaced by
-the zero-mean condition on the box; the padding error is measured by the
-locality report, never assumed away.  The paper's fourth problem,
--lap p4 = div div (theta beta), has p1's operator, so its source goes
-through p1 as the tensor theta beta.
+Fourier symbols.  Sources live on the physical mesh, as a run's S, u (x) u
+and F do; solve() and residual() embed them.  The box refuses a padding
+factor that leaves no zero cell between the domain and its edge, so an
+embedded source never touches the box boundary.  Whole-plane uniqueness
+(decay at infinity) is replaced by the zero-mean condition on the box; the
+padding error is measured by the locality report, never assumed away.  The
+paper's fourth problem, -lap p4 = div div (theta beta), has p1's operator, so
+its source goes through p1 as the tensor theta beta.
 
 Symmetric tensors are packed (a11, a22, a12); all transforms are numpy FFTs,
 so solve residuals sit at FFT roundoff.
@@ -30,16 +33,21 @@ KINDS = ("p1", "p2", "p3")
 _TENSOR_KINDS = {"p1": -1.0, "p2": +1.0}
 
 
-class SupportError(ValueError):
-    """Input touches the padding boundary: zero extension would be wrong."""
-
-
 @dataclass(frozen=True)
 class PaddedBox:
-    """Periodic computational box holding the physical domain centrally."""
+    """Periodic computational box holding the physical domain centrally.
+
+    The box leaves at least one zero cell between the domain and each of its
+    edges, so a source embedded from the domain mesh is compactly supported
+    inside it; a factor too small for that margin is refused."""
 
     inner: Grid
     factor: float = 4.0
+
+    def __post_init__(self):
+        if min(self.offset) < 1:
+            raise ValueError(f"padding factor {self.factor} leaves no zero cell "
+                             "between the domain and the box edge")
 
     @property
     def n(self) -> int:
@@ -65,61 +73,43 @@ class PaddedBox:
         ox, oy = self.offset
         return field[ox : ox + self.inner.nx, oy : oy + self.inner.ny]
 
-    def check_support(self, box_field: np.ndarray) -> None:
-        mag = np.abs(box_field)
-        while mag.ndim > 2:
-            mag = mag.sum(axis=-1)
-        edge = max(
-            float(mag[0, :].max()), float(mag[-1, :].max()),
-            float(mag[:, 0].max()), float(mag[:, -1].max()),
-        )
-        if edge != 0.0:
-            raise SupportError("source is not compactly supported inside the box")
 
-
-@dataclass(eq=False)
-class PressureProblem:
-    kind: str
-    source: np.ndarray  # on the box: (n, n, 3) packed tensor or (n, n, 2) vector
-    box: PaddedBox
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown pressure problem kind: {self.kind!r}")
-        if not np.any(self.source):
-            raise ValueError("empty source")
-        want = 2 if self.kind == "p3" else 3
-        if self.source.shape != (self.box.n, self.box.n, want):
-            raise ValueError("source shape does not match the box")
-        self.box.check_support(self.source)
-
-
-def _rhs_hat(problem: PressureProblem, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
-    """Fourier transform of the right-hand side of -lap p = rhs (zero mode kept)."""
-    src = problem.source
-    if problem.kind == "p3":
+def _rhs_hat(kind: str, source: np.ndarray, box: PaddedBox):
+    """The box wavenumbers kx, ky and the Fourier transform of the right-hand
+    side of -lap p = rhs (zero mode kept), for a source on the domain mesh:
+    (nx, ny, 3) packed tensor for p1 and p2, (nx, ny, 2) vector for p3."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown pressure problem kind: {kind!r}")
+    if not np.any(source):
+        raise ValueError("empty source")
+    want = 2 if kind == "p3" else 3
+    if source.shape != (box.inner.nx, box.inner.ny, want):
+        raise ValueError("source shape does not match the domain mesh")
+    src = box.embed(source)
+    kx, ky = box.wavenumbers()
+    if kind == "p3":
         fx = np.fft.fft2(src[..., 0])
         fy = np.fft.fft2(src[..., 1])
-        return 1j * (kx * fx + ky * fy)
+        return kx, ky, 1j * (kx * fx + ky * fy)
     a11, a22, a12 = (np.fft.fft2(src[..., k]) for k in range(3))
-    return _TENSOR_KINDS[problem.kind] * (kx**2 * a11 + ky**2 * a22 + 2.0 * kx * ky * a12)
+    return kx, ky, _TENSOR_KINDS[kind] * (kx**2 * a11 + ky**2 * a22 + 2.0 * kx * ky * a12)
 
 
-def solve(problem: PressureProblem) -> np.ndarray:
-    """Zero-mean solution on the box, via the exact Fourier symbols."""
-    kx, ky = problem.box.wavenumbers()
+def solve(kind: str, source: np.ndarray, box: PaddedBox) -> np.ndarray:
+    """Zero-mean box solution for a source on the domain mesh, via the exact
+    Fourier symbols; box.extract() restricts it to the domain."""
+    kx, ky, rhat = _rhs_hat(kind, source, box)
     k2 = kx**2 + ky**2
     k2[0, 0] = 1.0  # zero mode handled explicitly below
-    phat = _rhs_hat(problem, kx, ky) / k2
+    phat = rhat / k2
     phat[0, 0] = 0.0
     return np.real(np.fft.ifft2(phat))
 
 
-def residual(problem: PressureProblem, p: np.ndarray) -> float:
+def residual(kind: str, source: np.ndarray, box: PaddedBox, p: np.ndarray) -> float:
     """Max-norm defect of -lap p = (rhs with its mean removed), spectrally."""
-    kx, ky = problem.box.wavenumbers()
+    kx, ky, rhat = _rhs_hat(kind, source, box)
     lhs = np.real(np.fft.ifft2((kx**2 + ky**2) * np.fft.fft2(p)))
-    rhat = _rhs_hat(problem, kx, ky)
     rhat[0, 0] = 0.0
     rhs = np.real(np.fft.ifft2(rhat))
     return float(np.abs(lhs - rhs).max())
@@ -144,15 +134,18 @@ class BoundReport:
         return max(self.ratios) if self.ratios else 0.0
 
 
-def _random_bump_tensor(rng: np.random.Generator, grid: Grid) -> np.ndarray:
+def _bump(grid: Grid, center: tuple[float, float], radius: float) -> np.ndarray:
+    """(1 - rho^2)_+^3 at the cell centres, rho = distance to center / radius."""
     xc, yc = grid.cell_centers()
+    rho2 = ((xc - center[0]) ** 2 + (yc - center[1]) ** 2) / radius**2
+    return np.clip(1.0 - rho2, 0.0, None) ** 3
+
+
+def _random_bump_tensor(rng: np.random.Generator, grid: Grid) -> np.ndarray:
     cx = rng.uniform(0.3, 0.7) * grid.lx
     cy = rng.uniform(0.3, 0.7) * grid.ly
     rad = rng.uniform(0.1, 0.25) * grid.lx
-    rho2 = ((xc - cx) ** 2 + (yc - cy) ** 2) / rad**2
-    bump = np.clip(1.0 - rho2, 0.0, None) ** 3
-    coeff = rng.standard_normal(3)
-    return bump[..., None] * coeff
+    return _bump(grid, (cx, cy), rad)[..., None] * rng.standard_normal(3)
 
 
 def verify_bounds(grid: Grid, n_samples: int = 10, seed: int = 0) -> dict[str, BoundReport]:
@@ -176,19 +169,15 @@ def verify_bounds(grid: Grid, n_samples: int = 10, seed: int = 0) -> dict[str, B
         cw = None if kind == "p3" else TENSOR_COMP_WEIGHTS
         ratios = []
         for _ in range(n_samples):
-            if kind == "p3":
-                src_inner = _random_bump_tensor(rng, grid)[..., :2]
-            else:
-                src_inner = _random_bump_tensor(rng, grid)
-            if not np.any(src_inner):
+            src = _random_bump_tensor(rng, grid)[..., : 2 if kind == "p3" else 3]
+            if not np.any(src):
                 continue
-            src = box.embed(src_inner)
-            p = box.extract(solve(PressureProblem(kind, src, box)))
+            p = box.extract(solve(kind, src, box))
             num = modular(p, 2.0, w) ** 0.5
             if kind == "p2":
-                den = modular(src_inner, 4.0, w, cw) ** 0.5     # ||src||_4^2
+                den = modular(src, 4.0, w, cw) ** 0.5     # ||src||_4^2
             else:
-                den = modular(src_inner, 2.0, w, cw) ** 0.5
+                den = modular(src, 2.0, w, cw) ** 0.5
             if den == 0.0:
                 continue
             ratios.append(num / den)
@@ -221,12 +210,8 @@ def verify_locality(
     multipole, so the band maxima must be monotone decreasing.
     """
     box = PaddedBox(grid, factor)
-    xc, yc = grid.cell_centers()
-    rho2 = ((xc - center[0]) ** 2 + (yc - center[1]) ** 2) / radius**2
-    bump = np.clip(1.0 - rho2, 0.0, None) ** 3
-    src_inner = bump[..., None] * np.random.default_rng(0).standard_normal(3)
-    src = box.embed(src_inner)
-    p = solve(PressureProblem("p1", src, box))
+    src = _bump(grid, center, radius)[..., None] * np.random.default_rng(0).standard_normal(3)
+    p = solve("p1", src, box)
     gp = gradient(box, p)
 
     # distances on the full box

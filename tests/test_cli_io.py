@@ -703,6 +703,22 @@ def test_config_rejects_presets_the_run_cannot_build(tmp_path, old, new):
     assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
 
 
+def test_type_error_inside_a_preset_builder_is_a_bug_not_a_config_error(monkeypatch):
+    # the keys bind to the builder's signature, so only the body can raise it
+    def broken(grid, rng, n_particles: int, mass: float, vmax: float = 1.0):
+        raise TypeError("a programming error")
+
+    monkeypatch.setitem(PRESET_SECTIONS["kinetic"].builders, "uniform", broken)
+    with pytest.raises(TypeError, match="a programming error"):
+        load_config(os.path.join(CONFIGS, "acceptance.ini"))
+
+
+def test_scenario_refuses_a_particle_count_that_is_not_an_integer():
+    cfg = load_config(os.path.join(CONFIGS, "acceptance.ini"))
+    with pytest.raises(ConfigError, match="n_particles"):
+        dataclasses.replace(cfg, kinetic=PresetSpec("uniform", {"n_particles": "5", "mass": 0.1}))
+
+
 @pytest.mark.parametrize("rheology", [
     "nu0 = -0.1\nnu1 = 0.1\n",
     "nu0 = 0.1\ntheta = 1.5\n",
@@ -723,13 +739,14 @@ def test_config_rejects_rheology_the_stress_law_refuses(tmp_path, rheology):
     ("acceptance", "seed = 3", "seed = -1"),
     ("acceptance", "output_every = 0", "output_every = -1"),
     ("acceptance", "mass = 0.05", "mass = -0.05"),
+    ("acceptance", "mass = 0.05", "mass = 0"),
     ("acceptance", "vmax = 0.5", "vmax = 0"),
     ("two_phase", "temperature = 0.1", "temperature = 0"),
     ("two_phase", "temperature = 0.1", "temperature = -1"),
     ("two_phase", "amplitude = 0.08", "amplitude = nan"),
     ("two_phase", "amplitude = 0.08", "amplitude = inf"),
     ("two_phase", "amplitude = 0.08", "amplitude = -inf"),
-], ids=["negative-seed", "negative-output-every", "negative-mass", "zero-vmax",
+], ids=["negative-seed", "negative-output-every", "negative-mass", "zero-mass", "zero-vmax",
         "zero-temperature", "negative-temperature", "nan-amplitude", "inf-amplitude",
         "negative-inf-amplitude"])
 def test_config_rejects_values_the_run_cannot_use(tmp_path, name, old, new):

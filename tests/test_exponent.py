@@ -17,7 +17,6 @@ from sprayflow.exponent import (
 from sprayflow.fluid import FluidState, VelocityField
 from sprayflow.grid import Grid
 from sprayflow.kinetic import MomentFields, deposit, sample_initial
-from sprayflow.pressure import PaddedBox, PressureProblem
 from sprayflow.rheology import StressLaw
 from sprayflow.snapshots import KIND_SCALAR, Snapshot
 
@@ -37,14 +36,11 @@ def test_array_holders_compare_by_identity():
     cover = build_covering(a)
     p, q = (sample_initial(grid, "uniform", 4, mass=1.0) for _ in range(2))
     vel = VelocityField.zeros(grid)
-    box = PaddedBox(grid)
-    src = box.embed(np.ones((8, 8, 3)))
     pairs = (
         (a, b), (law, StressLaw(0.1, 0.1, a)), (cover, build_covering(a)),
         (p, q), (vel, VelocityField.zeros(grid)), (deposit(p), deposit(q)),
         (FluidState(vel), FluidState(vel)),
         (Snapshot(KIND_SCALAR, 0.0, a.values[0]), Snapshot(KIND_SCALAR, 0.0, a.values[0])),
-        (PressureProblem("p1", src, box), PressureProblem("p1", src, box)),
     )
     for x, y in pairs:
         assert x == x and x != y

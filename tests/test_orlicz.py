@@ -86,6 +86,12 @@ def test_modular_shape_mismatch():
         modular(np.ones((3, 3)), 2.0, W1)
 
 
+def test_luxemburg_norm_shape_mismatch():
+    # a field that only broadcasts against the weights is refused, as by modular
+    with pytest.raises(ValueError, match="shape mismatch"):
+        luxemburg_norm(np.ones(4), 2.0, np.ones((4, 4)))
+
+
 def test_modular_tensor_frobenius():
     # diag(1, -1) packed: |xi|^2 = 2, and the off-diagonal counts twice
     packed = np.zeros((1, 3))

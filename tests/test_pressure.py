@@ -11,8 +11,6 @@ from sprayflow import pressure
 from sprayflow.grid import Grid
 from sprayflow.pressure import (
     PaddedBox,
-    PressureProblem,
-    SupportError,
     residual,
     solve,
     verify_bounds,
@@ -44,10 +42,9 @@ def test_p1_identity_tensor_times_bump():
     # div div (zeta I) = lap zeta, so p1 = -zeta up to the box normalization
     zeta = bump()
     src = np.stack([zeta, zeta, np.zeros_like(zeta)], axis=-1)
-    prob = PressureProblem("p1", BOX.embed(src), BOX)
-    p = solve(prob)
+    p = solve("p1", src, BOX)
     assert aligned_err(p, -BOX.embed(zeta)) <= 1e-8
-    assert residual(prob, p) <= 1e-10 * np.abs(src).max()
+    assert residual("p1", src, BOX, p) <= 1e-10 * np.abs(src).max()
 
 
 def test_p3_gradient_source():
@@ -57,10 +54,9 @@ def test_p3_gradient_source():
     g = gaussian(sigma=sigma)
     xc, yc = GRID.cell_centers()
     F = np.stack([-(xc - 0.5) / sigma**2 * g, -(yc - 0.5) / sigma**2 * g], axis=-1)
-    prob = PressureProblem("p3", BOX.embed(F), BOX)
-    p = solve(prob)
+    p = solve("p3", F, BOX)
     assert aligned_err(p, -BOX.embed(g)) <= 1e-8
-    assert residual(prob, p) <= 1e-10 * np.abs(F).max()
+    assert residual("p3", F, BOX, p) <= 1e-10 * np.abs(F).max()
 
 
 def test_p3_divergence_free_source_vanishes():
@@ -69,25 +65,24 @@ def test_p3_divergence_free_source_vanishes():
     g = gaussian(sigma=sigma)
     xc, yc = GRID.cell_centers()
     F = np.stack([-(yc - 0.5) / sigma**2 * g, (xc - 0.5) / sigma**2 * g], axis=-1)
-    p = solve(PressureProblem("p3", BOX.embed(F), BOX))
+    p = solve("p3", F, BOX)
     assert np.abs(p).max() <= 1e-10 * np.abs(F).max()
 
 
 def test_p2_residual():
     zeta = bump(rad=0.15)
     src = np.stack([zeta, 0.5 * zeta, -0.3 * zeta], axis=-1)
-    prob = PressureProblem("p2", BOX.embed(src), BOX)
-    p = solve(prob)
-    assert residual(prob, p) <= 1e-10 * np.abs(src).max()
+    p = solve("p2", src, BOX)
+    assert residual("p2", src, BOX, p) <= 1e-10 * np.abs(src).max()
 
 
 def test_linearity():
     za, zb = bump(center=(0.4, 0.5)), bump(center=(0.6, 0.6), rad=0.15)
     sa = np.stack([za, -za, 0.2 * za], axis=-1)
     sb = np.stack([0.3 * zb, zb, zb], axis=-1)
-    pa = solve(PressureProblem("p1", BOX.embed(sa), BOX))
-    pb = solve(PressureProblem("p1", BOX.embed(sb), BOX))
-    pc = solve(PressureProblem("p1", BOX.embed(2.0 * sa - 3.0 * sb), BOX))
+    pa = solve("p1", sa, BOX)
+    pb = solve("p1", sb, BOX)
+    pc = solve("p1", 2.0 * sa - 3.0 * sb, BOX)
     scale = np.abs(pc).max()
     assert np.abs(pc - (2.0 * pa - 3.0 * pb)).max() <= 1e-12 * scale
 
@@ -96,33 +91,46 @@ def test_p4_theta_scaling_exact():
     # p4's source theta beta goes through p1; its solution scales with theta
     beta = np.stack([bump(), -bump(), np.zeros((GRID.nx, GRID.ny))], axis=-1)
     theta = 0.37
-    p_beta = solve(PressureProblem("p1", BOX.embed(beta), BOX))
-    p_scaled = solve(PressureProblem("p1", BOX.embed(theta * beta), BOX))
+    p_beta = solve("p1", beta, BOX)
+    p_scaled = solve("p1", theta * beta, BOX)
     np.testing.assert_allclose(p_scaled, theta * p_beta, rtol=0, atol=1e-14)
 
 
 # -- input validation ---------------------------------------------------------
 
 def test_empty_source_rejected():
-    with pytest.raises(ValueError):
-        PressureProblem("p1", np.zeros((BOX.n, BOX.n, 3)), BOX)
+    for check in (solve, lambda *args: residual(*args, np.zeros((BOX.n, BOX.n)))):
+        with pytest.raises(ValueError, match="empty"):
+            check("p1", np.zeros((GRID.nx, GRID.ny, 3)), BOX)
 
 
-def test_noncompact_support_rejected():
-    src = np.ones((BOX.n, BOX.n, 3))
-    with pytest.raises(SupportError):
-        PressureProblem("p1", src, BOX)
+def test_box_without_margin_rejected():
+    # a source on the domain mesh touches the box edge unless a zero cell
+    # separates them: 0.7 diameters is 64 cells on the 64-cell mesh, 0.71
+    # rounds up to 66, one zero cell on each side
+    for factor in (0.5, 0.7):
+        with pytest.raises(ValueError, match="zero cell"):
+            PaddedBox(GRID, factor)
+    assert PaddedBox(GRID, 0.71).offset == (1, 1)
+
+
+def test_source_off_the_domain_mesh_rejected():
+    for shape in ((BOX.n, BOX.n, 3), (GRID.nx, GRID.ny, 2), (GRID.nx, GRID.ny)):
+        with pytest.raises(ValueError, match="shape"):
+            solve("p1", np.ones(shape), BOX)
+    with pytest.raises(ValueError, match="shape"):
+        solve("p3", np.ones((GRID.nx, GRID.ny, 3)), BOX)
 
 
 def test_unknown_kind_rejected():
     for kind in ("p9", "p4"):   # p4's source goes through p1
-        with pytest.raises(ValueError):
-            PressureProblem(kind, np.ones((BOX.n, BOX.n, 3)), BOX)
+        with pytest.raises(ValueError, match="kind"):
+            solve(kind, np.ones((GRID.nx, GRID.ny, 3)), BOX)
 
 
 def test_zero_mean_output():
     src = np.stack([bump(), bump(), bump()], axis=-1)
-    p = solve(PressureProblem("p1", BOX.embed(src), BOX))
+    p = solve("p1", src, BOX)
     assert abs(p.mean()) <= 1e-14 * np.abs(p).max()
 
 
@@ -147,7 +155,7 @@ def test_bound_ratios_measure_tensor_sources_in_the_frobenius_norm(monkeypatch):
     vec2 = src[..., 0] ** 2 + src[..., 1] ** 2
 
     def l2(kind, source):
-        p = box.extract(solve(PressureProblem(kind, box.embed(source), box)))
+        p = box.extract(solve(kind, source, box))
         return np.sqrt(np.sum(h2 * p**2))
 
     expected = {
