@@ -1,8 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 ledgers differ (ledger-diff), 2 config/parse error
-or unusable input or output path, 3 numeric failure (blow-up, CFL refusal,
-escaping particle), 4 certificate (validation) failure.
+Commands raise; main() alone turns a failure into an exit code and one line
+on stderr, and any other exception is a bug that keeps its traceback:
+
+    ConfigError (bad config, input or option)   2   config error: ...
+    OSError (unwritable output path)            2   cannot write output: ...
+    CertificateFailure (and its subclasses)     4   certificate failure: ...
+    BlowUp, CFLViolation, EscapeError           3   numeric failure: ...
+
+Three report verdicts are printed on stdout: validate's "validation FAILED"
+and stress-audit's "certificates FAILED" return 4, and ledger-diff returns 1
+when the ledgers differ.
 """
 
 from __future__ import annotations
@@ -15,15 +23,15 @@ import numpy as np
 from .config import ConfigError, PresetSpec, build_preset, check_preset, load_config
 from .config import preset_parameters
 from .coupling import LEDGER_RTOL, EnergyLedger, ledger_differences
-from .exponent import PRESETS, CoveringError, build_covering, log_holder_modulus
+from .exponent import PRESETS, CertificateFailure, build_covering, log_holder_modulus
 from .exponent import validate as validate_field
 from .fluid import BlowUp, CFLViolation
 from .grid import Grid
 from .kinetic import EscapeError
 from .orlicz import TENSOR_COMP_WEIGHTS, log_modular, luxemburg_norm, modular
 from .pressure import verify_bounds, verify_locality
-from .rheology import CoercivityError, certify_coercive, certify_monotone, coercivity_margin
-from .run import CertificateFailure, build_scene, run_scenario
+from .rheology import certify_coercive, certify_monotone, coercivity_margin
+from .run import build_scene, run_scenario
 from .snapshots import KIND_SCALAR, KIND_TENSOR, KIND_U_FACE, KIND_V_FACE, read_snapshot
 from .studies import MMS_MESHES, dt_study, fitted_order, manufactured_errors, observed_orders
 
@@ -34,40 +42,16 @@ EXIT_BLOWUP = 3
 EXIT_CERTIFICATE = 4
 
 
-def _load(path):
-    try:
-        return load_config(path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_CONFIG)
-
-
 def _read(reader, path):
-    """reader(path), or exit 2 when the file cannot be read."""
+    """reader(path); a file it cannot read is a ConfigError."""
     try:
         return reader(path)
     except (OSError, ValueError) as exc:  # SnapshotError is a ValueError
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        sys.exit(EXIT_CONFIG)
-
-
-def _run_or_exit(fn, *args, **kwargs):
-    """fn(*args, **kwargs), or exit with the code of the run failure it raises."""
-    try:
-        return fn(*args, **kwargs)
-    except CertificateFailure as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        sys.exit(EXIT_CERTIFICATE)
-    except (BlowUp, CFLViolation, EscapeError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        sys.exit(EXIT_BLOWUP)
-    except OSError as exc:  # the output path is a file, or not writable
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        sys.exit(EXIT_CONFIG)
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def cmd_validate(args) -> int:
-    cfg = _load(args.config)
+    cfg = load_config(args.config)
     field = build_preset("exponent", cfg.exponent, cfg.grid, cfg.t_end)
     report = validate_field(field)
     print(f"s range: [{report.s_min:.6g}, {report.s_max:.6g}]")
@@ -76,11 +60,7 @@ def cmd_validate(args) -> int:
     if not report.passed:
         print("validation FAILED")
         return EXIT_CERTIFICATE
-    try:
-        cov = build_covering(field)
-    except CoveringError as exc:
-        print(f"covering FAILED: {exc}")
-        return EXIT_CERTIFICATE
+    cov = build_covering(field)
     print(f"covering: {cov.centers.shape[0]} balls, radius {cov.radius:.6g}")
     print("validation passed")
     return EXIT_OK
@@ -90,18 +70,16 @@ def _exponent_values(spec: str, grid: Grid, t_end: float, points: np.ndarray):
     """s at points (..., 2) of the mesh, from a snapshot path (whose payload
     must have the points' shape) or from "preset:x:y" with the preset's value
     parameters in signature order; a malformed spec, a snapshot of another
-    shape, or a preset that builds more than one time slab, exits 2."""
+    shape, or a preset that builds more than one time slab, is a ConfigError."""
     if ":" not in spec and spec not in PRESETS:
         s = _read(read_snapshot, spec).data
         if s.shape != points.shape[:-1]:
-            print(f"exponent snapshot {spec} has shape {s.shape}, "
-                  f"the field {points.shape[:-1]}", file=sys.stderr)
-            sys.exit(EXIT_CONFIG)
+            raise ConfigError(f"exponent snapshot {spec} has shape {s.shape}, "
+                              f"the field {points.shape[:-1]}")
         return s
     name, *numbers = spec.split(":")
     if name not in PRESETS:
-        print(f"unknown exponent preset: {name}", file=sys.stderr)
-        sys.exit(EXIT_CONFIG)
+        raise ConfigError(f"unknown exponent preset: {name}")
     keys = tuple(preset_parameters("exponent", name))
     try:
         if len(numbers) > len(keys):
@@ -111,8 +89,7 @@ def _exponent_values(spec: str, grid: Grid, t_end: float, points: np.ndarray):
         if nslabs > 1:
             raise ValueError(f"{name} builds {nslabs} time slabs; norm takes one exponent")
     except ValueError as exc:  # ConfigError is a ValueError
-        print(f"bad exponent spec {spec!r}: {exc}", file=sys.stderr)
-        sys.exit(EXIT_CONFIG)
+        raise ConfigError(f"bad exponent spec {spec!r}: {exc}") from exc
     return build_preset("exponent", exp, grid, t_end).sample(0.0, points)
 
 
@@ -142,23 +119,24 @@ def cmd_norm(args) -> int:
     comps, extra, offset = _MESH_KINDS.get(snap.kind, (None, None, None))
     if (comps is None or data.ndim != 2 + len(comps) or data.shape[2:] != comps
             or min(data.shape[0] - extra[0], data.shape[1] - extra[1]) < 1):
-        print(f"{args.field}: kind {snap.kind} with shape {data.shape} is not a mesh field",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{args.field}: kind {snap.kind} with shape {data.shape} "
+                          "is not a mesh field")
     cw = TENSOR_COMP_WEIGHTS if snap.kind == KIND_TENSOR else None
     n0, n1 = data.shape[0], data.shape[1]
     nx, ny = n0 - extra[0], n1 - extra[1]
     try:
         grid = Grid(nx, ny, args.extent, args.extent * ny / nx)
     except ValueError as exc:
-        print(f"bad --extent: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"bad --extent: {exc}") from exc
     points = np.stack(np.meshgrid((np.arange(n0) + offset[0]) * grid.h,
                                   (np.arange(n1) + offset[1]) * grid.h, indexing="ij"), axis=-1)
     s = _exponent_values(args.exponent, grid, 1.0, points)
     w = np.full((n0, n1), grid.cell_volume)
-    with np.errstate(over="ignore"):  # past the double range it prints from its log
-        value = modular(data, s, w, cw)
+    try:
+        with np.errstate(over="ignore"):  # past the double range it prints from its log
+            value = modular(data, s, w, cw)
+    except ValueError as exc:  # s not finite and positive somewhere
+        raise ConfigError(f"bad exponent {args.exponent!r}: {exc}") from exc
     text = f"{value:.12g}" if np.isfinite(value) else _exp_text(log_modular(data, s, w, cw))
     print(f"modular:  {text}")
     print(f"luxemburg norm: {luxemburg_norm(data, s, w, cw):.12g}")
@@ -166,20 +144,15 @@ def cmd_norm(args) -> int:
 
 
 def cmd_stress_audit(args) -> int:
-    cfg = _load(args.config)
+    cfg = load_config(args.config)
     _, law, _, _ = build_scene(cfg)
     try:
         mono = certify_monotone(law, n_samples=args.samples, seed=cfg.seed)
     except ValueError as exc:  # a sample count below the sweep's minimum
-        print(f"bad --samples {args.samples}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"bad --samples {args.samples}: {exc}") from exc
     print(f"monotonicity: worst inner product {mono.worst:.6g} "
           f"(scale {mono.scale:.6g}, {mono.n_samples} pairs)")
-    try:
-        cert = certify_coercive(law)
-    except CoercivityError as exc:
-        print(f"coercivity FAILED: {exc}")
-        return EXIT_CERTIFICATE
+    cert = certify_coercive(law)
     margin = coercivity_margin(law, cert.c, cert.h_bar)
     print(f"coercivity: c = {cert.c:g}, h_bar = {cert.h_bar:g}, worst margin {margin.worst:.3e}")
     ok = mono.ok and margin.ok
@@ -196,13 +169,12 @@ def cmd_stress_audit(args) -> int:
 
 
 def cmd_pressure_test(args) -> int:
-    cfg = _load(args.config)
+    cfg = load_config(args.config)
     grids = [Grid(cfg.grid.nx * f, cfg.grid.ny * f, cfg.grid.lx, cfg.grid.ly) for f in (1, 2)]
     try:
         reports = [verify_bounds(grid, n_samples=args.samples, seed=cfg.seed) for grid in grids]
     except ValueError as exc:  # a sample count below the report's minimum
-        print(f"bad --samples {args.samples}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"bad --samples {args.samples}: {exc}") from exc
     print("kind,resolution,sample,ratio")
     for grid, by_kind in zip(grids, reports):
         for kind, rep in by_kind.items():
@@ -219,8 +191,7 @@ def cmd_pressure_test(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load(args.config)
-    result = _run_or_exit(run_scenario, cfg, outdir=args.output)
+    result = run_scenario(load_config(args.config), outdir=args.output)
     rows = result.ledger.rows
     last = rows[-1]
     print(f"finished t = {last.t:g} after {len(rows)} steps: E_fluid = {last.E_fluid:.6g}, "
@@ -232,15 +203,14 @@ def cmd_run(args) -> int:
 
 def _report_order(paths, dts, residuals) -> int:
     """Print each ledger's dt and residual, then the fitted order of two or
-    more; return 2 when they cannot be fitted."""
+    more; ConfigError when they cannot be fitted."""
     for path, dt, r in zip(paths, dts, residuals):
         print(f"{path}: dt = {dt:g}, accumulated residual = {r:.6e}")
     if len(dts) >= 2:
         try:
             order = fitted_order(dts, residuals)
         except ValueError as exc:
-            print(f"cannot fit a convergence order: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"cannot fit a convergence order: {exc}") from exc
         print(f"fitted convergence order: {order:.3f}")
     return EXIT_OK
 
@@ -250,16 +220,15 @@ def cmd_energy_report(args) -> int:
     for path in args.ledgers:
         led = _read(EnergyLedger.read_csv, path)
         if len(led.rows) < 2:
-            print(f"ledger {path} too short", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"ledger {path} too short")
         dts.append(led.rows[1].t - led.rows[0].t)
         residuals.append(led.last.residual_cum)
     return _report_order(args.ledgers, dts, residuals)
 
 
 def cmd_study_energy(args) -> int:
-    cfg = _load(args.config)
-    dts, residuals, paths = _run_or_exit(dt_study, cfg, args.output or cfg.output_dir)
+    cfg = load_config(args.config)
+    dts, residuals, paths = dt_study(cfg, args.output or cfg.output_dir)
     return _report_order(paths, dts, residuals)
 
 
@@ -267,8 +236,7 @@ def cmd_study_mms(args) -> int:
     try:
         errors = manufactured_errors()
     except ImportError as exc:
-        print(f"study mms needs sympy (the dev extra): {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"study mms needs sympy (the dev extra): {exc}") from exc
     for n, err in zip(MMS_MESHES, errors):
         print(f"n = {n:4d}: L2 error = {err:.6e}")
     print("observed orders:", ", ".join(f"{o:.3f}" for o in observed_orders(errors)))
@@ -279,8 +247,7 @@ def cmd_ledger_diff(args) -> int:
     try:
         diffs = ledger_differences(EnergyLedger.read_csv(args.a), EnergyLedger.read_csv(args.b))
     except (OSError, ValueError) as exc:
-        print(f"cannot compare ledgers: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"cannot compare ledgers: {exc}") from exc
     for col, (diff, rel) in diffs.items():
         print(f"{col}: max|a-b| = {diff:.3e}, relative to max|a| {rel:.3e}")
     if not all(rel <= LEDGER_RTOL for _, rel in diffs.values()):  # False for NaN
@@ -339,7 +306,20 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_ledger_diff)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # the output path is a file, or not writable
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except CertificateFailure as exc:
+        print(f"certificate failure: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
+    except (BlowUp, CFLViolation, EscapeError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
 
 
 if __name__ == "__main__":

@@ -222,8 +222,8 @@ def _read_preset(cp: configparser.ConfigParser, name: str) -> PresetSpec:
 def load_config(path) -> ScenarioConfig:
     cp = configparser.ConfigParser()
     try:
-        read = cp.read(path)
-    except configparser.Error as exc:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file: {path}")

@@ -37,7 +37,12 @@ def required_s_min(d: int) -> float:
     return (3 * d + 2) / (d + 2)
 
 
-class CoveringError(RuntimeError):
+class CertificateFailure(RuntimeError):
+    """A hypothesis of the existence result fails for this scenario: the
+    exponent bound, the covering or the stress law's coercivity."""
+
+
+class CoveringError(CertificateFailure):
     """Raised when no admissible covering radius exists on this mesh."""
 
 

@@ -1,7 +1,8 @@
 """Variable-exponent Lebesgue space numerics.
 
 All functions work on plain arrays: `values` has the shape of `weights` plus
-optional trailing component axes, `s` broadcasts against `weights`.  Weights
+optional trailing component axes, `s` broadcasts against `weights` and
+must be finite and positive, or the call raises ValueError.  Weights
 are cell measures (h^2, optionally times a slab duration for space-time
 integrals); no measure-1 normalization is applied anywhere.
 
@@ -40,6 +41,8 @@ def _modular_operands(values, s, weights, comp_weights):
     mag = magnitude(values, w.ndim, comp_weights)
     if mag.shape != np.broadcast_shapes(mag.shape, w.shape, s.shape):
         raise ValueError("shape mismatch between field, exponent and weights")
+    if not np.all(np.isfinite(s) & (s > 0.0)):
+        raise ValueError("exponent must be finite and positive")
     return mag, s, w
 
 

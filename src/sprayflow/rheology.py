@@ -30,13 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exponent import ExponentField
+from .exponent import CertificateFailure, ExponentField
 
 _MARGIN_RTOL = 1e-12
 _MONOTONE_RTOL = 1e-13
 
 
-class CoercivityError(RuntimeError):
+class CoercivityError(CertificateFailure):
     """No finite coercivity constant exists: the law is misconfigured."""
 
 

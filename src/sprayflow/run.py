@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 from .config import ScenarioConfig, build_preset, module_rng
 from .coupling import EnergyLedger, coupled_step
-from .exponent import CoveringError, build_covering, validate
+from .exponent import CertificateFailure, build_covering, validate
 from .fluid import FluidOps, FluidState
 from .kinetic import ParticleEnsemble
-from .rheology import CoercivityError, StressLaw, certify_coercive
+from .rheology import StressLaw, certify_coercive
 from .snapshots import (
     KIND_SCALAR,
     KIND_U_FACE,
@@ -19,10 +19,6 @@ from .snapshots import (
     write_particles,
     write_snapshot,
 )
-
-
-class CertificateFailure(RuntimeError):
-    pass
 
 
 @dataclass
@@ -43,20 +39,18 @@ def build_scene(cfg: ScenarioConfig):
 
 
 def certify(field, law) -> None:
-    """Pre-run gate: exponent bounds, covering, closed-form coercivity; nothing
-    is sampled.  S = g(|xi|) xi needs no monotonicity check: it is the gradient
-    of Phi = int_0^{|xi|} g(r) r dr, convex as r g(r) is nondecreasing for
-    nu0, nu1, theta >= 0 (StressLaw) and s >= (3d+2)/(d+2) = 2 (validate)."""
+    """Pre-run gate: exponent bounds, covering, closed-form coercivity, each
+    failing with a CertificateFailure; nothing is sampled.  S = g(|xi|) xi
+    needs no monotonicity check: it is the gradient of Phi = int_0^{|xi|}
+    g(r) r dr, convex as r g(r) is nondecreasing for nu0, nu1, theta >= 0
+    (StressLaw) and s >= (3d+2)/(d+2) = 2 (validate)."""
     report = validate(field)
     if not report.passed:
         raise CertificateFailure(
             f"exponent field invalid: s_min {report.s_min} < required {report.s_min_required}"
         )
-    try:
-        build_covering(field)
-        certify_coercive(law)
-    except (CoveringError, CoercivityError) as exc:
-        raise CertificateFailure(str(exc)) from exc
+    build_covering(field)
+    certify_coercive(law)
 
 
 def _write_state(outdir: str, tag: str, state: FluidState, particles: ParticleEnsemble):
@@ -73,7 +67,10 @@ def _write_state(outdir: str, tag: str, state: FluidState, particles: ParticleEn
 
 
 def run_scenario(cfg: ScenarioConfig, outdir: str | None = None) -> RunResult:
-    """Full deterministic run; raises CertificateFailure / BlowUp / CFLViolation."""
+    """Full deterministic run.  Raises CertificateFailure (or its subclass
+    CoveringError or CoercivityError) before the first step; BlowUp,
+    CFLViolation or EscapeError from a step, after writing the last good
+    state; OSError when outdir cannot be written."""
     outdir = outdir or cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     field, law, state, particles = build_scene(cfg)

@@ -22,10 +22,11 @@ from sprayflow.config import (
     module_rng,
     preset_parameters,
 )
-from sprayflow.fluid import CFLViolation
+from sprayflow.fluid import BlowUp, CFLViolation
 from sprayflow.grid import DIM, Grid
+from sprayflow.kinetic import EscapeError
 from sprayflow.rheology import CoercivityError
-from sprayflow.run import run_scenario
+from sprayflow.run import CertificateFailure, run_scenario
 from sprayflow.snapshots import (
     KIND_PARTICLES,
     KIND_SCALAR,
@@ -342,6 +343,16 @@ def test_parse_error_exit_2(tmp_path):
     assert run_cli(["run", "--config", str(p)]) == 2
 
 
+def test_config_that_is_not_utf8_exit_2(tmp_path, capsys):
+    p = tmp_path / "latin1.ini"
+    p.write_bytes(b"[domain]\nnx = 16\xff\n")
+    with pytest.raises(ConfigError, match="cannot parse config"):
+        load_config(p)
+    assert run_cli(["validate", "--config", str(p)]) == 2
+    assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.count("config error: cannot parse config") == 2
+
+
 def test_norm_constant_field_matches_hand_value(tmp_path, capsys):
     snap = tmp_path / "field.vkf"
     write_snapshot(snap, Snapshot(KIND_SCALAR, 0.0, np.full((16, 16), 2.0)))
@@ -373,6 +384,21 @@ def test_norm_malformed_exponent_spec_exit_2(tmp_path, capsys, spec):
     write_snapshot(snap, Snapshot(KIND_SCALAR, 0.0, np.full((16, 16), 2.0)))
     assert run_cli(["norm", "--field", str(snap), "--exponent", spec]) == 2
     assert "exponent spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["constant:0", "constant:-1", np.nan, np.inf])
+def test_norm_exponent_not_finite_and_positive_exit_2(tmp_path, capsys, spec):
+    # a preset refuses a non-finite value itself; a snapshot may hold one
+    snap = tmp_path / "field.vkf"
+    write_snapshot(snap, Snapshot(KIND_SCALAR, 0.0, np.full((16, 16), 2.0)))
+    if not isinstance(spec, str):
+        path = tmp_path / "s.vkf"
+        write_snapshot(path, Snapshot(KIND_SCALAR, 0.0, np.full((16, 16), spec)))
+        spec = str(path)
+    assert run_cli(["norm", "--field", str(snap), "--exponent", spec]) == 2
+    captured = capsys.readouterr()
+    assert "exponent" in captured.err
+    assert "modular" not in captured.out
 
 
 @pytest.mark.parametrize("kind, shape", [
@@ -484,6 +510,51 @@ def test_stress_audit_exit_4_only_for_certificate_errors(monkeypatch):
     monkeypatch.setattr(cli, "certify_coercive", broken)
     with pytest.raises(TypeError):
         run_cli(argv)
+
+
+# -- failure policy: commands raise, main maps each class to its exit code ----
+
+FAILURES = [
+    (ConfigError("bad key"), 2, "config error: "),
+    (OSError("read-only file system"), 2, "cannot write output: "),
+    (exponent.CoveringError("no radius"), 4, "certificate failure: "),
+    (rheology.CoercivityError("no constant"), 4, "certificate failure: "),
+    (CertificateFailure("s too low"), 4, "certificate failure: "),
+    (BlowUp("nan velocity"), 3, "numeric failure: "),
+    (CFLViolation("dt too large"), 3, "numeric failure: "),
+    (EscapeError("particle left"), 3, "numeric failure: "),
+]
+
+
+@pytest.mark.parametrize("exc, code, prefix", FAILURES,
+                         ids=[type(exc).__name__ for exc, _, _ in FAILURES])
+def test_main_maps_each_failure_class_to_its_exit_code(monkeypatch, capsys, exc, code, prefix):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    assert main(["run", "--config", os.path.join(CONFIGS, "minimal.ini")]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"{prefix}{exc}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("exc", [ValueError("x"), TypeError("x"), RuntimeError("x")],
+                         ids=["ValueError", "TypeError", "RuntimeError"])
+def test_main_lets_a_programming_error_propagate(monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    with pytest.raises(type(exc)) as info:
+        main(["run", "--config", os.path.join(CONFIGS, "minimal.ini")])
+    assert info.value is exc
+
+
+def test_certificate_errors_share_one_base_class():
+    assert issubclass(exponent.CoveringError, CertificateFailure)
+    assert issubclass(rheology.CoercivityError, CertificateFailure)
+    assert CertificateFailure is exponent.CertificateFailure  # run.py re-exports it
 
 
 def test_run_minimal_and_determinism(tmp_path, capsys):

@@ -92,6 +92,20 @@ def test_luxemburg_norm_shape_mismatch():
         luxemburg_norm(np.ones(4), 2.0, np.ones((4, 4)))
 
 
+@pytest.mark.parametrize("fn", [modular, log_modular, luxemburg_norm])
+@pytest.mark.parametrize("s", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+def test_exponent_not_finite_and_positive_refused(fn, s):
+    # s = -1 would bisect to a "norm" of 2 although the infimum is 0, and
+    # s = 0 divides by zero in the bracket; one bad cell is enough to refuse
+    field = np.full((4, 4), 2.0)
+    with pytest.raises(ValueError, match="exponent"):
+        fn(field, s, W1)
+    one_bad = np.full((4, 4), 2.0)
+    one_bad[1, 2] = s
+    with pytest.raises(ValueError, match="exponent"):
+        fn(field, one_bad, W1)
+
+
 def test_modular_tensor_frobenius():
     # diag(1, -1) packed: |xi|^2 = 2, and the off-diagonal counts twice
     packed = np.zeros((1, 3))
