@@ -133,6 +133,9 @@ class ScenarioConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.output_every < 0:
             raise ConfigError(f"output_every must be nonnegative, got {self.output_every}")
+        if not np.isfinite(self.t_end / self.dt):
+            raise ConfigError(f"t_end / dt = {self.t_end / self.dt} is not a finite step "
+                              f"count (t_end = {self.t_end}, dt = {self.dt})")
         if not self._on_step_grid(self.t_end):
             n_steps = round(self.t_end / self.dt)
             raise ConfigError(

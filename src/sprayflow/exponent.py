@@ -4,7 +4,8 @@ The exponent is piecewise constant in time and grid-sampled in space: an
 ExponentField holds the slab start times `starts` and one (nslabs, nx, ny)
 array `values` of s at the cell centers, and s may jump across a slab start
 with no regularity in time.  slab_index() is the one slab search; it takes a
-scalar time or an array of times, and values_at(t) = values[slab_index(t)].
+scalar time or an array of times, and s on the mesh at time t is
+values[slab_index(t)].
 The dimension d of the paper's bounds is grid.DIM = 2.  validate() gates a
 run on what can be checked exactly: finite values and the lower bound
 (3d+2)/(d+2) = 2.  Spatial regularity is only ever *estimated*: the
@@ -95,10 +96,6 @@ class ExponentField:
         times before 0 or after t_end take the first or the last slab."""
         # side="right" never passes len(starts), so only t < 0 needs a clamp
         return np.maximum(np.searchsorted(self.starts, t, side="right") - 1, 0)
-
-    def values_at(self, t: float) -> np.ndarray:
-        """s on the mesh, (nx, ny), in the slab holding time t."""
-        return self.values[self.slab_index(t)]
 
     def sample(self, t, x: np.ndarray) -> np.ndarray:
         """s at times t and positions x (..., 2): nearest slab, nearest cell.

@@ -41,7 +41,8 @@ order keeps few grid temporaries live at once: the transient peak is about
 buffers.  The operators write their difference temporaries into buffers
 they already hold, and no buffer is kept between steps.
 The step's CFL bound is h^2 / (2 g) with g the law's own secant viscosity
-g^theta (StressLaw.viscosity) at max|Du|, and h over the largest face velocity.
+g^theta (StressLaw.viscosity) at max|Du| and the slab's cached exponent
+extremes, and h over the largest face velocity, read first: BlowUp if not finite.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ class VelocityField:
         return 0.5 * h2 * sum(float(np.sum(normal**2)) for normal, _ in self.axes())
 
     def max_speed(self) -> float:
-        return max(float(np.abs(normal).max()) for normal, _ in self.axes())
+        """max |face value|; NaN when any face value is NaN."""
+        return float(np.max([np.abs(normal).max() for normal, _ in self.axes()]))
 
     def cell_centered(self) -> tuple[np.ndarray, np.ndarray]:
         uc, vc = (normal[:-1] + normal[1:] for normal, _ in self.axes())
@@ -291,17 +293,19 @@ class FluidOps:
     # -- time stepping -------------------------------------------------------
 
     def cfl_limit(self, vel: VelocityField, law: StressLaw, s: np.ndarray) -> float:
-        """Largest stable dt for vel under law, with s the step's exponent
-        on the mesh: h^2 / (2 g) and h / max speed, with g the law's own
-        g^theta at max|Du|.  g grows with |xi| and |xi|^(e-2) is monotone in
-        e, so the larger of g at the slab's two extreme exponents bounds it
-        on every cell."""
+        """Largest stable dt for vel under law: h^2 / (2 g) and h / max speed,
+        with g the law's own g^theta at max|Du|.  s is the step's exponent, or
+        only its slab's cached extremes: g grows with |xi| and |xi|^(e-2) is
+        monotone in e, so g at the two extreme exponents bounds it on every
+        cell.  A non-finite max speed, read first, raises BlowUp."""
+        speed = vel.max_speed()
+        if not np.isfinite(speed):
+            raise BlowUp(f"non-finite velocity: max speed {speed}")
         h = self.grid.h
         du = self.sym_gradient(vel)
         mmax = float(np.sqrt(packed_inner(du, du).max()))
         nu_eff = float(law.viscosity(np.array([s.min(), s.max()]), mmax).max())
         dt_diff = h**2 / (2.0 * nu_eff) if nu_eff > 0 else np.inf
-        speed = vel.max_speed()
         dt_conv = h / speed if speed > 0 else np.inf
         return float(min(dt_diff, dt_conv))
 
@@ -321,23 +325,22 @@ def fluid_step(
     -<div S^theta, u> h^2 dt (equal to roundoff, since the divergence is
     minus the exact transpose of Du); it evaluates no energy (the coupled
     step's ledger records those).  S^theta is written over Du, and the
-    convection is formed after the stress divergence.  s is looked up
-    once, in the slab at the midpoint t + dt/2 (state.time is a running sum
-    of dt and may fall just short of a switch on the step grid), and serves
-    both the CFL bound and the stress.  Refuses the step on CFL violation;
-    raises BlowUp on non-finite values."""
+    convection is formed after the stress divergence.  The exponent slab is
+    looked up once, at the midpoint t + dt/2 (state.time is a running sum
+    of dt and may fall just short of a switch on the step grid); the CFL
+    bound reads its cached extremes and the stress its values.  Refuses the
+    step on CFL violation; raises BlowUp on non-finite values."""
     vel = state.velocity
-    if not (np.all(np.isfinite(vel.u)) and np.all(np.isfinite(vel.v))):
-        raise BlowUp(f"non-finite velocity at t = {state.time}")
-    s = law.exponent.values_at(state.time + 0.5 * dt)
-    limit = ops.cfl_limit(vel, law, s) * cfl_factor
+    ex = law.exponent
+    k = ex.slab_index(state.time + 0.5 * dt)
+    limit = ops.cfl_limit(vel, law, np.array([ex.slab_min[k], ex.slab_max[k]])) * cfl_factor
     if dt > limit:
         raise CFLViolation(f"dt = {dt} exceeds CFL bound {limit}")
 
     # each grid temporary is dropped after its last reader (module docstring)
     du = ops.sym_gradient(vel)
     div = du[..., 0] + du[..., 1]             # the convection's cell divergence
-    stress = law.eval_packed(s, du, out=du)   # S^theta(Du) in Du's buffer
+    stress = law.eval_packed(ex.values[k], du, out=du)   # S^theta(Du) in Du's buffer
     del du
     star = ops.stress_divergence_of(stress)
     del stress

@@ -32,6 +32,10 @@ class Grid:
         hx, hy = self.lx / self.nx, self.ly / self.ny
         if abs(hx - hy) > 1e-12 * max(hx, hy):
             raise ValueError("cells must be square (lx/nx == ly/ny)")
+        # every cell weight is h^2: zero, subnormal or inf makes them meaningless
+        if not np.finfo(float).tiny <= self.cell_volume < np.inf:
+            raise ValueError(f"cell area h^2 = {self.cell_volume} of the {self.lx} x {self.ly} "
+                             "domain is not a normal double")
 
     @property
     def h(self) -> float:

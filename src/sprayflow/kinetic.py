@@ -69,7 +69,9 @@ class ParticleEnsemble:
     @cached_property
     def stencil(self) -> sparse.csr_array:
         """The CIC operator P at X, built on first use; advance reflects the new
-        positions before it builds the next ensemble, so X never changes."""
+        positions before it builds the next ensemble, so X never changes.
+        advance drops the cached P after its interpolation, the step's last
+        read of it; a later read rebuilds the same operator."""
         return _cic(self.grid, self.X)
 
     @property
@@ -98,10 +100,17 @@ def zero(grid: Grid, rng: np.random.Generator) -> ParticleEnsemble:
 
 def uniform(grid: Grid, rng: np.random.Generator, n_particles: int, mass: float,
             vmax: float = 1.0) -> ParticleEnsemble:
-    """Uniform in x, and in v on the box [-vmax, vmax]^2."""
+    """Uniform in x, and in v on the box [-vmax, vmax]^2; the phase-space
+    volume lx ly (2 vmax)^2, which the density divides by, must be a normal
+    double."""
     X = _positions(grid, rng, n_particles, mass, vmax=vmax)
+    side = 2.0 * vmax
+    volume = grid.lx * grid.ly * (side * side)
+    if not np.finfo(float).tiny <= volume < np.inf:
+        raise ValueError(f"vmax = {vmax} on the {grid.lx} x {grid.ly} domain gives a "
+                         f"phase-space volume {volume}, which is not a normal double")
     V = rng.uniform(-vmax, vmax, size=(n_particles, 2))
-    density = mass / (grid.lx * grid.ly * (2.0 * vmax) ** 2)
+    density = mass / volume
     return ParticleEnsemble(grid, X, V, np.full(n_particles, mass / n_particles),
                             np.full(n_particles, density))
 
@@ -302,6 +311,7 @@ def advance(particles: ParticleEnsemble, vel: VelocityField, dt: float) -> Parti
         raise ValueError("dt must be positive")
     p = particles
     uk = interpolate_velocity(vel, p.stencil)
+    del p.stencil  # the step's last reader of P: free it before the push's arrays
     decay = np.exp(-dt)
     rel = p.V - uk
     Vn = rel * decay

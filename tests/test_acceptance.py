@@ -156,11 +156,18 @@ def test_criterion_06_stress_certificates(acceptance):
 
 def test_cfl_limit_unchanged_on_the_acceptance_initial_state():
     # theta = 0: the law's own viscosity gives the bound the hand-derived
-    # formula of earlier versions gave (value recorded from such a version)
-    cfg = load_config(CONFIG)
-    field, law, state, _ = build_scene(cfg)
-    limit = FluidOps(cfg.grid).cfl_limit(state.velocity, law, field.values_at(0.0))
-    assert limit == pytest.approx(0.00219492364701181, rel=1e-15, abs=0.0)
+    # formula of earlier versions gave (values recorded from such versions),
+    # on acceptance.ini and on two_phase.ini's post-switch slab; the slab and
+    # its two cached extremes, which the step passes, give the same bound
+    for name, slab, recorded in [("acceptance.ini", 0, 0.00219492364701181),
+                                 ("two_phase.ini", 1, 0.0027098474167648007)]:
+        cfg = load_config(os.path.join(os.path.dirname(CONFIG), name))
+        field, law, state, _ = build_scene(cfg)
+        ops = FluidOps(cfg.grid)
+        limit = ops.cfl_limit(state.velocity, law, field.values[slab])
+        assert limit == pytest.approx(recorded, rel=1e-15, abs=0.0)
+        extremes = np.array([field.slab_min[slab], field.slab_max[slab]])
+        assert ops.cfl_limit(state.velocity, law, extremes) == limit
 
 
 def test_two_phase_coercivity_constants():

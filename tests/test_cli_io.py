@@ -707,6 +707,39 @@ def test_norm_rejects_extent_not_finite_and_positive(tmp_path, capsys, extent):
     assert "modular" not in captured.out
 
 
+@pytest.mark.parametrize("lx, ok", [(1.5e-154, True), (1e-154, False), (1e-200, False),
+                                   (1.3e154, True), (1.4e154, False)],
+                         ids=["least-normal", "subnormal", "zero", "largest", "inf"])
+def test_grid_refuses_a_cell_area_that_is_not_a_normal_double(lx, ok):
+    if ok:
+        assert np.finfo(float).tiny <= Grid(1, 1, lx, lx).cell_volume < np.inf
+    else:
+        with pytest.raises(ValueError, match="normal double"):
+            Grid(1, 1, lx, lx)
+
+
+@pytest.mark.parametrize("extent", ["1e-200", "1e200"], ids=["area-underflows", "area-overflows"])
+def test_extent_whose_cell_area_is_not_a_normal_double_exit_2(tmp_path, capsys, extent):
+    # h^2 weighs every cell: at 1e-200 it is 0 (the particle density divided
+    # by zero, and norm printed 0 for a nonzero field), at 1e200 inf (the
+    # projection's symbols overflowed, and norm printed a nan norm)
+    text = open(os.path.join(CONFIGS, "acceptance.ini")).read()
+    p = tmp_path / "extent.ini"
+    p.write_text(text.replace("lx = 1.0\nly = 1.0", f"lx = {extent}\nly = {extent}"))
+    with pytest.raises(ConfigError, match="normal double"):
+        load_config(p)
+    assert run_cli(["validate", "--config", str(p)]) == 2
+    assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
+    assert "config error: " in capsys.readouterr().err
+    snap = tmp_path / "field.vkf"
+    write_snapshot(snap, Snapshot(KIND_SCALAR, 0.0, np.full((16, 16), 2.0)))
+    argv = ["norm", "--field", str(snap), "--exponent", "constant:2", "--extent", extent]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert "bad --extent" in captured.err and "normal double" in captured.err
+    assert "modular" not in captured.out
+
+
 @pytest.mark.parametrize("extra", [
     "[kinetic]\npreset = maxwellian\ntemperatur = 0.1\n",
     "[exponent]\npreset = constant\nvalue = 2.0\namplitud = 0.1\n",
@@ -817,9 +850,15 @@ def test_config_rejects_rheology_the_stress_law_refuses(tmp_path, rheology):
     ("two_phase", "amplitude = 0.08", "amplitude = nan"),
     ("two_phase", "amplitude = 0.08", "amplitude = inf"),
     ("two_phase", "amplitude = 0.08", "amplitude = -inf"),
+    ("acceptance", "vmax = 0.5", "vmax = 1e308"),
+    ("acceptance", "vmax = 0.5", "vmax = 1e200"),
+    ("acceptance", "vmax = 0.5", "vmax = 1e-200"),
+    ("acceptance", "dt = 0.002", "dt = 1e-320"),
+    ("acceptance", "t_end = 1.0", "t_end = 1e308"),
 ], ids=["negative-seed", "negative-output-every", "negative-mass", "zero-mass", "zero-vmax",
         "zero-temperature", "negative-temperature", "nan-amplitude", "inf-amplitude",
-        "negative-inf-amplitude"])
+        "negative-inf-amplitude", "vmax-past-the-sampler-range", "vmax-box-area-overflows",
+        "vmax-box-area-underflows", "subnormal-dt", "step-count-overflows"])
 def test_config_rejects_values_the_run_cannot_use(tmp_path, name, old, new):
     text = open(os.path.join(CONFIGS, f"{name}.ini")).read()
     assert old in text

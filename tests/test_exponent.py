@@ -117,8 +117,6 @@ def test_slab_lookup_and_durations():
     assert field.slab_index(5.0) == 1  # clamped
     t = np.array([-1.0, 0.0, 0.39999, 0.4, 0.9, 5.0])
     np.testing.assert_array_equal(field.slab_index(t), [0, 0, 0, 1, 1, 1])
-    np.testing.assert_array_equal(field.values_at(0.39999), field.values[0])
-    np.testing.assert_array_equal(field.values_at(0.4), field.values[1])
 
 
 def test_sample_takes_one_time_per_position():

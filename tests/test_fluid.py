@@ -52,7 +52,7 @@ def as_vector(vel: VelocityField) -> np.ndarray:
 
 
 def stress_divergence(ops: FluidOps, vel: VelocityField, law: StressLaw, t: float) -> VelocityField:
-    s = law.exponent.values_at(t)
+    s = law.exponent.values[law.exponent.slab_index(t)]
     return ops.stress_divergence_of(law.eval_packed(s, ops.sym_gradient(vel)))
 
 
@@ -430,6 +430,55 @@ def test_blowup_detected():
         fluid_step(OPS, FluidState(vel, 0.0), make_law(), 1e-6, REST)
 
 
+def test_max_speed_sees_a_nan_in_either_component():
+    # Python's max(1.0, nan) is 1.0, so joining the component maxima with it
+    # gave a finite speed, and a finite CFL bound, for a nan in v alone
+    vel = VelocityField.zeros(GRID)
+    vel.u[5, 5] = 1.0
+    vel.v[3, 4] = np.nan
+    assert np.isnan(vel.max_speed())
+    vel.v[3, 4] = -2.0
+    assert vel.max_speed() == 2.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_step_refuses_a_non_finite_v_before_any_gradient(monkeypatch, bad):
+    # the step checks its input only through cfl_limit's max speed, read
+    # before the field enters any arithmetic
+    def no_gradient(self, vel):
+        raise AssertionError("sym_gradient ran on a non-finite field")
+
+    monkeypatch.setattr(FluidOps, "sym_gradient", no_gradient)
+    vel = VelocityField.zeros(GRID)
+    vel.u[5, 5] = 1.0
+    vel.v[3, 4] = bad
+    with pytest.raises(BlowUp, match="non-finite"):
+        fluid_step(OPS, FluidState(vel, 0.0), make_law(), 1e-6, REST)
+
+
+def test_step_reads_max_speed_once_and_sweeps_no_input_for_finiteness(monkeypatch):
+    # cfl_limit's max speed is the step's one read of max|u|, and its
+    # finiteness check replaced an np.isfinite pass over u and v
+    speeds, swept = [], []
+    max_speed = VelocityField.max_speed
+    isfinite = np.isfinite
+
+    def counting(self):
+        speeds.append(self)
+        return max_speed(self)
+
+    def recording(x, *args, **kwargs):
+        swept.append(x)
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(VelocityField, "max_speed", counting)
+    monkeypatch.setattr(np, "isfinite", recording)
+    vel, _ = OPS.project(random_noslip(12, scale=0.1))
+    fluid_step(OPS, FluidState(vel, 0.0), make_law(), 1e-5, REST)
+    assert speeds == [vel]
+    assert not any(np.shares_memory(x, a) for x in swept for a in (vel.u, vel.v))
+
+
 def test_step_records_dissipation_sign():
     vel, _ = OPS.project(random_noslip(8, scale=0.1))
     state = FluidState(vel, 0.0)
@@ -452,10 +501,10 @@ def test_step_dissipation_is_the_packed_stress_work(preset, theta):
     law = StressLaw(0.05, 0.1, field, theta)
     for seed, t in [(0, 0.25), (1, 0.25), (2, 0.75), (3, 0.75)]:
         vel = random_noslip(seed, scale=0.1)
-        dt = 0.5 * OPS.cfl_limit(vel, law, field.values_at(t))
+        dt = 0.5 * OPS.cfl_limit(vel, law, field.values[field.slab_index(t)])
         _, d_stress = fluid_step(OPS, FluidState(vel, t), law, dt, REST)
         du = OPS.sym_gradient(vel)
-        stress = law.eval_packed(field.values_at(t + 0.5 * dt), du)
+        stress = law.eval_packed(field.values[field.slab_index(t + 0.5 * dt)], du)
         np.multiply(stress, du, out=du)
         du[..., 2] *= 2.0                   # S:Du weights (1, 1, 2)
         expected = float(np.sum(du)) * GRID.cell_volume * dt
@@ -487,28 +536,39 @@ def test_exponent_switch_takes_effect_on_its_step(monkeypatch):
 
 
 def test_step_looks_up_the_exponent_once_and_hands_it_to_cfl_limit(monkeypatch):
+    # one slab search per step: cfl_limit gets the slab's cached extremes,
+    # not the slab, and the stress the slab's values
     grid = Grid(8, 8)
-    field = two_phase_switch_field(grid, 1.0, 0.1)
+    field = two_phase_switch_field(grid, 1.0, 0.1, base_after=2.4, amplitude_after=0.35)
     law = StressLaw(0.1, 0.01, field)
-    looked_up, limited = [], []
-    values_at = ExponentField.values_at
+    looked_up, limited, stressed = [], [], []
+    slab_index = ExponentField.slab_index
     cfl_limit = FluidOps.cfl_limit
+    eval_packed = StressLaw.eval_packed
 
     def recording_lookup(self, t):
-        looked_up.append(values_at(self, t))
+        looked_up.append(slab_index(self, t))
         return looked_up[-1]
 
     def recording_limit(self, vel, law, s):
         limited.append(s)
         return cfl_limit(self, vel, law, s)
 
-    monkeypatch.setattr(ExponentField, "values_at", recording_lookup)
+    def recording_stress(self, s, packed, out=None):
+        stressed.append(s)
+        return eval_packed(self, s, packed, out)
+
+    monkeypatch.setattr(ExponentField, "slab_index", recording_lookup)
     monkeypatch.setattr(FluidOps, "cfl_limit", recording_limit)
+    monkeypatch.setattr(StressLaw, "eval_packed", recording_stress)
     state = FluidState(VelocityField.zeros(grid), 0.1)
     fluid_step(FluidOps(grid), state, law, 0.01, VelocityField.zeros(grid))
-    assert len(looked_up) == 1 and len(limited) == 1
-    assert limited[0] is looked_up[0]
-    assert np.array_equal(looked_up[0], field.values[1])
+    assert looked_up == [1]
+    assert len(limited) == 1
+    assert limited[0].tolist() == [field.slab_min[1], field.slab_max[1]]
+    assert field.slab_min[1] < field.slab_max[1]
+    assert len(stressed) == 1 and np.shares_memory(stressed[0], field.values[1])
+    np.testing.assert_array_equal(stressed[0], field.values[1])
 
 
 def test_step_leaves_its_inputs_unmodified():
@@ -530,7 +590,7 @@ def _step_transient_cells(n):
     law = StressLaw(0.05, 0.1, sinusoidal_field(grid, 1.0, base=2.2, amplitude=0.2), 0.01)
     state = FluidState(stream_bump(grid, 0.1), 0.0)
     source = random_noslip(11, grid, scale=0.1)
-    dt = 0.5 * ops.cfl_limit(state.velocity, law, law.exponent.values_at(0.0))
+    dt = 0.5 * ops.cfl_limit(state.velocity, law, law.exponent.values[0])
     state, _ = fluid_step(ops, state, law, dt, source)  # warm-up
     tracemalloc.start()
     try:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -102,6 +103,15 @@ def test_sample_values_the_sampler_cannot_use_rejected(preset, kwargs, name):
             sample_initial(GRID, preset, **count, **kwargs)
 
 
+def test_uniform_refuses_a_phase_space_volume_that_is_not_a_normal_double():
+    # each factor is a normal double, but lx ly (2 vmax)^2 = 4e-400 is 0, and
+    # the density divided by it
+    grid = Grid(16, 16, 1e-100, 1e-100)
+    with pytest.raises(ValueError, match="vmax .* not a normal double"):
+        sample_initial(grid, "uniform", 10, mass=1.0, vmax=1e-100)
+    assert sample_initial(grid, "uniform", 10, mass=1.0, vmax=1e-50).fval[0] > 0.0
+
+
 # -- advance ------------------------------------------------------------------
 
 def test_advance_closed_form_free_decay():
@@ -151,6 +161,31 @@ def test_advance_leaves_the_old_ensemble_unchanged():
     for part in ("data", "indices", "indptr"):
         np.testing.assert_array_equal(getattr(stencil, part), getattr(fresh, part))
     assert not np.array_equal(q.X, p.X)
+
+
+def test_advance_drops_the_stencil_after_its_interpolation():
+    # advance is the step's last reader of P (3.25 (n, 2) arrays); dropped
+    # once u_k is read, the push's arrays take its place, so the peak above
+    # entry is the interpolation's 2.0 (n, 2) arrays (4.39 with P kept)
+    n = 1 << 14
+    p = sample_initial(GRID, "uniform", n, mass=0.7, vmax=3.0, seed=5)
+    rng = np.random.default_rng(6)
+    vel = VelocityField(GRID, rng.standard_normal((GRID.nx + 1, GRID.ny)),
+                        rng.standard_normal((GRID.nx, GRID.ny + 1)))
+    tracemalloc.start()
+    try:
+        p.stencil  # built while traced, as the step's deposit builds it, so its release counts
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        advance(p, vel, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / (16 * n) <= 2.5
+    assert "stencil" not in vars(p)
+    fresh = _cic(GRID, p.X)  # a later read rebuilds the same operator
+    for part in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(p.stencil, part), getattr(fresh, part))
 
 
 def test_advance_rejects_bad_dt():
