@@ -8,9 +8,10 @@ on stderr, and any other exception is a bug that keeps its traceback:
     CertificateFailure (and its subclasses)     4   certificate failure: ...
     BlowUp, CFLViolation, EscapeError           3   numeric failure: ...
 
-Three report verdicts are printed on stdout: validate's "validation FAILED"
-and stress-audit's "certificates FAILED" return 4, and ledger-diff returns 1
-when the ledgers differ.
+Two report verdicts are printed on stdout: stress-audit's "certificates
+FAILED" returns 4, and ledger-diff returns 1 when the ledgers differ.
+validate runs the run's pre-run gate (run.certify), so it fails as run
+does, with a CertificateFailure.
 """
 
 from __future__ import annotations
@@ -20,18 +21,17 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, PresetSpec, build_preset, check_preset, load_config
+from .config import ConfigError, PresetSpec, check_preset, load_config
 from .config import preset_parameters
 from .coupling import LEDGER_RTOL, EnergyLedger, ledger_differences
-from .exponent import PRESETS, CertificateFailure, build_covering, log_holder_modulus
-from .exponent import validate as validate_field
+from .exponent import PRESETS, CertificateFailure, log_holder_modulus, required_s_min
 from .fluid import BlowUp, CFLViolation
-from .grid import Grid
+from .grid import DIM, Grid
 from .kinetic import EscapeError
 from .orlicz import TENSOR_COMP_WEIGHTS, log_modular, luxemburg_norm, modular
 from .pressure import verify_bounds, verify_locality
 from .rheology import certify_coercive, certify_monotone, coercivity_margin
-from .run import build_scene, run_scenario
+from .run import build_scene, certify, run_scenario
 from .snapshots import KIND_SCALAR, KIND_TENSOR, KIND_U_FACE, KIND_V_FACE, read_snapshot
 from .studies import MMS_MESHES, dt_study, fitted_order, manufactured_errors, observed_orders
 
@@ -51,16 +51,11 @@ def _read(reader, path):
 
 
 def cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    field = build_preset("exponent", cfg.exponent, cfg.grid, cfg.t_end)
-    report = validate_field(field)
-    print(f"s range: [{report.s_min:.6g}, {report.s_max:.6g}]")
-    print(f"required lower bound: {report.s_min_required:.6g}")
+    field, law, _, _ = build_scene(load_config(args.config))
+    print(f"s range: [{field.s_min:.6g}, {field.s_max:.6g}]")
+    print(f"required lower bound: {required_s_min(DIM):.6g}")
     print(f"log-Hoelder modulus per slab: {log_holder_modulus(field)}")
-    if not report.passed:
-        print("validation FAILED")
-        return EXIT_CERTIFICATE
-    cov = build_covering(field)
+    cov = certify(field, law)
     print(f"covering: {cov.centers.shape[0]} balls, radius {cov.radius:.6g}")
     print("validation passed")
     return EXIT_OK
@@ -84,13 +79,14 @@ def _exponent_values(spec: str, grid: Grid, t_end: float, points: np.ndarray):
     try:
         if len(numbers) > len(keys):
             raise ValueError(f"{name} takes at most {len(keys)} numbers ({', '.join(keys)})")
-        exp = PresetSpec(name, dict(zip(keys, map(float, numbers))))
-        nslabs = len(check_preset("exponent", exp, Grid(1, 1), t_end).starts)
+        field = check_preset("exponent", PresetSpec(name, dict(zip(keys, map(float, numbers)))),
+                             grid, t_end)
+        nslabs = len(field.starts)
         if nslabs > 1:
             raise ValueError(f"{name} builds {nslabs} time slabs; norm takes one exponent")
     except ValueError as exc:  # ConfigError is a ValueError
         raise ConfigError(f"bad exponent spec {spec!r}: {exc}") from exc
-    return build_preset("exponent", exp, grid, t_end).sample(0.0, points)
+    return field.sample(0.0, points)
 
 
 # per mesh-field kind: trailing component axes, the run's cell counts from the

@@ -25,7 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .exponent import PRESETS, validate
+from .exponent import PRESETS
 from .fluid import INITIAL_VELOCITIES
 from .grid import DIM, Grid
 from .kinetic import INITIAL_PRESETS
@@ -82,10 +82,9 @@ def build_preset(section: str, spec: PresetSpec, *leading):
 def check_preset(section: str, spec: PresetSpec, *leading):
     """build_preset, or ConfigError if the preset cannot be built: an unknown
     preset, a key it does not take, a key it needs and lacks (the keys are
-    bound to the builder's signature before it runs), a value it refuses (a
-    switch time outside (0, t_end)) or, for an exponent, a value validate()
-    refuses (nan, inf).  A TypeError raised inside a builder is a bug and
-    propagates."""
+    bound to the builder's signature before it runs) or a value it refuses
+    (a switch time outside (0, t_end), an exponent that is nan or inf).  A
+    TypeError raised inside a builder is a bug and propagates."""
     builders = PRESET_SECTIONS[section].builders
     try:
         if spec.preset in builders:  # else build_preset refuses the name
@@ -93,10 +92,7 @@ def check_preset(section: str, spec: PresetSpec, *leading):
                 inspect.signature(builders[spec.preset]).bind(*leading, **spec.params)
             except TypeError as exc:
                 raise ValueError(exc) from exc
-        built = build_preset(section, spec, *leading)
-        if section == "exponent":
-            validate(built)
-        return built
+        return build_preset(section, spec, *leading)
     except ValueError as exc:
         raise ConfigError(f"[{section}] preset {spec.preset!r}: {exc}") from exc
 

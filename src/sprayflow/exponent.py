@@ -5,20 +5,20 @@ ExponentField holds the slab start times `starts` and one (nslabs, nx, ny)
 array `values` of s at the cell centers, and s may jump across a slab start
 with no regularity in time.  slab_index() is the one slab search; it takes a
 scalar time or an array of times, and s on the mesh at time t is
-values[slab_index(t)].
-The dimension d of the paper's bounds is grid.DIM = 2.  validate() gates a
-run on what can be checked exactly: finite values and the lower bound
-(3d+2)/(d+2) = 2.  Spatial regularity is only ever *estimated*: the
-log-Hoelder modulus is a sup over a continuum, so log_holder_modulus()
-samples pairs and reports the estimate for `sprayflow validate`; no run
-computes it.
+values[slab_index(t)].  A field refuses a non-finite value when it is built.
+The dimension d of the paper's bounds is grid.DIM = 2.  validate() checks
+the lower bound (3d+2)/(d+2) = 2 exactly, one part of the pre-run gate
+run.certify.  Spatial regularity is only ever *estimated*: the log-Hoelder
+modulus is a sup over a continuum, so log_holder_modulus() samples pairs
+and reports the estimate for `sprayflow validate`; no run computes it.
 
 Also contains the ball covering with per-ball exponent statistics
 (q_i, r_i, R_i).  The pre-run gate builds only the radius and the per-ball
-stats, and uses only whether a covering exists.  The normalized-bump
-partition of unity, the localisation behind the log-Hoelder argument, is
-built on request by Covering.partition_of_unity(); acceptance criterion 8
-and the tests alone read it and the per-ball stats.
+stats; a run uses only whether a covering exists, and `sprayflow validate`
+prints its ball count and radius.  The normalized-bump partition of unity,
+the localisation behind the log-Hoelder argument, is built on request by
+Covering.partition_of_unity(); acceptance criterion 8 and the tests alone
+read it and the per-ball stats.
 """
 
 from __future__ import annotations
@@ -69,10 +69,14 @@ class ExponentField:
         if self.values.shape != shape:
             raise ValueError(f"exponent values have shape {self.values.shape}, "
                              f"expected (nslabs, nx, ny) = {shape}")
+        # a NaN or an infinity anywhere in a slab shows in that slab's
+        # minimum or maximum, which the pre-run gate reads anyway
+        if not (np.all(np.isfinite(self.slab_min)) and np.all(np.isfinite(self.slab_max))):
+            raise ValueError("exponent field contains non-finite values")
 
-    # cached: the pre-run gate and StressLaw read them, and each slab
-    # extreme is one pass over the mesh; values is never written after
-    # construction, and the cached arrays are read-only
+    # cached: construction, the pre-run gate and StressLaw read them, and
+    # each slab extreme is one pass over the mesh; values is never written
+    # after construction, and the cached arrays are read-only
     @cached_property
     def slab_min(self) -> np.ndarray:
         """(nslabs,): the least s of each slab."""
@@ -113,14 +117,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    s_min: float
-    s_max: float
-    s_min_required: float
-    passed: bool  # s_min >= s_min_required
-
-
 @dataclass(frozen=True, eq=False)
 class Covering:
     """Equal-radius ball cover; q and r_sup, shape (nballs, nslabs), are the
@@ -150,25 +146,19 @@ class Covering:
         return raw / total
 
 
-def validate(field: ExponentField) -> ValidationReport:
-    """Check that s is finite and s_min >= (3d+2)/(d+2).
+def validate(field: ExponentField) -> None:
+    """Raise CertificateFailure unless s_min >= (3d+2)/(d+2).
 
-    Raises ValueError on a non-finite value.  A finite s has a finite
-    log-Hoelder modulus on the mesh, since |s_i - s_j| |log d| is finite for
-    0 < d < 1/2, so the estimate decides nothing here and lives apart in
-    log_holder_modulus().  A NaN or an infinity anywhere in a slab shows in
-    that slab's minimum or maximum, so the cached extremes decide finiteness
-    without another pass over the mesh.
+    The field is finite (ExponentField refuses anything else), and a finite
+    s has a finite log-Hoelder modulus on the mesh, since |s_i - s_j| |log d|
+    is finite for 0 < d < 1/2, so the estimate decides nothing here and
+    lives apart in log_holder_modulus().
     """
-    if not (np.all(np.isfinite(field.slab_min)) and np.all(np.isfinite(field.slab_max))):
-        raise ValueError("exponent field contains non-finite values")
     smin_req = required_s_min(DIM)
-    return ValidationReport(
-        s_min=field.s_min,
-        s_max=field.s_max,
-        s_min_required=smin_req,
-        passed=field.s_min >= smin_req,
-    )
+    if field.s_min < smin_req:
+        raise CertificateFailure(
+            f"exponent field invalid: s_min {field.s_min} < required {smin_req}"
+        )
 
 
 def log_holder_modulus(field: ExponentField) -> tuple[float, ...]:
@@ -307,11 +297,8 @@ def two_phase_switch_field(
     """Whole-profile switch at a given time: the time-discontinuous case."""
     if not 0.0 < switch_time < t_end:
         raise ValueError("switch_time must lie strictly inside (0, t_end)")
-    xc, yc = grid.cell_centers()
-    values = np.empty((2, grid.nx, grid.ny))
-    values[0] = value_before
-    values[1] = amplitude_after * np.sin(np.pi * xc / grid.lx) * np.sin(np.pi * yc / grid.ly)
-    values[1] += base_after
+    after = sinusoidal_field(grid, t_end, base_after, amplitude_after).values
+    values = np.concatenate([np.full_like(after, value_before), after])
     return ExponentField((0.0, switch_time), values, t_end, grid)
 
 

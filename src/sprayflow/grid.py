@@ -36,6 +36,11 @@ class Grid:
         if not np.finfo(float).tiny <= self.cell_volume < np.inf:
             raise ValueError(f"cell area h^2 = {self.cell_volume} of the {self.lx} x {self.ly} "
                              "domain is not a normal double")
+        # the projection's 5-point Laplacian symbols lie below 8/h^2 (fluid.FluidOps);
+        # as a Python float the quotient overflows to inf without a warning
+        if not 8.0 / float(self.cell_volume) < np.inf:
+            raise ValueError(f"Laplacian symbol bound 8/h^2 of the {self.lx} x {self.ly} "
+                             f"domain overflows (h^2 = {self.cell_volume})")
 
     @property
     def h(self) -> float:

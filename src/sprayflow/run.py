@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 from .config import ScenarioConfig, build_preset, module_rng
 from .coupling import EnergyLedger, coupled_step
-from .exponent import CertificateFailure, build_covering, validate
+# CertificateFailure is imported for run_scenario's callers, which catch it
+from .exponent import CertificateFailure, Covering, build_covering, validate
 from .fluid import FluidOps, FluidState
 from .kinetic import ParticleEnsemble
 from .rheology import StressLaw, certify_coercive
@@ -38,19 +39,17 @@ def build_scene(cfg: ScenarioConfig):
     return field, law, state, particles
 
 
-def certify(field, law) -> None:
-    """Pre-run gate: exponent bounds, covering, closed-form coercivity, each
-    failing with a CertificateFailure; nothing is sampled.  S = g(|xi|) xi
-    needs no monotonicity check: it is the gradient of Phi = int_0^{|xi|}
-    g(r) r dr, convex as r g(r) is nondecreasing for nu0, nu1, theta >= 0
-    (StressLaw) and s >= (3d+2)/(d+2) = 2 (validate)."""
-    report = validate(field)
-    if not report.passed:
-        raise CertificateFailure(
-            f"exponent field invalid: s_min {report.s_min} < required {report.s_min_required}"
-        )
-    build_covering(field)
+def certify(field, law) -> Covering:
+    """The pre-run gate of `run` and `validate`: exponent bound, covering,
+    closed-form coercivity, each failing with a CertificateFailure; nothing
+    is sampled.  Returns the covering.  S = g(|xi|) xi needs no
+    monotonicity check: it is the gradient of Phi = int_0^{|xi|} g(r) r dr,
+    convex as r g(r) is nondecreasing for nu0, nu1, theta >= 0 (StressLaw)
+    and s >= (3d+2)/(d+2) = 2 (validate)."""
+    validate(field)
+    covering = build_covering(field)
     certify_coercive(law)
+    return covering
 
 
 def _write_state(outdir: str, tag: str, state: FluidState, particles: ParticleEnsemble):

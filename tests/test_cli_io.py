@@ -707,15 +707,36 @@ def test_norm_rejects_extent_not_finite_and_positive(tmp_path, capsys, extent):
     assert "modular" not in captured.out
 
 
-@pytest.mark.parametrize("lx, ok", [(1.5e-154, True), (1e-154, False), (1e-200, False),
-                                   (1.3e154, True), (1.4e154, False)],
-                         ids=["least-normal", "subnormal", "zero", "largest", "inf"])
-def test_grid_refuses_a_cell_area_that_is_not_a_normal_double(lx, ok):
-    if ok:
-        assert np.finfo(float).tiny <= Grid(1, 1, lx, lx).cell_volume < np.inf
+@pytest.mark.parametrize("lx, refusal", [
+    (2.2e-154, None), (1.5e-154, r"8/h\^2"), (1e-154, "normal double"), (1e-200, "normal double"),
+    (1.3e154, None), (1.4e154, "normal double"),
+], ids=["least", "least-normal", "subnormal", "zero", "largest", "inf"])
+def test_grid_refuses_a_cell_area_that_is_not_a_normal_double(lx, refusal):
+    # the least normal h^2 = 2.25e-308 is refused too: the projection's
+    # Laplacian symbols reach 8/h^2, past the double range there
+    if refusal is None:
+        grid = Grid(1, 1, lx, lx)
+        assert np.finfo(float).tiny <= grid.cell_volume < np.inf
+        assert np.isfinite(8.0 / grid.cell_volume)
     else:
-        with pytest.raises(ValueError, match="normal double"):
+        with pytest.raises(ValueError, match=refusal):
             Grid(1, 1, lx, lx)
+
+
+def test_mesh_whose_laplacian_symbols_overflow_exit_2(tmp_path, capsys):
+    # h^2 = 2.25e-308 is a normal double, but 8/h^2 is not: the DCT symbols
+    # were inf, and the projection silently dropped those modes (1/inf = 0)
+    p = tmp_path / "tiny.ini"
+    p.write_text(
+        "[domain]\nnx = 8\nny = 8\nlx = 1.2e-153\nly = 1.2e-153\n"
+        "[run]\nt_end = 1e-300\ndt = 1e-301\n[rheology]\nnu0 = 1e-10\n"
+    )
+    with pytest.raises(ConfigError, match=r"8/h\^2"):
+        load_config(p)
+    assert run_cli(["validate", "--config", str(p)]) == 2
+    assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.count("config error: ") == 2
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("extent", ["1e-200", "1e200"], ids=["area-underflows", "area-overflows"])
@@ -884,6 +905,30 @@ def test_covering_failure_exit_4(tmp_path, capsys, command):
     assert run_cli(argv) == 4
     captured = capsys.readouterr()
     assert "covering" in captured.out + captured.err
+
+
+_GATE_MESH = "[domain]\nnx = 16\nny = 16\n[run]\nt_end = 0.1\ndt = 0.01\n"
+
+
+@pytest.mark.parametrize("config, code", [
+    ("minimal.ini", 0), ("acceptance.ini", 0), ("two_phase.ini", 0),
+    (_GATE_MESH + "[exponent]\npreset = constant\nvalue = 1.9\n", 4),
+    (_GATE_MESH + "[exponent]\npreset = sinusoidal\nbase = 2.2\namplitude = 8\n", 4),
+    (_GATE_MESH + "[exponent]\npreset = sinusoidal\nbase = 2.2\namplitude = 0.1\n"
+     "[rheology]\nnu0 = 0.1\nnu1 = 0.0\n", 4),
+], ids=["minimal", "acceptance", "two_phase", "below-bound", "covering", "not-coercive"])
+def test_validate_and_run_agree_on_the_exit_code(tmp_path, capsys, config, code):
+    # validate runs the run's own pre-run gate, so it refuses what run
+    # refuses before the first step, with the same line on stderr
+    path = os.path.join(CONFIGS, config)
+    if not config.endswith(".ini"):
+        path = tmp_path / "gate.ini"
+        path.write_text(config)
+    assert run_cli(["validate", "--config", str(path)]) == code
+    validate_err = capsys.readouterr().err
+    assert run_cli(["run", "--config", str(path), "--output", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == validate_err
+    assert validate_err.startswith("certificate failure: ") == (code == 4)
 
 
 def test_run_scenario_skips_the_log_holder_estimate(tmp_path, monkeypatch):

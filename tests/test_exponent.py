@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sprayflow.exponent import (
+    CertificateFailure,
     CoveringError,
     ExponentField,
     build_covering,
@@ -48,20 +49,19 @@ def test_array_holders_compare_by_identity():
 
 
 def test_validate_constant_two_passes():
-    report = validate(constant_field(GRID, 1.0, 2.0))
-    assert report.passed
-    assert report.s_min == report.s_max == 2.0
+    field = constant_field(GRID, 1.0, 2.0)
+    assert validate(field) is None
+    assert field.s_min == field.s_max == 2.0
 
 
 def test_validate_below_bound_fails():
-    report = validate(constant_field(GRID, 1.0, 1.9))
-    assert not report.passed
+    with pytest.raises(CertificateFailure, match=r"s_min 1\.9 < required 2\.0"):
+        validate(constant_field(GRID, 1.0, 1.9))
 
 
 def test_validate_sinusoidal_modulus_finite():
     field = sinusoidal_field(GRID, 1.0, base=2.0, amplitude=0.5)
-    report = validate(field)
-    assert report.passed
+    assert validate(field) is None
     # oracle: exhaustive pairwise sweep at grid resolution
     xc, yc = np.broadcast_arrays(*GRID.cell_centers())
     pts = np.column_stack([xc.ravel(), yc.ravel()])
@@ -73,23 +73,20 @@ def test_validate_sinusoidal_modulus_finite():
     assert log_holder_modulus(field)[0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_validate_rejects_nonfinite():
-    vals = np.full((1, GRID.nx, GRID.ny), 2.0)
-    vals[0, 3, 3] = np.nan
-    field = ExponentField((0.0,), vals, 1.0, GRID)
-    with pytest.raises(ValueError):
-        validate(field)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_validate_rejects_nonfinite_in_a_later_slab(bad):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("starts, cell", [((0.0,), (0, 3, 3)), ((0.0, 0.5), (1, 7, 20))],
+                         ids=["first-slab", "later-slab"])
+def test_exponent_field_refuses_nonfinite_values(starts, cell, bad):
     # finiteness is read off the cached slab extremes, which a NaN or an
     # infinity anywhere in the slab reaches
-    vals = np.full((2, GRID.nx, GRID.ny), 2.5)
-    vals[1, 7, 20] = bad
-    field = ExponentField((0.0, 0.5), vals, 1.0, GRID)
-    with pytest.raises(ValueError):
-        validate(field)
+    vals = np.full((len(starts), GRID.nx, GRID.ny), 2.5)
+    vals[cell] = bad
+    with pytest.raises(ValueError, match="exponent field contains non-finite values"):
+        ExponentField(starts, vals, 1.0, GRID)
+
+
+def test_slab_extremes_are_read_only():
+    field = two_phase_switch_field(GRID, 1.0, 0.5)
     assert not field.slab_min.flags.writeable and not field.slab_max.flags.writeable
 
 
