@@ -73,16 +73,24 @@ def test_validate_sinusoidal_modulus_finite():
     assert log_holder_modulus(field)[0] == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("starts, cell", [((0.0,), (0, 3, 3)), ((0.0, 0.5), (1, 7, 20))],
-                         ids=["first-slab", "later-slab"])
-def test_exponent_field_refuses_nonfinite_values(starts, cell, bad):
+def test_validate_rejects_nonfinite():
+    # a non-finite exponent never reaches validate: ExponentField refuses it
+    # when it is built
+    for bad in (np.nan, np.inf, -np.inf):
+        vals = np.full((1, GRID.nx, GRID.ny), 2.0)
+        vals[0, 3, 3] = bad
+        with pytest.raises(ValueError, match="exponent field contains non-finite values"):
+            ExponentField((0.0,), vals, 1.0, GRID)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_nonfinite_in_a_later_slab(bad):
     # finiteness is read off the cached slab extremes, which a NaN or an
     # infinity anywhere in the slab reaches
-    vals = np.full((len(starts), GRID.nx, GRID.ny), 2.5)
-    vals[cell] = bad
+    vals = np.full((2, GRID.nx, GRID.ny), 2.5)
+    vals[1, 7, 20] = bad
     with pytest.raises(ValueError, match="exponent field contains non-finite values"):
-        ExponentField(starts, vals, 1.0, GRID)
+        ExponentField((0.0, 0.5), vals, 1.0, GRID)
 
 
 def test_slab_extremes_are_read_only():
