@@ -10,8 +10,8 @@ on stderr, and any other exception is a bug that keeps its traceback:
 
 Two report verdicts are printed on stdout: stress-audit's "certificates
 FAILED" returns 4, and ledger-diff returns 1 when the ledgers differ.
-validate runs the run's pre-run gate (run.certify), so it fails as run
-does, with a CertificateFailure.
+validate runs the run's pre-run gate (run.certify) on the stress law alone
+(run.build_law), so it fails as run does, with a CertificateFailure.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, PresetSpec, check_preset, load_config
-from .config import preset_parameters
+from .config import ConfigError, PresetSpec, build_preset, load_config, preset_parameters
 from .coupling import LEDGER_RTOL, EnergyLedger, ledger_differences
 from .exponent import PRESETS, CertificateFailure, log_holder_modulus, required_s_min
 from .fluid import BlowUp, CFLViolation
@@ -31,7 +30,7 @@ from .kinetic import EscapeError
 from .orlicz import TENSOR_COMP_WEIGHTS, log_modular, luxemburg_norm, modular
 from .pressure import verify_bounds, verify_locality
 from .rheology import certify_coercive, certify_monotone, coercivity_margin
-from .run import build_scene, certify, run_scenario
+from .run import build_law, certify, run_scenario
 from .snapshots import KIND_SCALAR, KIND_TENSOR, KIND_U_FACE, KIND_V_FACE, read_snapshot
 from .studies import MMS_MESHES, dt_study, fitted_order, manufactured_errors, observed_orders
 
@@ -51,11 +50,11 @@ def _read(reader, path):
 
 
 def cmd_validate(args) -> int:
-    field, law, _, _ = build_scene(load_config(args.config))
-    print(f"s range: [{field.s_min:.6g}, {field.s_max:.6g}]")
+    law = build_law(load_config(args.config))
+    print(f"s range: [{law.exponent.s_min:.6g}, {law.exponent.s_max:.6g}]")
     print(f"required lower bound: {required_s_min(DIM):.6g}")
-    print(f"log-Hoelder modulus per slab: {log_holder_modulus(field)}")
-    cov = certify(field, law)
+    print(f"log-Hoelder modulus per slab: {log_holder_modulus(law.exponent)}")
+    cov = certify(law)
     print(f"covering: {cov.centers.shape[0]} balls, radius {cov.radius:.6g}")
     print("validation passed")
     return EXIT_OK
@@ -79,7 +78,7 @@ def _exponent_values(spec: str, grid: Grid, t_end: float, points: np.ndarray):
     try:
         if len(numbers) > len(keys):
             raise ValueError(f"{name} takes at most {len(keys)} numbers ({', '.join(keys)})")
-        field = check_preset("exponent", PresetSpec(name, dict(zip(keys, map(float, numbers)))),
+        field = build_preset("exponent", PresetSpec(name, dict(zip(keys, map(float, numbers)))),
                              grid, t_end)
         nslabs = len(field.starts)
         if nslabs > 1:
@@ -117,6 +116,8 @@ def cmd_norm(args) -> int:
             or min(data.shape[0] - extra[0], data.shape[1] - extra[1]) < 1):
         raise ConfigError(f"{args.field}: kind {snap.kind} with shape {data.shape} "
                           "is not a mesh field")
+    if not np.isfinite(data).all():  # a run never writes one
+        raise ConfigError(f"{args.field}: the field holds a non-finite value")
     cw = TENSOR_COMP_WEIGHTS if snap.kind == KIND_TENSOR else None
     n0, n1 = data.shape[0], data.shape[1]
     nx, ny = n0 - extra[0], n1 - extra[1]
@@ -141,7 +142,7 @@ def cmd_norm(args) -> int:
 
 def cmd_stress_audit(args) -> int:
     cfg = load_config(args.config)
-    _, law, _, _ = build_scene(cfg)
+    law = build_law(cfg)
     try:
         mono = certify_monotone(law, n_samples=args.samples, seed=cfg.seed)
     except ValueError as exc:  # a sample count below the sweep's minimum

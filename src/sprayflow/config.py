@@ -9,9 +9,9 @@ another module's draws.
 The [domain], [run] and [rheology] keys are dataclass fields (Grid and
 ScenarioConfig), each parsed by its field's type; their defaults live only in
 the dataclasses.  [exponent], [kinetic] and [fluid] each name a preset
-(PRESET_SECTIONS) and set its value parameters: the preset's signature is the
-one source of its keys, their types and their defaults, and a key the preset
-does not take, or a required one it lacks, is a config error.
+(PRESET_SECTIONS, built by build_preset alone) and set its value parameters:
+the preset's signature is the one source of its keys, types and defaults, and
+a key it does not take, or a required one it lacks, is a config error.
 """
 
 from __future__ import annotations
@@ -72,27 +72,23 @@ def preset_parameters(section: str, name: str) -> dict[str, str]:
 
 
 def build_preset(section: str, spec: PresetSpec, *leading):
-    """The section's preset built on its leading arguments (PRESET_SECTIONS)."""
-    builders = PRESET_SECTIONS[section].builders
-    if spec.preset not in builders:
-        raise ValueError(f"unknown preset; expected one of {', '.join(builders)}")
-    return builders[spec.preset](*leading, **spec.params)
-
-
-def check_preset(section: str, spec: PresetSpec, *leading):
-    """build_preset, or ConfigError if the preset cannot be built: an unknown
-    preset, a key it does not take, a key it needs and lacks (the keys are
-    bound to the builder's signature before it runs) or a value it refuses
-    (a switch time outside (0, t_end), an exponent that is nan or inf).  A
-    TypeError raised inside a builder is a bug and propagates."""
+    """The section's preset built on its leading arguments (PRESET_SECTIONS),
+    or ConfigError for an unknown preset, a key it does not take or lacks,
+    or a value it refuses (a switch time outside (0, t_end), a nan or inf
+    exponent).  The keys bind to the builder's signature only once it raises
+    a TypeError; one raised inside a builder whose keys bind is a bug."""
     builders = PRESET_SECTIONS[section].builders
     try:
-        if spec.preset in builders:  # else build_preset refuses the name
+        if spec.preset not in builders:
+            raise ValueError(f"unknown preset; expected one of {', '.join(builders)}")
+        try:
+            return builders[spec.preset](*leading, **spec.params)
+        except TypeError:
             try:
                 inspect.signature(builders[spec.preset]).bind(*leading, **spec.params)
             except TypeError as exc:
                 raise ValueError(exc) from exc
-        return build_preset(section, spec, *leading)
+            raise
     except ValueError as exc:
         raise ConfigError(f"[{section}] preset {spec.preset!r}: {exc}") from exc
 
@@ -144,9 +140,9 @@ class ScenarioConfig:
             if not isinstance(n, (int, np.integer)):
                 raise ConfigError(f"[kinetic] n_particles must be an integer, got {n!r}")
             kin = PresetSpec(kin.preset, {**kin.params, "n_particles": min(n, 1)})
-        check_preset("kinetic", kin, self.grid, np.random.default_rng(0))
-        check_preset("fluid", self.fluid, Grid(1, 1))
-        trial = check_preset("exponent", self.exponent, Grid(1, 1), self.t_end)
+        build_preset("kinetic", kin, self.grid, np.random.default_rng(0))
+        build_preset("fluid", self.fluid, Grid(1, 1))
+        trial = build_preset("exponent", self.exponent, Grid(1, 1), self.t_end)
         for start in trial.starts:
             if not self._on_step_grid(start):
                 raise ConfigError(f"[exponent] switch at t = {start} "

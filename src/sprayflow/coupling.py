@@ -80,13 +80,16 @@ class EnergyLedger:
         led = EnergyLedger()
         with open(path, newline="") as fh:
             rd = csv.reader(fh)
-            header = tuple(next(rd, ()))
-            if header != LEDGER_COLUMNS:
-                raise ValueError(f"unexpected ledger columns: {header}")
-            for rec in rd:
-                if len(rec) != len(LEDGER_COLUMNS):
-                    raise ValueError(f"ledger row {rd.line_num} has {len(rec)} fields")
-                led.append(LedgerRow(*(float(v) for v in rec)))
+            try:
+                header = tuple(next(rd, ()))
+                if header != LEDGER_COLUMNS:
+                    raise ValueError(f"unexpected ledger columns: {header}")
+                for rec in rd:
+                    if len(rec) != len(LEDGER_COLUMNS):
+                        raise ValueError(f"ledger row {rd.line_num} has {len(rec)} fields")
+                    led.append(LedgerRow(*(float(v) for v in rec)))
+            except csv.Error as exc:  # a field past the csv module's limit, say
+                raise ValueError(f"ledger line {rd.line_num}: {exc}") from exc
         return led
 
 

@@ -30,24 +30,29 @@ class RunResult:
     ledger_path: str
 
 
-def build_scene(cfg: ScenarioConfig):
-    """(exponent field, stress law, fluid state, particles) for a scenario."""
+def build_law(cfg: ScenarioConfig) -> StressLaw:
+    """The scenario's stress law; its exponent field is law.exponent."""
     field = build_preset("exponent", cfg.exponent, cfg.grid, cfg.t_end)
-    law = StressLaw(cfg.nu0, cfg.nu1, field, cfg.theta)
+    return StressLaw(cfg.nu0, cfg.nu1, field, cfg.theta)
+
+
+def build_scene(cfg: ScenarioConfig):
+    """(stress law, fluid state, particles) for a scenario, built in that order."""
+    law = build_law(cfg)
     state = FluidState(build_preset("fluid", cfg.fluid, cfg.grid))
     particles = build_preset("kinetic", cfg.kinetic, cfg.grid, module_rng(cfg.seed, "kinetic"))
-    return field, law, state, particles
+    return law, state, particles
 
 
-def certify(field, law) -> Covering:
+def certify(law: StressLaw) -> Covering:
     """The pre-run gate of `run` and `validate`: exponent bound, covering,
     closed-form coercivity, each failing with a CertificateFailure; nothing
     is sampled.  Returns the covering.  S = g(|xi|) xi needs no
     monotonicity check: it is the gradient of Phi = int_0^{|xi|} g(r) r dr,
     convex as r g(r) is nondecreasing for nu0, nu1, theta >= 0 (StressLaw)
     and s >= (3d+2)/(d+2) = 2 (validate)."""
-    validate(field)
-    covering = build_covering(field)
+    validate(law.exponent)
+    covering = build_covering(law.exponent)
     certify_coercive(law)
     return covering
 
@@ -72,8 +77,8 @@ def run_scenario(cfg: ScenarioConfig, outdir: str | None = None) -> RunResult:
     state; OSError when outdir cannot be written."""
     outdir = outdir or cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
-    field, law, state, particles = build_scene(cfg)
-    certify(field, law)
+    law, state, particles = build_scene(cfg)
+    certify(law)
     ops = FluidOps(cfg.grid)
     ledger = EnergyLedger()
     n_steps = int(round(cfg.t_end / cfg.dt))

@@ -11,11 +11,14 @@ Layout (all little-endian):
     payload f64, row-major (C order)
 
 Round-trips are bitwise exact: the payload is the raw IEEE-754 buffer.  The
-file ends with the payload; a short payload or trailing bytes are an error.
+file ends with the payload; a short payload or trailing bytes are an error,
+found from the file's size before the payload is read.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -92,13 +95,13 @@ def read_snapshot(path) -> Snapshot:
         if len(fields) < 8 * ndim + 8:
             raise SnapshotError("truncated header")
         *dims, time = struct.unpack(f"<{ndim}Qd", fields)
-        count = int(np.prod(dims)) if ndim else 1
-        buf = fh.read(8 * count)
-        if len(buf) != 8 * count:
+        count = math.prod(dims)  # Python ints: an int64 product could wrap
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if 8 * count > left:  # checked before the read, which would ask for it all
             raise SnapshotError("truncated payload")
-        if fh.read(1):
+        if 8 * count < left:
             raise SnapshotError(f"trailing bytes after the {count}-value payload")
-        data = np.frombuffer(buf, dtype="<f8").reshape(dims).copy()
+        data = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(dims).copy()
     return Snapshot(kind=kind, time=time, data=data)
 
 

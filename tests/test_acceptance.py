@@ -27,7 +27,7 @@ from sprayflow.pressure import (
     verify_bounds,
 )
 from sprayflow.rheology import StressLaw, certify_coercive, certify_monotone, coercivity_margin
-from sprayflow.run import build_scene
+from sprayflow.run import build_law, build_scene
 from sprayflow.exponent import constant_field
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "acceptance.ini")
@@ -55,7 +55,7 @@ def acceptance(tmp_path_factory):
     growth law e^{d t}.
     """
     cfg = load_config(CONFIG)
-    _, law, _, p0 = build_scene(cfg)
+    law, _, p0 = build_scene(cfg)
     f0max = p0.fval.max()
     base = {"fval_err": []}
     inner = srun.coupled_step
@@ -162,7 +162,8 @@ def test_cfl_limit_unchanged_on_the_acceptance_initial_state():
     for name, slab, recorded in [("acceptance.ini", 0, 0.00219492364701181),
                                  ("two_phase.ini", 1, 0.0027098474167648007)]:
         cfg = load_config(os.path.join(os.path.dirname(CONFIG), name))
-        field, law, state, _ = build_scene(cfg)
+        law, state, _ = build_scene(cfg)
+        field = law.exponent
         ops = FluidOps(cfg.grid)
         limit = ops.cfl_limit(state.velocity, law, field.values[slab])
         assert limit == pytest.approx(recorded, rel=1e-15, abs=0.0)
@@ -173,7 +174,7 @@ def test_cfl_limit_unchanged_on_the_acceptance_initial_state():
 def test_two_phase_coercivity_constants():
     # `sprayflow stress-audit --config configs/two_phase.ini` prints these
     # closed-form constants (rheology module docstring)
-    _, law, _, _ = build_scene(load_config(os.path.join(os.path.dirname(CONFIG), "two_phase.ini")))
+    law = build_law(load_config(os.path.join(os.path.dirname(CONFIG), "two_phase.ini")))
     cert = certify_coercive(law)
     assert cert.c == pytest.approx(200.03723377310746, rel=1e-12)
     assert cert.h_bar == pytest.approx(5.460802800077377e-4, rel=1e-12)
@@ -187,7 +188,7 @@ def test_coercivity_holds_outside_any_sampled_window(name):
     # far below and above the strains a run visits (1e-30, 1e-15 and 1e12
     # among them); a sampled search over |xi| in [1e-8, 1e8] gave acceptance
     # and two_phase (c, h_bar) = (256, 0), false at 1e-15
-    _, law, _, _ = build_scene(load_config(os.path.join(os.path.dirname(CONFIG), f"{name}.ini")))
+    law = build_law(load_config(os.path.join(os.path.dirname(CONFIG), f"{name}.ini")))
     cert = certify_coercive(law)
     assert coercivity_margin(law, cert.c, cert.h_bar).ok
     if cert.theta is not None:

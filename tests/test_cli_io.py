@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import functools
 import inspect
 import os
 import struct
@@ -160,6 +161,19 @@ def test_snapshot_of_another_dimension_exit_2(tmp_path, capsys):
     path.write_bytes(struct.pack("<4sIIBB", b"VKF1", 1, 3, KIND_SCALAR, 2)
                      + struct.pack("<2Qd", 4, 4, 0.0) + np.ones((4, 4)).astype("<f8").tobytes())
     with pytest.raises(SnapshotError, match="dimension 3"):
+        read_snapshot(path)
+    assert run_cli(["norm", "--field", str(path), "--exponent", "constant:2"]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims", [(2**20, 2**20), (2**32, 2**32)], ids=["8-tib", "wraps-in-int64"])
+def test_snapshot_claiming_more_payload_than_the_file_holds_exit_2(tmp_path, capsys, dims):
+    # the header's payload size is checked against the file before it is
+    # read, in Python ints (an int64 product of (2**32, 2**32) is 0)
+    path = tmp_path / "huge.vkf"
+    path.write_bytes(struct.pack("<4sIIBB", b"VKF1", 1, DIM, KIND_SCALAR, 2)
+                     + struct.pack("<2Qd", *dims, 0.0) + np.ones(8).astype("<f8").tobytes())
+    with pytest.raises(SnapshotError, match="truncated payload"):
         read_snapshot(path)
     assert run_cli(["norm", "--field", str(path), "--exponent", "constant:2"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -398,6 +412,21 @@ def test_norm_exponent_not_finite_and_positive_exit_2(tmp_path, capsys, spec):
     assert run_cli(["norm", "--field", str(snap), "--exponent", spec]) == 2
     captured = capsys.readouterr()
     assert "exponent" in captured.err
+    assert "modular" not in captured.out
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "minus-inf", "nan"])
+def test_norm_refuses_a_field_with_a_non_finite_value_exit_2(tmp_path, capsys, value):
+    # a run never writes a non-finite field; a snapshot from elsewhere may hold one
+    data = np.full((16, 16), 2.0)
+    data[3, 5] = value
+    snap = tmp_path / "field.vkf"
+    write_snapshot(snap, Snapshot(KIND_SCALAR, 0.0, data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["norm", "--field", str(snap), "--exponent", "constant:2"]) == 2
+    captured = capsys.readouterr()
+    assert str(snap) in captured.err and "non-finite" in captured.err
     assert "modular" not in captured.out
 
 
@@ -931,6 +960,29 @@ def test_validate_and_run_agree_on_the_exit_code(tmp_path, capsys, config, code)
     assert validate_err.startswith("certificate failure: ") == (code == 4)
 
 
+def _spy(builder, seen):
+    """builder, recording each call's grid and keyword arguments in seen."""
+    @functools.wraps(builder)
+    def spy(grid, *args, **kwargs):
+        seen.append((grid, kwargs))
+        return builder(grid, *args, **kwargs)
+    return spy
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["stress-audit", "--samples", "100"]],
+                         ids=["validate", "stress-audit"])
+def test_gate_commands_build_neither_fluid_nor_spray(monkeypatch, argv):
+    # both read the stress law alone: beyond load_config's trial (one
+    # particle, a 1x1 fluid) no particle is sampled and no fluid is built
+    calls = {"kinetic": [], "fluid": []}
+    for section, preset in (("kinetic", "uniform"), ("fluid", "stream_bump")):
+        builders = PRESET_SECTIONS[section].builders
+        monkeypatch.setitem(builders, preset, _spy(builders[preset], calls[section]))
+    assert run_cli([*argv, "--config", os.path.join(CONFIGS, "acceptance.ini")]) == 0
+    assert calls["kinetic"] and all(kw["n_particles"] <= 1 for _, kw in calls["kinetic"])
+    assert calls["fluid"] and all(grid.nx == grid.ny == 1 for grid, _ in calls["fluid"])
+
+
 def test_run_scenario_skips_the_log_holder_estimate(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the run computed the log-Hoelder modulus")
@@ -1072,6 +1124,23 @@ def test_ledger_diff_exit_codes(tmp_path, capsys):
     extra.write_text(open(a).read().rstrip("\n") + ",0.0\n")
     assert run_cli(["ledger-diff", str(extra), a]) == 2
     assert run_cli(["ledger-diff", a, str(tmp_path / "missing.csv")]) == 2
+
+
+def test_ledger_with_a_field_past_the_csv_limit_exit_2(tmp_path, capsys):
+    # the csv module refuses a field over 131,072 characters; that is an
+    # unreadable ledger, not a crash
+    from sprayflow.coupling import EnergyLedger
+
+    good = _write_ledger(tmp_path / "good.csv", [(0.01 * (i + 1), 1.0, 0.5, 0.0, 0.0, 0.0)
+                                                 for i in range(2)])
+    big = tmp_path / "big.csv"
+    big.write_text(open(good).read().splitlines()[0] + "\n" + "1" * 200_000 + ",1,1,0,0,0\n")
+    with pytest.raises(ValueError, match="field limit"):
+        EnergyLedger.read_csv(big)
+    assert run_cli(["energy-report", str(big)]) == 2
+    assert run_cli(["ledger-diff", good, str(big)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {big}" in err and "cannot compare ledgers" in err
 
 
 def test_pressure_test_minimal_reports(capsys):
