@@ -27,9 +27,9 @@ from .exponent import PRESETS, CertificateFailure, log_holder_modulus, required_
 from .fluid import BlowUp, CFLViolation
 from .grid import DIM, Grid
 from .kinetic import EscapeError
-from .orlicz import TENSOR_COMP_WEIGHTS, log_modular, luxemburg_norm, modular
+from .orlicz import log_modular, luxemburg_norm, modular
 from .pressure import verify_bounds, verify_locality
-from .rheology import certify_coercive, certify_monotone, coercivity_margin
+from .rheology import certify_coercive, certify_monotone, coercivity_margin, packed_inner
 from .run import build_law, certify, run_scenario
 from .snapshots import KIND_SCALAR, KIND_TENSOR, KIND_U_FACE, KIND_V_FACE, read_snapshot
 from .studies import MMS_MESHES, dt_study, fitted_order, manufactured_errors, observed_orders
@@ -60,16 +60,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _exponent_values(spec: str, grid: Grid, t_end: float, points: np.ndarray):
-    """s at points (..., 2) of the mesh, from a snapshot path (whose payload
-    must have the points' shape) or from "preset:x:y" with the preset's value
-    parameters in signature order; a malformed spec, a snapshot of another
-    shape, or a preset that builds more than one time slab, is a ConfigError."""
+def _exponent_values(spec: str, grid: Grid, t_end: float, shape: tuple[int, int]):
+    """s on a payload of shape (n0, n1) on grid's mesh, from a snapshot path
+    (whose payload must have that shape) or from "preset:x:y" with the
+    preset's value parameters in signature order.  A preset gives a cell its
+    value, an interior face the mean of the two cells it separates and a
+    wall face its one cell.  A malformed spec, a snapshot of another shape,
+    or a preset that builds more than one time slab, is a ConfigError."""
     if ":" not in spec and spec not in PRESETS:
         s = _read(read_snapshot, spec).data
-        if s.shape != points.shape[:-1]:
-            raise ConfigError(f"exponent snapshot {spec} has shape {s.shape}, "
-                              f"the field {points.shape[:-1]}")
+        if s.shape != shape:
+            raise ConfigError(f"exponent snapshot {spec} has shape {s.shape}, the field {shape}")
         return s
     name, *numbers = spec.split(":")
     if name not in PRESETS:
@@ -85,16 +86,21 @@ def _exponent_values(spec: str, grid: Grid, t_end: float, points: np.ndarray):
             raise ValueError(f"{name} builds {nslabs} time slabs; norm takes one exponent")
     except ValueError as exc:  # ConfigError is a ValueError
         raise ConfigError(f"bad exponent spec {spec!r}: {exc}") from exc
-    return field.sample(0.0, points)
+    s = field.values[0]
+    for axis in (0, 1):
+        if shape[axis] > s.shape[axis]:  # the faces normal to this axis
+            c = np.moveaxis(s, axis, 0)
+            s = np.moveaxis(np.concatenate([c[:1], 0.5 * (c[:-1] + c[1:]), c[-1:]]), 0, axis)
+    return s
 
 
-# per mesh-field kind: trailing component axes, the run's cell counts from the
-# payload's (n0, n1), and the positions' offsets from a cell's corner in cells
+# per mesh-field kind: trailing component axes, and the run's cell counts
+# from the payload's (n0, n1)
 _MESH_KINDS = {
-    KIND_SCALAR: ((), (0, 0), (0.5, 0.5)),
-    KIND_U_FACE: ((), (1, 0), (0.0, 0.5)),
-    KIND_V_FACE: ((), (0, 1), (0.5, 0.0)),
-    KIND_TENSOR: ((3,), (0, 0), (0.5, 0.5)),
+    KIND_SCALAR: ((), (0, 0)),
+    KIND_U_FACE: ((), (1, 0)),
+    KIND_V_FACE: ((), (0, 1)),
+    KIND_TENSOR: ((3,), (0, 0)),
 }
 
 
@@ -111,32 +117,31 @@ def cmd_norm(args) -> int:
     snap = _read(read_snapshot, args.field)
     data = snap.data
     # mesh fields only: cell or face values of a run's mesh, packed cell tensors
-    comps, extra, offset = _MESH_KINDS.get(snap.kind, (None, None, None))
+    comps, extra = _MESH_KINDS.get(snap.kind, (None, None))
     if (comps is None or data.ndim != 2 + len(comps) or data.shape[2:] != comps
             or min(data.shape[0] - extra[0], data.shape[1] - extra[1]) < 1):
         raise ConfigError(f"{args.field}: kind {snap.kind} with shape {data.shape} "
                           "is not a mesh field")
     if not np.isfinite(data).all():  # a run never writes one
         raise ConfigError(f"{args.field}: the field holds a non-finite value")
-    cw = TENSOR_COMP_WEIGHTS if snap.kind == KIND_TENSOR else None
     n0, n1 = data.shape[0], data.shape[1]
     nx, ny = n0 - extra[0], n1 - extra[1]
     try:
         grid = Grid(nx, ny, args.extent, args.extent * ny / nx)
     except ValueError as exc:
         raise ConfigError(f"bad --extent: {exc}") from exc
-    points = np.stack(np.meshgrid((np.arange(n0) + offset[0]) * grid.h,
-                                  (np.arange(n1) + offset[1]) * grid.h, indexing="ij"), axis=-1)
-    s = _exponent_values(args.exponent, grid, 1.0, points)
+    s = _exponent_values(args.exponent, grid, 1.0, (n0, n1))
     w = np.full((n0, n1), grid.cell_volume)
+    # the modular of a tensor field is that of its pointwise Frobenius norm
+    mag = np.sqrt(packed_inner(data, data)) if snap.kind == KIND_TENSOR else data
     try:
         with np.errstate(over="ignore"):  # past the double range it prints from its log
-            value = modular(data, s, w, cw)
+            value = modular(mag, s, w)
     except ValueError as exc:  # s not finite and positive somewhere
         raise ConfigError(f"bad exponent {args.exponent!r}: {exc}") from exc
-    text = f"{value:.12g}" if np.isfinite(value) else _exp_text(log_modular(data, s, w, cw))
+    text = f"{value:.12g}" if np.isfinite(value) else _exp_text(log_modular(mag, s, w))
     print(f"modular:  {text}")
-    print(f"luxemburg norm: {luxemburg_norm(data, s, w, cw):.12g}")
+    print(f"luxemburg norm: {luxemburg_norm(mag, s, w):.12g}")
     return EXIT_OK
 
 

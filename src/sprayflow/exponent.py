@@ -18,7 +18,8 @@ stats; a run uses only whether a covering exists, and `sprayflow validate`
 prints its ball count and radius.  The normalized-bump partition of unity,
 the localisation behind the log-Hoelder argument, is built on request by
 Covering.partition_of_unity(); acceptance criterion 8 and the tests alone
-read it and the per-ball stats.
+read it and the per-ball stats.  Its C^2 bump, bump(), is also the
+pressure reports' source profile.
 """
 
 from __future__ import annotations
@@ -138,8 +139,7 @@ class Covering:
 
         Raises CoveringError if some cell center lies in no ball.
         """
-        xc, yc = grid.cell_centers()
-        raw = _bump(np.sqrt(_dist2(xc, yc, self.centers)) / self.radius)
+        raw = bump(grid, self.centers, self.radius)
         total = raw.sum(axis=0)
         if np.any(total <= 0):
             raise CoveringError("partition of unity has uncovered nodes")
@@ -197,15 +197,14 @@ def _ball_centers(grid: Grid, radius: float) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def _bump(rho: np.ndarray) -> np.ndarray:
-    # C^2 profile, vanishes with two derivatives at rho = 1
-    return np.clip(1.0 - rho**2, 0.0, None) ** 3
-
-
-def _dist2(xc: np.ndarray, yc: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # squared distance from each ball center to each cell center of the open
-    # pair xc (nx, 1), yc (1, ny): (nballs, nx, ny)
-    return (xc - centers[:, 0, None, None]) ** 2 + (yc - centers[:, 1, None, None]) ** 2
+def bump(grid: Grid, centers: np.ndarray, radius: float) -> np.ndarray:
+    """(nballs, nx, ny): the C^2 bump (1 - rho^2)_+^3 of each ball of
+    centers (nballs, 2) and the radius at grid's cell centers, with rho the
+    distance to the center over the radius; it vanishes with two
+    derivatives at rho = 1."""
+    xc, yc = grid.cell_centers()
+    dist2 = (xc - centers[:, 0, None, None]) ** 2 + (yc - centers[:, 1, None, None]) ** 2
+    return np.clip(1.0 - dist2 / radius**2, 0.0, None) ** 3
 
 
 def build_covering(field: ExponentField) -> Covering:

@@ -154,15 +154,6 @@ def _positions(grid: Grid, rng: np.random.Generator, n_particles: int, mass: flo
 INITIAL_PRESETS = {"zero": zero, "uniform": uniform, "maxwellian": maxwellian}
 
 
-def sample_initial(grid: Grid, preset: str, *args, seed=0, **params) -> ParticleEnsemble:
-    """The named initial preset's sample, drawn from default_rng(seed) (a
-    Generator is drawn from as it is); args and params are its value
-    parameters."""
-    if preset not in INITIAL_PRESETS:
-        raise ValueError(f"unknown initial-data preset: {preset!r}")
-    return INITIAL_PRESETS[preset](grid, np.random.default_rng(seed), *args, **params)
-
-
 # -- shared bilinear kernel --------------------------------------------------
 
 _INT32_MAX = np.iinfo(np.int32).max

@@ -25,8 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exponent import bump
 from .grid import Grid
-from .orlicz import TENSOR_COMP_WEIGHTS, modular
+from .orlicz import modular
+from .rheology import packed_inner
 
 KINDS = ("p1", "p2", "p3")
 
@@ -134,18 +136,11 @@ class BoundReport:
         return max(self.ratios) if self.ratios else 0.0
 
 
-def _bump(grid: Grid, center: tuple[float, float], radius: float) -> np.ndarray:
-    """(1 - rho^2)_+^3 at the cell centres, rho = distance to center / radius."""
-    xc, yc = grid.cell_centers()
-    rho2 = ((xc - center[0]) ** 2 + (yc - center[1]) ** 2) / radius**2
-    return np.clip(1.0 - rho2, 0.0, None) ** 3
-
-
 def _random_bump_tensor(rng: np.random.Generator, grid: Grid) -> np.ndarray:
     cx = rng.uniform(0.3, 0.7) * grid.lx
     cy = rng.uniform(0.3, 0.7) * grid.ly
     rad = rng.uniform(0.1, 0.25) * grid.lx
-    return _bump(grid, (cx, cy), rad)[..., None] * rng.standard_normal(3)
+    return bump(grid, np.array([[cx, cy]]), rad)[0, ..., None] * rng.standard_normal(3)
 
 
 def verify_bounds(grid: Grid, n_samples: int = 10, seed: int = 0) -> dict[str, BoundReport]:
@@ -153,8 +148,8 @@ def verify_bounds(grid: Grid, n_samples: int = 10, seed: int = 0) -> dict[str, B
 
     The norms are fixed: ||p||_2 / ||src||_2 for p1 and p3, and
     ||p||_2 / ||src||_4^2 for p2, whose source is quadratic.  A tensor
-    source is measured pointwise in the Frobenius norm (a12 weighted twice,
-    orlicz.TENSOR_COMP_WEIGHTS), a vector source in the Euclidean norm.  The
+    source is measured pointwise in the Frobenius norm (rheology.packed_inner,
+    a12 weighted twice), a vector source in the Euclidean norm.  The
     box is the default PaddedBox.  All-zero draws are skipped, not counted
     as ratios.
     """
@@ -166,7 +161,6 @@ def verify_bounds(grid: Grid, n_samples: int = 10, seed: int = 0) -> dict[str, B
     out: dict[str, BoundReport] = {}
 
     for kind in ("p1", "p2", "p3"):
-        cw = None if kind == "p3" else TENSOR_COMP_WEIGHTS
         ratios = []
         for _ in range(n_samples):
             src = _random_bump_tensor(rng, grid)[..., : 2 if kind == "p3" else 3]
@@ -174,10 +168,10 @@ def verify_bounds(grid: Grid, n_samples: int = 10, seed: int = 0) -> dict[str, B
                 continue
             p = box.extract(solve(kind, src, box))
             num = modular(p, 2.0, w) ** 0.5
-            if kind == "p2":
-                den = modular(src, 4.0, w, cw) ** 0.5     # ||src||_4^2
-            else:
-                den = modular(src, 2.0, w, cw) ** 0.5
+            mag = (np.sqrt(np.sum(src**2, axis=-1)) if kind == "p3"
+                   else np.sqrt(packed_inner(src, src)))
+            # ||src||_4^2 for p2, ||src||_2 otherwise
+            den = modular(mag, 4.0 if kind == "p2" else 2.0, w) ** 0.5
             if den == 0.0:
                 continue
             ratios.append(num / den)
@@ -210,7 +204,8 @@ def verify_locality(
     multipole, so the band maxima must be monotone decreasing.
     """
     box = PaddedBox(grid, factor)
-    src = _bump(grid, center, radius)[..., None] * np.random.default_rng(0).standard_normal(3)
+    src = bump(grid, np.array([center]), radius)[0, ..., None]
+    src = src * np.random.default_rng(0).standard_normal(3)
     p = solve("p1", src, box)
     gp = gradient(box, p)
 

@@ -173,10 +173,14 @@ def _young_gap(a) -> np.ndarray:
     return b * a ** np.divide(a, b, out=np.zeros_like(a), where=b > 0.0)
 
 
+@np.errstate(over="ignore")   # a constant that overflows is refused by name
 def certify_coercive(law: StressLaw) -> CoercivityCertificate:
     """Closed-form (c, h_bar), and (c_theta, h_theta) when theta > 0 (module
-    docstring).  CoercivityError for s_min < 2, outside the closed form, and
-    for nu1 = 0 with s_max > 2, where no finite c exists.
+    docstring).  CoercivityError for s_min < 2, outside the closed form, for
+    nu1 = 0 with s_max > 2, where no finite c exists, and for a constant
+    that leaves the double range, which bounds nothing.  c and h_bar are
+    checked before the theta variant is formed: its powers of nu0 and nu1
+    are at most theirs, so they stay finite.
 
     The maxima over the mesh exponents s > 2 are taken without listing them.
     With s' = s/(s-1), decreasing in s, and k = 1 + [nu0 > 0]:
@@ -214,6 +218,7 @@ def certify_coercive(law: StressLaw) -> CoercivityCertificate:
         c = max(c, float(np.max((1.0 + kf * nu1**sc) / nu1)),
                 float(np.max(kf * nu0 ** (sc - 1.0))))
         h_bar = float(np.max(kf * nu0**sc * _young_gap(sc / 2.0)))
+    _refuse_non_finite(c=c, h_bar=h_bar)
     if law.theta == 0.0:   # without theta, no s_max growth at large |xi|
         return CoercivityCertificate(c, h_bar)
     pc = p / (p - 1.0)
@@ -222,7 +227,16 @@ def certify_coercive(law: StressLaw) -> CoercivityCertificate:
     c_theta = (1.0 + kf * float(np.sum(coef**pc))) / (law.theta * p)
     # kappa decreases on (0, 1], so kappa((s - 1)/(p - 1)) peaks at s_min
     gap = nu0**pc * _young_gap(pc / p) + nu1**pc * _young_gap((s_min - 1.0) / (p - 1.0))
-    return CoercivityCertificate(c, h_bar, CoercivityCertificate(c_theta, kf * float(gap)))
+    h_theta = kf * float(gap)
+    _refuse_non_finite(c_theta=c_theta, h_theta=h_theta)
+    return CoercivityCertificate(c, h_bar, CoercivityCertificate(c_theta, h_theta))
+
+
+def _refuse_non_finite(**constants: float) -> None:
+    for name, value in constants.items():
+        if not math.isfinite(value):
+            raise CoercivityError(f"{name} = {value:g}: a coercivity constant past the "
+                                  "double range bounds nothing")
 
 
 def _h_peak_neighbours(values: np.ndarray, k_nu0: float) -> list[float]:

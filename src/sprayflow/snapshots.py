@@ -101,7 +101,10 @@ def read_snapshot(path) -> Snapshot:
             raise SnapshotError("truncated payload")
         if 8 * count < left:
             raise SnapshotError(f"trailing bytes after the {count}-value payload")
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(dims).copy()
+        try:  # read straight into the array, so the payload is held once
+            data = np.fromfile(fh, dtype="<f8", count=count).reshape(dims)
+        except ValueError as exc:  # numpy cannot make the shape, e.g. (0, 2**63)
+            raise SnapshotError(f"payload shape {tuple(dims)}: {exc}") from exc
     return Snapshot(kind=kind, time=time, data=data)
 
 

@@ -18,7 +18,7 @@ from sprayflow.coupling import LEDGER_RTOL, EnergyLedger, ledger_differences
 from sprayflow.exponent import build_covering, required_s_min, sinusoidal_field
 from sprayflow.fluid import FluidOps, VelocityField
 from sprayflow.grid import DIM, Grid
-from sprayflow.kinetic import advance, sample_initial
+from sprayflow.kinetic import advance, uniform
 from sprayflow.orlicz import luxemburg_norm, modular
 from sprayflow.pressure import (
     PaddedBox,
@@ -89,7 +89,7 @@ def test_criterion_02_sup_growth_law(acceptance):
 
 def test_criterion_03_free_kinetic_decay():
     grid = Grid(64, 64)
-    p = sample_initial(grid, "uniform", 4096, mass=0.05, vmax=0.5, seed=3)
+    p = uniform(grid, np.random.default_rng(3), 4096, mass=0.05, vmax=0.5)
     rest = VelocityField.zeros(grid)
     e0 = p.kinetic_energy()
     dt, nsteps = 2e-3, 500

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -177,6 +178,34 @@ def test_snapshot_claiming_more_payload_than_the_file_holds_exit_2(tmp_path, cap
         read_snapshot(path)
     assert run_cli(["norm", "--field", str(path), "--exponent", "constant:2"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_snapshot_whose_shape_numpy_cannot_make_exit_2(tmp_path, capsys):
+    # dims (0, 2**63) hold no value, so the empty payload has the right size,
+    # but 2**63 is past numpy's largest dimension
+    path = tmp_path / "wide.vkf"
+    path.write_bytes(struct.pack("<4sIIBB", b"VKF1", 1, DIM, KIND_SCALAR, 2)
+                     + struct.pack("<2Qd", 0, 2**63, 0.0))
+    with pytest.raises(SnapshotError, match=r"shape \(0, 9223372036854775808\)"):
+        read_snapshot(path)
+    assert run_cli(["norm", "--field", str(path), "--exponent", "constant:2"]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_snapshot_read_holds_its_payload_once(tmp_path):
+    # a 1024^2 scalar is 8 MiB; reading it into bytes and copying held 16 MiB
+    data = np.arange(1024 * 1024, dtype=float).reshape(1024, 1024)
+    path = tmp_path / "big.vkf"
+    write_snapshot(path, Snapshot(KIND_SCALAR, 0.5, data))
+    tracemalloc.start()
+    try:
+        snap = read_snapshot(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * 1024 * 1024) <= 1.1
+    np.testing.assert_array_equal(snap.data, data)
+    assert snap.data.flags.writeable  # not a view of a read-only buffer
 
 
 # -- config -------------------------------------------------------------------
@@ -468,19 +497,41 @@ def test_norm_weights_face_fields_with_the_run_cell_size(tmp_path, capsys, kind,
 
 
 def test_norm_samples_a_preset_exponent_at_the_faces(tmp_path, capsys):
-    # sinusoidal s at the u-faces, given as a snapshot of the face shape,
-    # gives what the preset spec gives
-    grid = Grid(16, 16)
-    faces = np.stack(np.meshgrid(np.arange(17) * grid.h, (np.arange(16) + 0.5) * grid.h,
-                                 indexing="ij"), axis=-1)
-    s = exponent.sinusoidal_field(grid, 1.0, 2.0, 0.3).sample(0.0, faces)
-    field, expo = tmp_path / "field.vkf", tmp_path / "s.vkf"
-    write_snapshot(field, Snapshot(KIND_U_FACE, 0.0, np.full((17, 16), 1.5)))
-    write_snapshot(expo, Snapshot(KIND_U_FACE, 0.0, s))
-    assert run_cli(["norm", "--field", str(field), "--exponent", "sinusoidal:2:0.3"]) == 0
-    from_spec = capsys.readouterr().out
-    assert run_cli(["norm", "--field", str(field), "--exponent", str(expo)]) == 0
-    assert capsys.readouterr().out == from_spec
+    # a preset's s at the faces, given as a snapshot of the face shape, gives
+    # what the preset spec gives: each interior face the mean of the two
+    # cells it separates, each wall face its one cell
+    grid = Grid(16, 12, 1.0, 0.75)  # norm's mesh for a 16 x 12 payload
+    for kind, axis in ((KIND_U_FACE, 0), (KIND_V_FACE, 1)):
+        cells = np.moveaxis(exponent.sinusoidal_field(grid, 1.0, 2.2, 0.5).values[0], axis, 0)
+        faces = np.concatenate([cells[:1], 0.5 * (cells[:-1] + cells[1:]), cells[-1:]])
+        data = np.random.default_rng(8).standard_normal(faces.shape)
+        field, expo = tmp_path / "field.vkf", tmp_path / "s.vkf"
+        write_snapshot(field, Snapshot(kind, 0.0, np.moveaxis(data, 0, axis)))
+        write_snapshot(expo, Snapshot(kind, 0.0, np.moveaxis(faces, 0, axis)))
+        assert run_cli(["norm", "--field", str(field), "--exponent", "sinusoidal:2.2:0.5"]) == 0
+        from_spec = capsys.readouterr().out
+        assert run_cli(["norm", "--field", str(field), "--exponent", str(expo)]) == 0
+        assert capsys.readouterr().out == from_spec
+
+
+@pytest.mark.parametrize("kind, shape, axis", [
+    (KIND_U_FACE, (9, 8), 0), (KIND_V_FACE, (8, 9), 1), (KIND_SCALAR, (8, 8), 0),
+    (KIND_TENSOR, (8, 8, 3), 1),
+], ids=["u-face", "v-face", "cell", "tensor"])
+def test_norm_of_a_mirrored_field_under_a_mirror_symmetric_exponent(tmp_path, capsys,
+                                                                     kind, shape, axis):
+    # sinusoidal s is symmetric under x -> lx - x and y -> ly - y, so a field
+    # and its mirror have one modular; reading s at the nearest cell centre
+    # took cells 0, 0, 2, 2, 4, 4, 6, 6, 7 for the 9 u-faces of an 8-cell row
+    data = np.random.default_rng(5).standard_normal(shape)
+    out = []
+    for payload in (data, np.flip(data, axis)):
+        snap = tmp_path / "field.vkf"
+        write_snapshot(snap, Snapshot(kind, 0.0, payload))
+        assert run_cli(["norm", "--field", str(snap), "--exponent", "sinusoidal:2.2:0.5"]) == 0
+        out.append(dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines()))
+    for key in ("modular", "luxemburg norm"):
+        assert float(out[1][key]) == pytest.approx(float(out[0][key]), rel=1e-12)
 
 
 def test_norm_exponent_snapshot_of_another_shape_exit_2(tmp_path, capsys):
@@ -1026,6 +1077,29 @@ def test_run_law_without_growth_exit_4(tmp_path, capsys):
                  .replace("t_end = 1.0\n", "t_end = 0.004\n"))
     assert run_cli(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == 4
     assert "nu1 = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, value, name", [
+    ("nu1 = 0.005\n", "nu1 = 1e-310\n", "c"), ("nu0 = 0.05\n", "nu0 = 1e200\n", "h_bar"),
+], ids=["subnormal-nu1", "huge-nu0"])
+def test_coercivity_constant_past_the_double_range_exit_4(tmp_path, capsys, line, value, name):
+    # a 16^2 acceptance.ini whose closed-form constant overflows to inf, which
+    # `validate` passed and `run` ran with
+    with open(os.path.join(CONFIGS, "acceptance.ini")) as fh:
+        text = fh.read()
+    p = tmp_path / "overflow.ini"
+    p.write_text(text.replace("nx = 64\nny = 64\n", "nx = 16\nny = 16\n")
+                 .replace("t_end = 1.0\n", "t_end = 0.004\n")
+                 .replace("n_particles = 4096\n", "n_particles = 64\n")
+                 .replace(line, value))
+    commands = [["validate"], ["run", "--output", str(tmp_path / "o")]]
+    if name == "c":  # nu0 = 1e200 overflows the sampled monotonicity sweep first
+        commands.append(["stress-audit", "--samples", "200"])
+    for command in commands:
+        assert run_cli([*command, "--config", str(p)]) == 4
+        captured = capsys.readouterr()
+        assert f"certificate failure: {name} = inf" in captured.err
+        assert "passed" not in captured.out
 
 
 def test_energy_report_fits_order(tmp_path, capsys):

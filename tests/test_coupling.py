@@ -12,7 +12,8 @@ from sprayflow.coupling import (
 from sprayflow.exponent import constant_field
 from sprayflow.fluid import FluidOps, FluidState, VelocityField, stream_function_field
 from sprayflow.grid import Grid
-from sprayflow.kinetic import MomentFields, ParticleEnsemble, advance, drag_dissipation_exact, sample_initial
+from sprayflow.kinetic import (MomentFields, ParticleEnsemble, advance, drag_dissipation_exact,
+                               uniform, zero)
 from sprayflow.rheology import StressLaw
 
 GRID = Grid(16, 16)
@@ -77,8 +78,8 @@ def test_exchange_audit_single_particle_hand_case():
 @given(seed=st.integers(min_value=0, max_value=2**31))
 def test_exchange_audit_antisymmetry_random(seed):
     rng = np.random.default_rng(seed)
-    p = sample_initial(GRID, "uniform", 300, mass=rng.uniform(0.1, 2.0),
-                       vmax=rng.uniform(0.1, 2.0), seed=seed)
+    p = uniform(GRID, np.random.default_rng(seed), 300, mass=rng.uniform(0.1, 2.0),
+                vmax=rng.uniform(0.1, 2.0))
     vel = VelocityField(GRID, rng.standard_normal((GRID.nx + 1, GRID.ny)),
                         rng.standard_normal((GRID.nx, GRID.ny + 1)))
     wf, wp, dis = exchange_audit(p, vel, 0.01)
@@ -87,7 +88,7 @@ def test_exchange_audit_antisymmetry_random(seed):
 
 
 def test_exchange_audit_empty():
-    p = sample_initial(GRID, "zero")
+    p = zero(GRID, np.random.default_rng(0))
     assert exchange_audit(p, uniform_u(1.0, 0.0), 0.1) == (0.0, 0.0, 0.0)
 
 
@@ -95,7 +96,7 @@ def test_exchange_audit_empty():
 
 def test_audit_pure_kinetic_decay_exact():
     # u frozen at zero: the exact integrator makes the budget close to roundoff
-    p = sample_initial(GRID, "uniform", 1000, mass=1.0, vmax=0.5, seed=1)
+    p = uniform(GRID, np.random.default_rng(1), 1000, mass=1.0, vmax=0.5)
     dt = 0.05
     rest = VelocityField.zeros(GRID)
     d_drag = drag_dissipation_exact(p, rest, dt)
@@ -109,8 +110,8 @@ def test_audit_pure_kinetic_decay_exact():
 def scene(mass=0.1, nu0=0.05, amp=0.05, theta=0.0, seed=2):
     field = constant_field(GRID, 10.0, 2.2)
     law = StressLaw(nu0, 0.005, field, theta)
-    p = (sample_initial(GRID, "uniform", 512, mass=mass, vmax=0.4, seed=seed) if mass
-         else sample_initial(GRID, "zero"))
+    p = (uniform(GRID, np.random.default_rng(seed), 512, mass=mass, vmax=0.4) if mass
+         else zero(GRID, np.random.default_rng(0)))
     vel = stream_function_field(
         GRID, lambda x, y: amp * np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2
     )

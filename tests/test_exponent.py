@@ -17,7 +17,7 @@ from sprayflow.exponent import (
 )
 from sprayflow.fluid import FluidState, VelocityField
 from sprayflow.grid import Grid
-from sprayflow.kinetic import MomentFields, deposit, sample_initial
+from sprayflow.kinetic import MomentFields, deposit, uniform
 from sprayflow.rheology import StressLaw
 from sprayflow.snapshots import KIND_SCALAR, Snapshot
 
@@ -35,7 +35,7 @@ def test_array_holders_compare_by_identity():
     a, b = constant_field(grid, 1.0, 2.0), constant_field(grid, 1.0, 2.0)
     law = StressLaw(0.1, 0.1, a)
     cover = build_covering(a)
-    p, q = (sample_initial(grid, "uniform", 4, mass=1.0) for _ in range(2))
+    p, q = (uniform(grid, np.random.default_rng(0), 4, mass=1.0) for _ in range(2))
     vel = VelocityField.zeros(grid)
     pairs = (
         (a, b), (law, StressLaw(0.1, 0.1, a)), (cover, build_covering(a)),

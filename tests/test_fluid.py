@@ -2,6 +2,7 @@
 stress divergence vs. symmetric gradient, skew-symmetric convection, and the
 Leray projection contracts."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from sprayflow.coupling import drag_force
+from sprayflow.config import load_config
+from sprayflow.coupling import EnergyLedger, coupled_step, drag_force
 from sprayflow.exponent import (
     ExponentField,
     constant_field,
@@ -27,8 +29,9 @@ from sprayflow.fluid import (
     stream_function_field,
 )
 from sprayflow.grid import Grid
-from sprayflow.kinetic import MomentFields
-from sprayflow.rheology import StressLaw
+from sprayflow.kinetic import MomentFields, deposit, uniform
+from sprayflow.rheology import StressLaw, packed_inner
+from sprayflow.run import build_scene
 
 GRID = Grid(24, 24)
 OPS = FluidOps(GRID)
@@ -580,6 +583,76 @@ def test_step_leaves_its_inputs_unmodified():
     fluid_step(OPS, FluidState(vel, 0.0), law, 1e-4, source)
     for a, b in zip((vel.u, vel.v, source.u, source.v), before):
         assert a.tobytes() == b.tobytes()
+
+
+# -- the step as the paper's weak formulation ---------------------------------
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def sine_series_field(grid, seed):
+    """curl psi for a random 4x4 sine series psi, which vanishes on the walls:
+    discretely divergence-free, with zero wall-normal faces."""
+    coef = np.random.default_rng(seed).standard_normal((4, 4))
+
+    def psi(x, y):
+        return sum(coef[a, b] * np.sin((a + 1) * np.pi * x / grid.lx)
+                   * np.sin((b + 1) * np.pi * y / grid.ly)
+                   for a in range(4) for b in range(4))
+
+    return stream_function_field(grid, psi)
+
+
+def weak_form_defect(ops, state, particles, law, dt, seed):
+    """Relative defect of one fluid step of the coupled step against
+    <u' - u, phi>_h = dt (-sum S(Du):D phi h^2 - <conv(u), phi>_h + <F, phi>_h)
+    for a divergence-free phi, F the particles' drag: the projection's
+    gradient is orthogonal to phi, and div S is minus the transpose of D."""
+    grid, vel = ops.grid, state.velocity
+    phi = sine_series_field(grid, seed)
+    force = drag_force(deposit(particles), vel)
+    new, _ = fluid_step(ops, state, law, dt, force)
+    ex = law.exponent
+    stress = law.eval_packed(ex.values[ex.slab_index(state.time + 0.5 * dt)],
+                             ops.sym_gradient(vel))
+    terms = (-grid.cell_volume * float(np.sum(packed_inner(stress, ops.sym_gradient(phi)))),
+             -inner(ops.convective(vel, ops.divergence(vel)), phi),
+             inner(force, phi))
+    change = inner(VelocityField(grid, new.velocity.u - vel.u, new.velocity.v - vel.v), phi)
+    return abs(change - dt * sum(terms)) / (dt * sum(abs(t) for t in terms))
+
+
+@pytest.mark.parametrize("name, steps", [
+    ("minimal.ini", (0, 3)), ("acceptance.ini", (0, 3)), ("two_phase.ini", (124, 125)),
+], ids=["minimal", "acceptance", "two_phase-switch"])
+def test_step_is_the_weak_form_to_roundoff(name, steps):
+    # the run's own states at the listed steps; two_phase.ini's step 125 is
+    # the first on the post-switch slab.  minimal.ini starts at rest with no
+    # particles, where every term is 0, so its fluid is stirred first
+    cfg = load_config(os.path.join(CONFIGS, name))
+    law, state, particles = build_scene(cfg)
+    if not np.any(state.velocity.u):
+        state = FluidState(stream_bump(cfg.grid, 0.05), state.time)
+    ops, ledger = FluidOps(cfg.grid), EnergyLedger()
+    slabs = []
+    for step in range(steps[-1] + 1):
+        if step in steps:
+            slabs.append(int(law.exponent.slab_index(state.time + 0.5 * cfg.dt)))
+            assert weak_form_defect(ops, state, particles, law, cfg.dt, seed=step) <= 1e-12
+        state, particles, _ = coupled_step(ops, state, particles, law, cfg.dt, ledger,
+                                           cfl_factor=cfg.cfl_factor)
+    if name == "two_phase.ini":
+        assert slabs == [0, 1]
+
+
+def test_step_is_the_weak_form_to_roundoff_on_a_non_square_mesh():
+    grid = Grid(24, 16, 1.5, 1.0)
+    ops = FluidOps(grid)
+    law = StressLaw(0.05, 0.005, sinusoidal_field(grid, 1.0, base=2.3, amplitude=0.2), 0.05)
+    state = FluidState(stream_bump(grid, 0.1), 0.0)
+    particles = uniform(grid, np.random.default_rng(4), 256, mass=0.1, vmax=0.5)
+    dt = 0.5 * ops.cfl_limit(state.velocity, law, law.exponent.values[0])
+    assert weak_form_defect(ops, state, particles, law, dt, seed=9) <= 1e-12
 
 
 def _step_transient_cells(n):

@@ -12,14 +12,17 @@ from sprayflow.grid import Grid
 from sprayflow.kinetic import (
     _MAX_REFLECTIONS,
     EscapeError,
+    INITIAL_PRESETS,
     ParticleEnsemble,
     _cic,
     advance,
     deposit,
     drag_dissipation_exact,
     interpolate_velocity,
+    maxwellian,
     reflect,
-    sample_initial,
+    uniform,
+    zero,
 )
 
 GRID = Grid(16, 16)
@@ -40,14 +43,14 @@ def single(x, y, vx, vy, w=1.0, fv=1.0, grid=GRID):
 # -- sampling -----------------------------------------------------------------
 
 def test_uniform_equal_weights():
-    p = sample_initial(GRID, "uniform", 4, mass=1.0, seed=0)
+    p = uniform(GRID, np.random.default_rng(0), 4, mass=1.0)
     np.testing.assert_array_equal(p.w, 0.25)
     assert p.mass == pytest.approx(1.0)
     assert np.all(GRID.contains(p.X))
 
 
 def test_zero_preset_empty():
-    p = sample_initial(GRID, "zero")
+    p = zero(GRID, np.random.default_rng(0))
     assert p.X.shape[0] == 0
     m = deposit(p)
     assert np.all(m.rho == 0.0) and np.all(m.jx == 0.0) and np.all(m.jy == 0.0)
@@ -57,26 +60,16 @@ def test_zero_preset_empty():
 def test_maxwellian_second_moment():
     temp = 0.3
     n = 40_000
-    p = sample_initial(GRID, "maxwellian", n, mass=1.0, temperature=temp, seed=1)
+    p = maxwellian(GRID, np.random.default_rng(1), n, mass=1.0, temperature=temp)
     # E|V|^2 = 2T in two dimensions; Var(|V|^2) = 4T^2, so sigma of the mean
     # is 2T/sqrt(n)
     mean_v2 = float(np.mean(np.sum(p.V**2, axis=1)))
     assert abs(mean_v2 - 2.0 * temp) <= 3.0 * 2.0 * temp / np.sqrt(n)
 
 
-def test_unknown_preset_rejected():
-    with pytest.raises(ValueError):
-        sample_initial(GRID, "ring", 10, mass=1.0)
-
-
-def test_unknown_preset_rejected_without_mass():
-    with pytest.raises(ValueError, match="ring"):
-        sample_initial(GRID, "ring", 10, mass=0.0)
-
-
 def test_zero_particle_count_rejected():
     with pytest.raises(ValueError):
-        sample_initial(GRID, "uniform", 0, mass=1.0)
+        uniform(GRID, np.random.default_rng(0), 0, mass=1.0)
 
 
 @pytest.mark.parametrize("preset", ["zero", "uniform", "maxwellian"])
@@ -97,10 +90,10 @@ def test_sample_values_the_sampler_cannot_use_rejected(preset, kwargs, name):
     count = {"n_particles": 10} if "n_particles" in takes else {}
     if kwargs.keys() <= takes.keys():
         with pytest.raises(ValueError, match=name):
-            sample_initial(GRID, preset, **count, **kwargs)
+            INITIAL_PRESETS[preset](GRID, np.random.default_rng(0), **count, **kwargs)
     else:
         with pytest.raises(TypeError, match="unexpected keyword argument"):
-            sample_initial(GRID, preset, **count, **kwargs)
+            INITIAL_PRESETS[preset](GRID, np.random.default_rng(0), **count, **kwargs)
 
 
 def test_uniform_refuses_a_phase_space_volume_that_is_not_a_normal_double():
@@ -108,8 +101,8 @@ def test_uniform_refuses_a_phase_space_volume_that_is_not_a_normal_double():
     # the density divided by it
     grid = Grid(16, 16, 1e-100, 1e-100)
     with pytest.raises(ValueError, match="vmax .* not a normal double"):
-        sample_initial(grid, "uniform", 10, mass=1.0, vmax=1e-100)
-    assert sample_initial(grid, "uniform", 10, mass=1.0, vmax=1e-50).fval[0] > 0.0
+        uniform(grid, np.random.default_rng(0), 10, mass=1.0, vmax=1e-100)
+    assert uniform(grid, np.random.default_rng(0), 10, mass=1.0, vmax=1e-50).fval[0] > 0.0
 
 
 # -- advance ------------------------------------------------------------------
@@ -140,7 +133,7 @@ def test_advance_equilibrium_with_flow():
 
 
 def test_advance_weights_untouched():
-    p = sample_initial(GRID, "uniform", 50, mass=0.7, seed=2)
+    p = uniform(GRID, np.random.default_rng(2), 50, mass=0.7)
     q = advance(p, REST, 0.05)
     np.testing.assert_array_equal(q.w, p.w)
 
@@ -148,7 +141,7 @@ def test_advance_weights_untouched():
 def test_advance_leaves_the_old_ensemble_unchanged():
     # the new ensemble shares w, and u_k's buffer becomes its X: nothing of
     # the old ensemble, whose cached stencil reads X, is written
-    p = sample_initial(GRID, "uniform", 200, mass=0.7, vmax=3.0, seed=5)
+    p = uniform(GRID, np.random.default_rng(5), 200, mass=0.7, vmax=3.0)
     before = [a.copy() for a in (p.X, p.V, p.w, p.fval)]
     rng = np.random.default_rng(6)
     vel = VelocityField(GRID, rng.standard_normal((GRID.nx + 1, GRID.ny)),
@@ -168,7 +161,7 @@ def test_advance_drops_the_stencil_after_its_interpolation():
     # once u_k is read, the push's arrays take its place, so the peak above
     # entry is the interpolation's 2.0 (n, 2) arrays (4.39 with P kept)
     n = 1 << 14
-    p = sample_initial(GRID, "uniform", n, mass=0.7, vmax=3.0, seed=5)
+    p = uniform(GRID, np.random.default_rng(5), n, mass=0.7, vmax=3.0)
     rng = np.random.default_rng(6)
     vel = VelocityField(GRID, rng.standard_normal((GRID.nx + 1, GRID.ny)),
                         rng.standard_normal((GRID.nx, GRID.ny + 1)))
@@ -194,7 +187,7 @@ def test_advance_rejects_bad_dt():
 
 
 def test_free_decay_energy_factor_per_step():
-    p = sample_initial(GRID, "uniform", 500, mass=1.0, vmax=0.2, seed=3)
+    p = uniform(GRID, np.random.default_rng(3), 500, mass=1.0, vmax=0.2)
     e = p.kinetic_energy()
     q = advance(p, REST, 0.01)
     assert q.kinetic_energy() == pytest.approx(e * np.exp(-0.02), rel=1e-13)
@@ -318,7 +311,7 @@ def test_deposit_particle_at_cell_corner():
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31), n=st.integers(min_value=1, max_value=300))
 def test_deposit_mass_identity(seed, n):
-    p = sample_initial(GRID, "uniform", n, mass=0.8, vmax=2.0, seed=seed)
+    p = uniform(GRID, np.random.default_rng(seed), n, mass=0.8, vmax=2.0)
     m = deposit(p)
     assert float(m.rho.sum()) * GRID.cell_volume == pytest.approx(p.mass, rel=1e-12)
     assert np.all(m.rho >= 0.0)

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sprayflow.orlicz import (
-    TENSOR_COMP_WEIGHTS,
     log_modular,
     luxemburg_norm,
     modular,
     modular_distance,
 )
+from sprayflow.rheology import packed_inner
 
 W1 = np.ones((4, 4)) / 16.0  # measure-1 mesh
 
@@ -57,12 +57,13 @@ def test_modular_constant_two():
 
 def test_log_modular_matches_the_direct_sum_in_range():
     rng = np.random.default_rng(5)
-    vals = rng.standard_normal((8, 8, 3))
+    tensor = rng.standard_normal((8, 8, 3))
+    vals = np.sqrt(packed_inner(tensor, tensor))
     vals[2, 3] = 0.0  # a zero cell is left out of the log sum
     s = rng.uniform(2.0, 4.0, (8, 8))
     w = np.full((8, 8), 1.0 / 64)
-    direct = modular(vals, s, w, TENSOR_COMP_WEIGHTS)
-    assert log_modular(vals, s, w, TENSOR_COMP_WEIGHTS) == pytest.approx(np.log(direct), rel=1e-14)
+    direct = modular(vals, s, w)
+    assert log_modular(vals, s, w) == pytest.approx(np.log(direct), rel=1e-14)
     assert log_modular(np.zeros((4, 4)), 2.0, W1) == -np.inf
 
 
@@ -108,12 +109,16 @@ def test_exponent_not_finite_and_positive_refused(fn, s):
 
 def test_modular_tensor_frobenius():
     # diag(1, -1) packed: |xi|^2 = 2, and the off-diagonal counts twice
-    packed = np.zeros((1, 3))
-    packed[0] = (1.0, -1.0, 0.0)
-    assert modular(packed, 2.0, np.ones(1), TENSOR_COMP_WEIGHTS) == pytest.approx(2.0)
-    shear = np.zeros((1, 3))
-    shear[0] = (0.0, 0.0, 1.0)
-    assert modular(shear, 2.0, np.ones(1), TENSOR_COMP_WEIGHTS) == pytest.approx(2.0)
+    packed = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+    mag = np.sqrt(packed_inner(packed, packed))
+    assert modular(mag, 2.0, np.ones(2)) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("fn", [modular, log_modular, luxemburg_norm])
+def test_a_tensor_field_without_its_magnitude_is_a_shape_mismatch(fn):
+    # (3, 3, 3) broadcasts against (3, 3) weights, but has an axis too many
+    with pytest.raises(ValueError, match="shape mismatch"):
+        fn(np.ones((3, 3, 3)), 2.0, np.ones((3, 3)))
 
 
 # -- luxemburg norm -----------------------------------------------------------

@@ -220,6 +220,17 @@ def test_coercive_without_a_closed_form_raises(l):
         certify_coercive(l)
 
 
+@pytest.mark.parametrize("l, name", [
+    (law(1.0, 1e-310, S3), "c"),                                 # (1 + k nu1^{s'})/nu1
+    (law(1e200, 1.0, constant_field(GRID, 1.0, 2.2)), "h_bar"),  # nu0^{s'}, s' = 1.83
+    (law(1.0, 1.0, S3, theta=1e-310), "c_theta"),                # 1/(theta p)
+], ids=["subnormal-nu1", "huge-nu0", "subnormal-theta"])
+def test_coercive_constant_past_the_double_range_raises(l, name):
+    # an infinite constant bounds nothing; nu1 = 0 is refused for the same reason
+    with pytest.raises(CoercivityError, match=f"^{name} = inf"):
+        certify_coercive(l)
+
+
 def listed_coercive_constants(l):
     """(c, h_bar, c_theta, h_theta) with every distinct mesh exponent listed
     (np.unique) and each maximum taken over the list: the reference for the
