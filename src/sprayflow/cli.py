@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ConfigError, PresetSpec, build_preset, load_config, preset_parameters
 from .coupling import LEDGER_RTOL, EnergyLedger, ledger_differences
-from .exponent import PRESETS, CertificateFailure, log_holder_modulus, required_s_min
+from .exponent import PRESETS, CertificateFailure, log_holder_bounds, required_s_min
 from .fluid import BlowUp, CFLViolation
 from .grid import DIM, Grid
 from .kinetic import EscapeError
@@ -53,7 +53,7 @@ def cmd_validate(args) -> int:
     law = build_law(load_config(args.config))
     print(f"s range: [{law.exponent.s_min:.6g}, {law.exponent.s_max:.6g}]")
     print(f"required lower bound: {required_s_min(DIM):.6g}")
-    print(f"log-Hoelder modulus per slab: {log_holder_modulus(law.exponent)}")
+    print(f"log-Hoelder modulus per slab (lower, upper): {log_holder_bounds(law.exponent)}")
     cov = certify(law)
     print(f"covering: {cov.centers.shape[0]} balls, radius {cov.radius:.6g}")
     print("validation passed")
@@ -132,8 +132,17 @@ def cmd_norm(args) -> int:
         raise ConfigError(f"bad --extent: {exc}") from exc
     s = _exponent_values(args.exponent, grid, 1.0, (n0, n1))
     w = np.full((n0, n1), grid.cell_volume)
-    # the modular of a tensor field is that of its pointwise Frobenius norm
-    mag = np.sqrt(packed_inner(data, data)) if snap.kind == KIND_TENSOR else data
+    mag = data
+    if snap.kind == KIND_TENSOR:
+        # the modular of a tensor field is that of its pointwise Frobenius
+        # norm, taken of the tensor scaled by a power of two (exactly) to
+        # its largest entry, so that squares past 1e308 do not overflow
+        _, scale = np.frexp(np.abs(data).max())
+        unit = np.ldexp(data, -scale)
+        with np.errstate(over="ignore"):
+            mag = np.ldexp(np.sqrt(packed_inner(unit, unit)), scale)
+        if not np.isfinite(mag).all():   # entries past about 9e307
+            raise ConfigError(f"{args.field}: a tensor's magnitude passes the double range")
     try:
         with np.errstate(over="ignore"):  # past the double range it prints from its log
             value = modular(mag, s, w)
@@ -148,13 +157,15 @@ def cmd_norm(args) -> int:
 def cmd_stress_audit(args) -> int:
     cfg = load_config(args.config)
     law = build_law(cfg)
+    # the closed form first: a law it refuses is not sampled.  Each sampled
+    # sweep refuses a law whose arithmetic overflows (CertificateFailure)
+    cert = certify_coercive(law)
     try:
         mono = certify_monotone(law, n_samples=args.samples, seed=cfg.seed)
     except ValueError as exc:  # a sample count below the sweep's minimum
         raise ConfigError(f"bad --samples {args.samples}: {exc}") from exc
     print(f"monotonicity: worst inner product {mono.worst:.6g} "
           f"(scale {mono.scale:.6g}, {mono.n_samples} pairs)")
-    cert = certify_coercive(law)
     margin = coercivity_margin(law, cert.c, cert.h_bar)
     print(f"coercivity: c = {cert.c:g}, h_bar = {cert.h_bar:g}, worst margin {margin.worst:.3e}")
     ok = mono.ok and margin.ok

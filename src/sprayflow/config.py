@@ -111,7 +111,8 @@ class ScenarioConfig:
     d: ClassVar[int] = DIM
 
     def __post_init__(self):
-        for name in ("t_end", "dt", "nu0", "nu1", "theta", "cfl_factor"):
+        # [rheology] is checked by the trial StressLaw below
+        for name in ("t_end", "dt", "cfl_factor"):
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")

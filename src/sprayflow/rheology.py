@@ -7,6 +7,8 @@ s >= 2 (the admissible bound for d = 2, 3) g is continuous at xi = 0 and
 S(t, x, 0) = 0.  S is monotone as the gradient of the radial potential
 Phi = int_0^{|xi|} g(r) r dr, convex since r g(r) is nondecreasing for
 nu0, nu1, theta >= 0 and s >= 2; certify_monotone samples it for audits.
+The sampled sweeps (certify_monotone, coercivity_margin) refuse a law whose
+sampled products overflow with a CertificateFailure naming the sweep.
 
 Coercivity c S:xi >= |xi|^s + |S|^{s'} - h_bar (s' = s/(s-1), r = |xi|)
 holds with closed-form constants.  With k the number of nonzero nu0, nu1,
@@ -26,6 +28,7 @@ inequality, so coercivity_margin's ok allows a roundoff band of 1e-12.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +63,9 @@ class StressLaw:
         # viscosity's np.full(shape, nu0) takes nu0's dtype, so ints become floats
         for name in ("nu0", "nu1", "theta"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("nu0", "nu1"):   # theta's range test below refuses nan and inf
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.nu0 < 0 or self.nu1 < 0:
             raise ValueError("viscosity coefficients must be nonnegative")
         if self.nu0 + self.nu1 <= 0:
@@ -136,11 +142,24 @@ def _random_sym_packed(rng: np.random.Generator, n: int) -> np.ndarray:
     return base * scale[:, None]
 
 
+@contextmanager
+def _sampled(sweep: str):
+    """Run a sampled sweep with overflow and invalid values as errors, and
+    refuse the law by the sweep's name when one occurs."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise CertificateFailure(f"{sweep}: {exc}; a verdict from inf or nan "
+                                 "arithmetic decides nothing") from exc
+
+
 def certify_monotone(law: StressLaw, n_samples: int = 100_000, seed: int = 0) -> MonotonicityReport:
     """Randomized monotonicity sweep: min (S(xi1)-S(xi2)):(xi1-xi2).
 
     The report's ok allows a roundoff-sized negative minimum; for theta > 0
-    the minimum is strictly positive away from xi1 = xi2.
+    the minimum is strictly positive away from xi1 = xi2.  CertificateFailure
+    when the sweep's arithmetic overflows.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -154,16 +173,14 @@ def certify_monotone(law: StressLaw, n_samples: int = 100_000, seed: int = 0) ->
     ])
     s = law.exponent.sample(t, x)
 
-    ds = law.eval_packed(s, xi1) - law.eval_packed(s, xi2)
-    dxi = xi1 - xi2
-    inner = packed_inner(ds, dxi)
-    ds_mag = np.sqrt(packed_inner(ds, ds))
-    dxi_mag = np.sqrt(packed_inner(dxi, dxi))
-    return MonotonicityReport(
-        worst=float(inner.min()),
-        scale=float(np.max(ds_mag * dxi_mag)),
-        n_samples=n_samples,
-    )
+    with _sampled("monotonicity sweep"):
+        ds = law.eval_packed(s, xi1) - law.eval_packed(s, xi2)
+        dxi = xi1 - xi2
+        inner = packed_inner(ds, dxi)
+        ds_mag = np.sqrt(packed_inner(ds, ds))
+        dxi_mag = np.sqrt(packed_inner(dxi, dxi))
+        scale = float(np.max(ds_mag * dxi_mag))
+    return MonotonicityReport(worst=float(inner.min()), scale=scale, n_samples=n_samples)
 
 
 def _young_gap(a) -> np.ndarray:
@@ -262,12 +279,15 @@ def coercivity_margin(law: StressLaw, c: float, h_bar: float,
                       regularized: bool = False) -> CoercivityMargin:
     """Worst relative margin of c S:xi >= |xi|^s + |S|^{s'} - h_bar (regularized:
     the s_max variant on S^theta) at the mesh exponents and 161 log-spaced |xi|
-    in [1e-40, 1e40], narrowed so that |xi|^{s_max} < 1e250; no run reads it."""
+    in [1e-40, 1e40], narrowed so that |xi|^{s_max} < 1e250; no run reads it.
+    CertificateFailure when the margin's arithmetic overflows."""
     top = min(40.0, 250.0 / law.s_max)
     m = np.logspace(-top, top, 161)[None, :]
     s = np.unique(law.exponent.values)[:, None]
-    g = law.viscosity(s, m, regularized)
-    p = law.s_max if regularized else s
-    lhs = c * g * m * m          # c S:xi
-    rhs = m**p + (g * m) ** (p / (p - 1.0))
-    return CoercivityMargin(float(np.min((lhs - rhs + h_bar) / (lhs + rhs + h_bar))))
+    with _sampled("regularized coercivity margin" if regularized else "coercivity margin"):
+        g = law.viscosity(s, m, regularized)
+        p = law.s_max if regularized else s
+        lhs = c * g * m * m          # c S:xi
+        rhs = m**p + (g * m) ** (p / (p - 1.0))
+        worst = float(np.min((lhs - rhs + h_bar) / (lhs + rhs + h_bar)))
+    return CoercivityMargin(worst)

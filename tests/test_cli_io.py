@@ -1,7 +1,11 @@
+import configparser
+import contextlib
 import dataclasses
 import filecmp
 import functools
 import inspect
+import io
+import math
 import os
 import struct
 import subprocess
@@ -11,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sprayflow import cli, exponent, rheology, snapshots, studies
 from sprayflow.cli import main
@@ -484,6 +488,28 @@ def test_norm_takes_face_and_tensor_fields(tmp_path, capsys, kind, shape):
     assert "luxemburg norm" in capsys.readouterr().out
 
 
+def test_norm_of_a_tensor_past_the_squared_range(tmp_path, capsys):
+    # entries of 1e200: a11 = a22 = a12 give the Frobenius magnitude
+    # sqrt(1 + 1 + 2) 1e200 = 2e200, whose squares (and so packed_inner) overflow
+    out = []
+    for kind, payload in ((KIND_TENSOR, np.full((8, 8, 3), 1e200)),
+                          (KIND_SCALAR, np.full((8, 8), 2e200))):
+        snap = tmp_path / "field.vkf"
+        write_snapshot(snap, Snapshot(kind, 0.0, payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["norm", "--field", str(snap), "--exponent", "constant:2"]) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
+    assert "luxemburg norm: 2e+200\n" in out[0]
+    # past 9e307 the magnitude itself leaves the double range: refused
+    write_snapshot(snap, Snapshot(KIND_TENSOR, 0.0, np.full((8, 8, 3), 1e308)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["norm", "--field", str(snap), "--exponent", "constant:2"]) == 2
+    assert "magnitude passes the double range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind, shape", [(KIND_U_FACE, (17, 16)), (KIND_V_FACE, (16, 17))],
                          ids=["u-face", "v-face"])
 def test_norm_weights_face_fields_with_the_run_cell_size(tmp_path, capsys, kind, shape):
@@ -928,7 +954,9 @@ def test_scenario_refuses_a_particle_count_that_is_not_an_integer():
     "nu0 = -0.1\nnu1 = 0.1\n",
     "nu0 = 0.1\ntheta = 1.5\n",
     "nu0 = 0.0\nnu1 = 0.0\n",
-], ids=["negative-nu0", "theta-above-one", "no-viscosity"])
+    "nu0 = nan\nnu1 = 0.1\n",
+    "nu0 = 0.1\nnu1 = inf\n",
+], ids=["negative-nu0", "theta-above-one", "no-viscosity", "nan-nu0", "inf-nu1"])
 def test_config_rejects_rheology_the_stress_law_refuses(tmp_path, rheology):
     p = tmp_path / "rheology.ini"
     p.write_text(open(os.path.join(CONFIGS, "minimal.ini")).read().split("[rheology]")[0]
@@ -1038,7 +1066,7 @@ def test_run_scenario_skips_the_log_holder_estimate(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the run computed the log-Hoelder modulus")
 
-    monkeypatch.setattr(exponent, "log_holder_modulus", forbidden)
+    monkeypatch.setattr(exponent, "log_holder_bounds", forbidden)
     run_scenario(load_config(os.path.join(CONFIGS, "minimal.ini")), outdir=str(tmp_path))
 
 
@@ -1079,27 +1107,84 @@ def test_run_law_without_growth_exit_4(tmp_path, capsys):
     assert "nu1 = 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line, value, name", [
-    ("nu1 = 0.005\n", "nu1 = 1e-310\n", "c"), ("nu0 = 0.05\n", "nu0 = 1e200\n", "h_bar"),
+def _small_acceptance(path, keys):
+    """acceptance.ini on a 16^2 mesh with 64 particles and t_end = 0.004,
+    with keys {(section, key): value} set, written to path."""
+    ini = configparser.ConfigParser()
+    ini.read(os.path.join(CONFIGS, "acceptance.ini"))
+    ini["domain"].update(nx="16", ny="16")
+    ini["run"]["t_end"] = "0.004"
+    ini["kinetic"]["n_particles"] = "64"
+    for (section, key), value in keys.items():
+        ini[section][key] = str(value)
+    with open(path, "w") as fh:
+        ini.write(fh)
+    return str(path)
+
+
+@pytest.mark.parametrize("key, value, name", [
+    ("nu1", 1e-310, "c"), ("nu0", 1e200, "h_bar"),
 ], ids=["subnormal-nu1", "huge-nu0"])
-def test_coercivity_constant_past_the_double_range_exit_4(tmp_path, capsys, line, value, name):
+def test_coercivity_constant_past_the_double_range_exit_4(tmp_path, capsys, key, value, name):
     # a 16^2 acceptance.ini whose closed-form constant overflows to inf, which
-    # `validate` passed and `run` ran with
-    with open(os.path.join(CONFIGS, "acceptance.ini")) as fh:
-        text = fh.read()
-    p = tmp_path / "overflow.ini"
-    p.write_text(text.replace("nx = 64\nny = 64\n", "nx = 16\nny = 16\n")
-                 .replace("t_end = 1.0\n", "t_end = 0.004\n")
-                 .replace("n_particles = 4096\n", "n_particles = 64\n")
-                 .replace(line, value))
-    commands = [["validate"], ["run", "--output", str(tmp_path / "o")]]
-    if name == "c":  # nu0 = 1e200 overflows the sampled monotonicity sweep first
-        commands.append(["stress-audit", "--samples", "200"])
+    # `validate` passed and `run` ran with; stress-audit refuses it before it
+    # samples
+    p = _small_acceptance(tmp_path / "overflow.ini", {("rheology", key): value})
+    commands = [["validate"], ["run", "--output", str(tmp_path / "o")],
+                ["stress-audit", "--samples", "200"]]
     for command in commands:
-        assert run_cli([*command, "--config", str(p)]) == 4
+        assert run_cli([*command, "--config", p]) == 4
         captured = capsys.readouterr()
         assert f"certificate failure: {name} = inf" in captured.err
         assert "passed" not in captured.out
+
+
+@pytest.mark.parametrize("key, value, sweep", [
+    ("theta", 1e-300, "regularized coercivity margin"), ("nu0", 1e150, "monotonicity sweep"),
+], ids=["tiny-theta", "huge-nu0"])
+def test_stress_audit_refuses_a_sweep_that_overflows_exit_4(tmp_path, capsys, key, value,
+                                                            sweep):
+    # the closed-form constants are finite and validate passes, but c_theta
+    # ~ 1e300 overflows c_theta S:xi, and |S(xi1) - S(xi2)|^2 passes 1e308:
+    # the verdict would come from inf arithmetic
+    p = _small_acceptance(tmp_path / "overflow.ini", {("rheology", key): value})
+    assert run_cli(["validate", "--config", p]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["stress-audit", "--config", p, "--samples", "200"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"certificate failure: {sweep}: overflow")
+    assert "passed" not in captured.out and "FAILED" not in captured.out
+
+
+_EXTREMES = [0.0, -1.0, 1e-320, 1e-300, 1e-150, 1e150, 1e300, 1e308, math.nan, math.inf,
+             -math.inf]
+_ORDINARY = [0.005, 0.05, 0.15, 0.5, 2.2, 3.0]
+_GATE_KEYS = [("rheology", "nu0"), ("rheology", "nu1"), ("rheology", "theta"),
+              ("exponent", "base"), ("exponent", "amplitude")]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(keys=st.dictionaries(st.sampled_from(_GATE_KEYS), st.sampled_from(_EXTREMES + _ORDINARY),
+                            min_size=1, max_size=3))
+@example(keys={("rheology", "nu0"): 1e200})
+@example(keys={("rheology", "theta"): 1e-300})
+@example(keys={("rheology", "nu0"): 1e150})
+@example(keys={("rheology", "nu1"): 1e-310})
+@example(keys={("exponent", "base"): 1e308, ("exponent", "amplitude"): 1e308})
+@example(keys={("exponent", "base"): math.inf, ("exponent", "amplitude"): -math.inf})
+def test_gate_commands_keep_the_exit_contract_on_extreme_inputs(tmp_path, keys):
+    # validate and stress-audit exit 0, 2, 3 or 4 on any [rheology] and
+    # [exponent] values, raise nothing else and warn nothing; run stays out
+    # (its overflows at a huge mass or exponent base are still open)
+    p = _small_acceptance(tmp_path / "extreme.ini", keys)
+    for argv in (["validate"], ["stress-audit", "--samples", "200"]):
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(io.StringIO())):
+            warnings.simplefilter("error")
+            assert run_cli([*argv, "--config", p]) in (0, 2, 3, 4), (argv, keys)
 
 
 def test_energy_report_fits_order(tmp_path, capsys):
@@ -1289,8 +1374,10 @@ def test_study_mms_reports_orders_and_needs_sympy(monkeypatch, capsys):
 def test_runtime_imports_need_only_numpy_and_scipy():
     root = os.path.join(os.path.dirname(__file__), "..")
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    code = ("import sys, sprayflow, sprayflow.cli, sprayflow.studies; "
-            "assert 'sympy' not in sys.modules, 'sympy imported'")
+    # scipy.ndimage serves only validate's log-Hoelder bounds, which no run computes
+    code = ("import sys, sprayflow, sprayflow.cli, sprayflow.run, sprayflow.studies; "
+            "assert 'sympy' not in sys.modules, 'sympy imported'; "
+            "assert 'scipy.ndimage' not in sys.modules, 'scipy.ndimage imported'")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
     tomllib = pytest.importorskip("tomllib")
     with open(os.path.join(root, "pyproject.toml"), "rb") as fh:

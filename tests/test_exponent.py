@@ -9,7 +9,7 @@ from sprayflow.exponent import (
     ExponentField,
     build_covering,
     constant_field,
-    log_holder_modulus,
+    log_holder_bounds,
     required_s_min,
     sinusoidal_field,
     two_phase_switch_field,
@@ -59,18 +59,68 @@ def test_validate_below_bound_fails():
         validate(constant_field(GRID, 1.0, 1.9))
 
 
-def test_validate_sinusoidal_modulus_finite():
-    field = sinusoidal_field(GRID, 1.0, base=2.0, amplitude=0.5)
-    assert validate(field) is None
-    # oracle: exhaustive pairwise sweep at grid resolution
-    xc, yc = np.broadcast_arrays(*GRID.cell_centers())
+def exhaustive_modulus(field):
+    """Oracle: per slab, sup |s(x) - s(y)| |ln|x - y|| over every pair of
+    cell centres with 0 < |x - y| < 1/2 (0 when no pair is that close)."""
+    xc, yc = np.broadcast_arrays(*field.grid.cell_centers())
     pts = np.column_stack([xc.ravel(), yc.ravel()])
-    s = field.values[0].ravel()
+    s = field.values.reshape(len(field.starts), -1)
     ii, jj = np.triu_indices(pts.shape[0], k=1)
     dist = np.hypot(*(pts[ii] - pts[jj]).T)
     keep = (dist > 0) & (dist < 0.5)
-    expected = np.max(np.abs(s[ii[keep]] - s[jj[keep]]) * np.abs(np.log(dist[keep])))
-    assert log_holder_modulus(field)[0] == pytest.approx(expected, rel=1e-12)
+    ii, jj, dist = ii[keep], jj[keep], dist[keep]
+    return np.max(np.abs(s[:, ii] - s[:, jj]) * np.abs(np.log(dist)), axis=1, initial=0.0)
+
+
+def jump_field(grid, low=2.2, high=2.8):
+    """s = low left of x = 1/2 and high from it on: not log-Hoelder."""
+    xc, _ = grid.cell_centers()
+    values = np.broadcast_to(np.where(xc < 0.5, low, high), (grid.nx, grid.ny))
+    return ExponentField((0.0,), values[None], 1.0, grid)
+
+
+def iid_field(grid, seed):
+    """Two slabs of independent uniform exponents in [2, 3]."""
+    values = np.random.default_rng(seed).uniform(2.0, 3.0, (2, grid.nx, grid.ny))
+    return ExponentField((0.0, 0.5), values, 1.0, grid)
+
+
+def test_validate_sinusoidal_modulus_finite():
+    # the two bounds bracket the exhaustive sweep: on h = 1/8, 1/12, 1/16
+    # and 1/24, where r/h is an integer at some dyadic r, so that a rounded
+    # r/h could cut a shell's window short; on h = 1/12 from a domain whose
+    # float h lies above 1/12; and on a non-square mesh
+    grids = [Grid(8, 8), Grid(12, 12), Grid(16, 16), Grid(24, 24), Grid(12, 12, 0.5, 0.5),
+             Grid(10, 10, 10 / 12, 10 / 12), Grid(12, 8, 1.5, 1.0)]
+    for grid in grids:
+        fields = [sinusoidal_field(grid, 1.0, base=2.0, amplitude=0.5), jump_field(grid),
+                  two_phase_switch_field(grid, 1.0, 0.5, amplitude_after=0.4),
+                  iid_field(grid, 0), iid_field(grid, 1)]
+        for field in fields:
+            assert validate(field) is None
+            bounds = log_holder_bounds(field)
+            assert len(bounds) == len(field.starts)
+            for (lower, upper), oracle in zip(bounds, exhaustive_modulus(field)):
+                assert lower <= oracle * (1 + 1e-12), (grid, lower, oracle)
+                assert oracle <= upper * (1 + 1e-12), (grid, oracle, upper)
+                assert upper <= 2.0 * lower   # and narrow: a factor 1.7 at most here
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_log_holder_bounds_of_a_jump_are_exact(n):
+    # a jump of 0.6 across x = 1/2 peaks at the neighbours across it:
+    # 0.6 |ln h|, unbounded as h -> 0
+    grid = Grid(n, n)
+    ((lower, upper),) = log_holder_bounds(jump_field(grid))
+    assert lower == pytest.approx(0.6 * abs(np.log(grid.h)), rel=1e-12)
+    assert upper == pytest.approx(0.6 * abs(np.log(grid.h)), rel=1e-12)
+
+
+def test_log_holder_bounds_without_a_close_pair_are_zero():
+    # cells of side 2 hold no pair of centres closer than 1/2
+    field = sinusoidal_field(Grid(8, 8, 16.0, 16.0), 1.0, base=2.0, amplitude=0.5)
+    assert exhaustive_modulus(field)[0] == 0.0
+    assert log_holder_bounds(field) == ((0.0, 0.0),)
 
 
 def test_validate_rejects_nonfinite():

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprayflow.exponent import constant_field, sinusoidal_field, two_phase_switch_field
+from sprayflow.exponent import (
+    CertificateFailure,
+    constant_field,
+    sinusoidal_field,
+    two_phase_switch_field,
+)
 from sprayflow.grid import Grid
 from sprayflow.rheology import (
     CoercivityError,
@@ -135,6 +140,15 @@ def test_invalid_parameters_rejected():
         StressLaw(1.0, 0.0, S2, theta=1.0)
 
 
+@pytest.mark.parametrize("name", ["nu0", "nu1"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_viscosity_rejected_by_name(name, value):
+    # a nan passes every sign test, so only a finiteness test names it
+    coefficients = {"nu0": 1.0, "nu1": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}"):
+        StressLaw(coefficients["nu0"], coefficients["nu1"], S3)
+
+
 # -- monotonicity -------------------------------------------------------------
 
 def test_monotone_newtonian():
@@ -229,6 +243,18 @@ def test_coercive_constant_past_the_double_range_raises(l, name):
     # an infinite constant bounds nothing; nu1 = 0 is refused for the same reason
     with pytest.raises(CoercivityError, match=f"^{name} = inf"):
         certify_coercive(l)
+
+
+def test_sampled_sweeps_refuse_an_overflow_by_name():
+    # a verdict from inf arithmetic decides nothing: |S(xi1) - S(xi2)|^2
+    # passes 1e308 at nu0 = 1e150, and c_theta ~ 1e300 at theta = 1e-300
+    # overflows c_theta S:xi
+    with pytest.raises(CertificateFailure, match="^monotonicity sweep: overflow"):
+        certify_monotone(law(1e150, 1.0, S3), n_samples=200)
+    l = law(1.0, 1.0, S3, theta=1e-300)
+    cert = certify_coercive(l).theta
+    with pytest.raises(CertificateFailure, match="^regularized coercivity margin: overflow"):
+        coercivity_margin(l, cert.c, cert.h_bar, regularized=True)
 
 
 def listed_coercive_constants(l):
