@@ -37,7 +37,6 @@ from .kinetic import (
     deposit,
     drag_dissipation_exact,
     interpolate_velocity,
-    row_dot,
 )
 from .rheology import StressLaw
 
@@ -147,9 +146,9 @@ def exchange_audit(
     p = particles
     uk = interpolate_velocity(vel, p.stencil)
     rel = uk - p.V
-    w_f = -float(np.sum(p.w * row_dot(rel, uk))) * dt
-    w_p = float(np.sum(p.w * row_dot(rel, p.V))) * dt
-    dissipation = -float(np.sum(p.w * row_dot(rel, rel))) * dt
+    w_f = -p.inner(rel, uk) * dt
+    w_p = p.inner(rel, p.V) * dt
+    dissipation = -p.inner(rel, rel) * dt
     return w_f, w_p, dissipation
 
 

@@ -8,14 +8,17 @@ Layout (nx x ny cells, spacing h):
 Wall-normal face velocities are identically zero (no-slip); tangential ghost
 values mirror through the wall (u = 0 on the boundary).
 
-Three structural identities are engineered to hold to machine precision:
+Face fields pair through <a, b>_h = h^2 sum a b over the faces
+(VelocityField.inner), which the energy, the stress dissipation and the
+studies' L^2 errors all read.  Three structural identities are engineered to
+hold to machine precision:
 
 * the convective term is the flux-divergence form minus half the velocity
-  times the interpolated cell divergence, which makes <conv(u), u> vanish
+  times the interpolated cell divergence, which makes <conv(u), u>_h vanish
   identically (skew symmetry, no div-free requirement);
 * the symmetric gradient is a set of slice-difference stencils (no matrix
   is stored), and the stress divergence is written out as minus its exact
-  transpose, stencil by stencil, so <-div S, u> = sum S:Du h^2 holds to
+  transpose, stencil by stencil, so <-div S, u>_h = sum S:Du h^2 holds to
   roundoff by construction, not as a discretization accident;
 * the Leray projection subtracts the wall-masked face gradient of a
   multiplier phi that solves the Neumann 5-point Poisson problem to roundoff:
@@ -33,7 +36,7 @@ halves and the v-half's scratch stays contiguous in memory order.
 
 fluid_step evaluates Du, keeps its trace (the cell divergence), writes
 S^theta(Du) over Du, takes the stress divergence and drops S; it reads the
-stress dissipation off that divergence as -<div S, u> h^2 dt, and only then
+stress dissipation off that divergence as -<div S, u>_h dt, and only then
 forms the convection and builds u* in the divergence's buffers.  At
 benchmark sizes a step costs the bytes it holds and moves, not flops, so the
 order keeps few grid temporaries live at once: the transient peak is about
@@ -85,10 +88,15 @@ class VelocityField:
             normal[0] = 0.0
             normal[-1] = 0.0
 
+    def inner(self, other: "VelocityField") -> float:
+        """The discrete L^2 pairing <u, u'>_h = h^2 (sum u u' + sum v v') over
+        face values, each sum numpy's pairwise np.sum(a * b)."""
+        return self.grid.cell_volume * (float(np.sum(self.u * other.u))
+                                        + float(np.sum(self.v * other.v)))
+
     def energy(self) -> float:
-        """Kinetic energy (1/2) sum |u|^2 h^2 over face values."""
-        h2 = self.grid.cell_volume
-        return 0.5 * h2 * sum(float(np.sum(normal**2)) for normal, _ in self.axes())
+        """Kinetic energy (1/2) <u, u>_h."""
+        return 0.5 * self.inner(self)
 
     def max_speed(self) -> float:
         """max |face value|; NaN when any face value is NaN."""
@@ -297,14 +305,19 @@ class FluidOps:
         with g the law's own g^theta at max|Du|.  s is the step's exponent, or
         only its slab's cached extremes: g grows with |xi| and |xi|^(e-2) is
         monotone in e, so g at the two extreme exponents bounds it on every
-        cell.  A non-finite max speed, read first, raises BlowUp."""
+        cell.  A non-finite max speed, read first, raises BlowUp; a g that
+        overflows raises CFLViolation, since no dt is stable."""
         speed = vel.max_speed()
         if not np.isfinite(speed):
             raise BlowUp(f"non-finite velocity: max speed {speed}")
         h = self.grid.h
         du = self.sym_gradient(vel)
         mmax = float(np.sqrt(packed_inner(du, du).max()))
-        nu_eff = float(law.viscosity(np.array([s.min(), s.max()]), mmax).max())
+        with np.errstate(over="ignore"):
+            nu_eff = float(law.viscosity(np.array([s.min(), s.max()]), mmax).max())
+        if not np.isfinite(nu_eff):
+            raise CFLViolation(f"the stress law's secant viscosity g^theta at max|Du| = "
+                               f"{mmax:.6g} is {nu_eff}: no dt is stable")
         dt_diff = h**2 / (2.0 * nu_eff) if nu_eff > 0 else np.inf
         dt_conv = h / speed if speed > 0 else np.inf
         return float(min(dt_diff, dt_conv))
@@ -322,7 +335,7 @@ def fluid_step(
     Leray projection; source is the particles' force on the fluid or a
     study's right-hand side.  Returns the new state and the step's stress
     dissipation sum S^theta:Du h^2 dt over the pre-step field, computed as
-    -<div S^theta, u> h^2 dt (equal to roundoff, since the divergence is
+    -<div S^theta, u>_h dt (equal to roundoff, since the divergence is
     minus the exact transpose of Du); it evaluates no energy (the coupled
     step's ledger records those).  S^theta is written over Du, and the
     convection is formed after the stress divergence.  The exponent slab is
@@ -345,10 +358,9 @@ def fluid_step(
     star = ops.stress_divergence_of(stress)
     del stress
 
-    # sum S:Du h^2 dt as -<div S, u> h^2 dt: the divergence is minus the
+    # sum S:Du h^2 dt as -<div S, u>_h dt: the divergence is minus the
     # exact transpose of Du, so the two agree to roundoff
-    d_stress = -float(np.vdot(star.u, vel.u) + np.vdot(star.v, vel.v))
-    d_stress *= ops.grid.cell_volume * dt
+    d_stress = -star.inner(vel) * dt
     conv = ops.convective(vel, div)
     del div
 

@@ -13,6 +13,10 @@ The per-step drag ODE dV/dt = u_k - V with u_k frozen is integrated exactly:
 so the drag never limits the step size, and free decay (u = 0) contracts
 kinetic energy by exactly e^{-2 dt} per step.
 
+Per-particle vectors pair through <a, b>_w = sum_k w_k a_k . b_k
+(ParticleEnsemble.inner), the discrete int int f a . b: the kinetic energy,
+the exact drag dissipation and the coupling audit's works all read it.
+
 The bilinear (cloud-in-cell) kernel on cell centers is one sparse operator
 P, (n particles, ncells), four weights per row: interpolation is P applied to
 each cell-centred velocity component, and deposition (density and momentum)
@@ -78,8 +82,16 @@ class ParticleEnsemble:
     def mass(self) -> float:
         return float(np.sum(self.w))
 
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """The weighted pairing <a, b>_w = sum_k w_k a_k . b_k of two (n, 2)
+        per-particle arrays, the discrete int int f a . b dv dx."""
+        d = row_dot(a, b)
+        d *= self.w
+        return float(np.sum(d))
+
     def kinetic_energy(self) -> float:
-        return 0.5 * float(np.sum(self.w * row_dot(self.V, self.V)))
+        """(1/2) <V, V>_w."""
+        return 0.5 * self.inner(self.V, self.V)
 
 
 @dataclass(eq=False)
@@ -322,4 +334,4 @@ def drag_dissipation_exact(particles: ParticleEnsemble, vel: VelocityField, dt: 
     p = particles
     uk = interpolate_velocity(vel, p.stencil)
     rel = p.V - uk
-    return float(np.sum(p.w * row_dot(rel, rel))) * (1.0 - np.exp(-2.0 * dt)) / 2.0
+    return p.inner(rel, rel) * (1.0 - np.exp(-2.0 * dt)) / 2.0

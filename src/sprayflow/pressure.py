@@ -131,10 +131,6 @@ def gradient(box: PaddedBox, p: np.ndarray) -> np.ndarray:
 class BoundReport:
     ratios: tuple[float, ...]       # per sample, skipped (zero) samples omitted
 
-    @property
-    def worst(self) -> float:
-        return max(self.ratios) if self.ratios else 0.0
-
 
 def _random_bump_tensor(rng: np.random.Generator, grid: Grid) -> np.ndarray:
     cx = rng.uniform(0.3, 0.7) * grid.lx

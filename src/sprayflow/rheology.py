@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class StressLaw:
     nu1: float
     exponent: ExponentField
     theta: float = 0.0
-    s_max: float = field(init=False)  # exponent.s_max
 
     def __post_init__(self):
         # viscosity's np.full(shape, nu0) takes nu0's dtype, so ints become floats
@@ -72,7 +71,11 @@ class StressLaw:
             raise ValueError("need nu0 + nu1 > 0")
         if not 0.0 <= self.theta < 1.0:
             raise ValueError("theta must lie in [0, 1)")
-        object.__setattr__(self, "s_max", self.exponent.s_max)
+
+    @property
+    def s_max(self) -> float:
+        """The exponent field's s_max, which the theta-regularization uses."""
+        return self.exponent.s_max
 
     def eval_packed(self, s: np.ndarray, packed: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:

@@ -1158,6 +1158,22 @@ def test_stress_audit_refuses_a_sweep_that_overflows_exit_4(tmp_path, capsys, ke
     assert "passed" not in captured.out and "FAILED" not in captured.out
 
 
+@pytest.mark.parametrize("base", [1e6, 1e150], ids=["base-1e6", "base-1e150"])
+def test_run_refuses_an_overflowing_viscosity_by_name_exit_3(tmp_path, capsys, base):
+    # validate passes, but max|Du| > 1 on the stream bump, so g^theta =
+    # nu0 + nu1 |Du|^(s-2) overflows at the first step's CFL bound, which
+    # carried on as a bound of 0.0 under an overflow warning
+    p = _small_acceptance(tmp_path / "overflow.ini", {("exponent", "base"): base})
+    assert run_cli(["validate", "--config", p]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["run", "--config", p, "--output", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: the stress law's secant viscosity g^theta")
+    assert "max|Du|" in err and "CFL bound 0.0" not in err
+
+
 _EXTREMES = [0.0, -1.0, 1e-320, 1e-300, 1e-150, 1e150, 1e300, 1e308, math.nan, math.inf,
              -math.inf]
 _ORDINARY = [0.005, 0.05, 0.15, 0.5, 2.2, 3.0]

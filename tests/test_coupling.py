@@ -13,7 +13,7 @@ from sprayflow.exponent import constant_field
 from sprayflow.fluid import FluidOps, FluidState, VelocityField, stream_function_field
 from sprayflow.grid import Grid
 from sprayflow.kinetic import (MomentFields, ParticleEnsemble, advance, drag_dissipation_exact,
-                               uniform, zero)
+                               interpolate_velocity, row_dot, uniform, zero)
 from sprayflow.rheology import StressLaw
 
 GRID = Grid(16, 16)
@@ -85,6 +85,28 @@ def test_exchange_audit_antisymmetry_random(seed):
     wf, wp, dis = exchange_audit(p, vel, 0.01)
     assert wf + wp == pytest.approx(dis, rel=1e-12, abs=1e-15)
     assert dis <= 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31))
+def test_drag_works_round_as_the_weighted_row_dot_sums(seed):
+    # the audit's works and the exact dissipation, against the weighted
+    # row-dot sums written out, bit for bit
+    rng = np.random.default_rng(seed)
+    p = uniform(GRID, np.random.default_rng(seed), 300, mass=rng.uniform(0.1, 2.0),
+                vmax=rng.uniform(0.1, 2.0))
+    vel = VelocityField(GRID, rng.standard_normal((GRID.nx + 1, GRID.ny)),
+                        rng.standard_normal((GRID.nx, GRID.ny + 1)))
+    dt = rng.uniform(1e-3, 0.1)
+    uk = interpolate_velocity(vel, p.stencil)
+    rel = uk - p.V
+    expected = (-float(np.sum(p.w * row_dot(rel, uk))) * dt,
+                float(np.sum(p.w * row_dot(rel, p.V))) * dt,
+                -float(np.sum(p.w * row_dot(rel, rel))) * dt)
+    assert exchange_audit(p, vel, dt) == expected
+    rel = p.V - uk
+    assert drag_dissipation_exact(p, vel, dt) == (
+        float(np.sum(p.w * row_dot(rel, rel))) * (1.0 - np.exp(-2.0 * dt)) / 2.0)
 
 
 def test_exchange_audit_empty():

@@ -59,8 +59,17 @@ def stress_divergence(ops: FluidOps, vel: VelocityField, law: StressLaw, t: floa
     return ops.stress_divergence_of(law.eval_packed(s, ops.sym_gradient(vel)))
 
 
-def inner(a: VelocityField, b: VelocityField) -> float:
-    return a.grid.cell_volume * (float(np.sum(a.u * b.u)) + float(np.sum(a.v * b.v)))
+# -- the face pairing ---------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31))
+def test_face_pairing_is_symmetric_and_halves_to_the_energy(seed):
+    a, b = random_noslip(seed), random_noslip(seed + 1, scale=1e3)
+    assert a.inner(b) == b.inner(a)
+    assert a.energy() == 0.5 * a.inner(a)
+    # and the sum of squares per face array, bit for bit, so E_fluid holds
+    h2 = GRID.cell_volume
+    assert a.energy() == 0.5 * h2 * sum(float(np.sum(n**2)) for n in (a.u, a.v.T))
 
 
 # -- symmetric gradient -------------------------------------------------------
@@ -124,14 +133,14 @@ def test_convective_skew_symmetry(seed):
     vel = random_noslip(seed)
     conv = OPS.convective(vel, OPS.divergence(vel))
     scale = vel.max_speed() ** 3 / GRID.h
-    assert abs(inner(conv, vel)) <= 1e-12 * max(scale, 1e-30)
+    assert abs(conv.inner(vel)) <= 1e-12 * max(scale, 1e-30)
 
 
 def test_convective_skew_symmetry_divfree():
     vel, _ = OPS.project(random_noslip(7))
     conv = OPS.convective(vel, OPS.divergence(vel))
     scale = vel.max_speed() ** 3 / GRID.h
-    assert abs(inner(conv, vel)) <= 1e-12 * scale
+    assert abs(conv.inner(vel)) <= 1e-12 * scale
 
 
 # -- stress divergence --------------------------------------------------------
@@ -145,7 +154,7 @@ def test_stress_divergence_adjointness(seed):
     du = OPS.sym_gradient(vel)
     stress = law.eval_packed(field.values[0], du)
     divs = OPS.stress_divergence_of(stress)
-    lhs = -inner(divs, vel)
+    lhs = -divs.inner(vel)
     rhs = GRID.cell_volume * float(np.sum(stress * du * CW))
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -196,7 +205,7 @@ def _check_stencils_against_sparse_reference(grid):
     assert np.abs(divs.v[:, 1:-1] - ref_v[:, 1:-1]).max() <= 1e-13 * scale
     assert np.all(divs.u[[0, -1], :] == 0.0) and np.all(divs.v[:, [0, -1]] == 0.0)
 
-    lhs = -inner(divs, vel)
+    lhs = -divs.inner(vel)
     rhs = grid.cell_volume * float(np.sum(stress * du * CW))
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -616,9 +625,9 @@ def weak_form_defect(ops, state, particles, law, dt, seed):
     stress = law.eval_packed(ex.values[ex.slab_index(state.time + 0.5 * dt)],
                              ops.sym_gradient(vel))
     terms = (-grid.cell_volume * float(np.sum(packed_inner(stress, ops.sym_gradient(phi)))),
-             -inner(ops.convective(vel, ops.divergence(vel)), phi),
-             inner(force, phi))
-    change = inner(VelocityField(grid, new.velocity.u - vel.u, new.velocity.v - vel.v), phi)
+             -ops.convective(vel, ops.divergence(vel)).inner(phi),
+             force.inner(phi))
+    change = VelocityField(grid, new.velocity.u - vel.u, new.velocity.v - vel.v).inner(phi)
     return abs(change - dt * sum(terms)) / (dt * sum(abs(t) for t in terms))
 
 

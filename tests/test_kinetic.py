@@ -21,6 +21,7 @@ from sprayflow.kinetic import (
     interpolate_velocity,
     maxwellian,
     reflect,
+    row_dot,
     uniform,
     zero,
 )
@@ -103,6 +104,29 @@ def test_uniform_refuses_a_phase_space_volume_that_is_not_a_normal_double():
     with pytest.raises(ValueError, match="vmax .* not a normal double"):
         uniform(grid, np.random.default_rng(0), 10, mass=1.0, vmax=1e-100)
     assert uniform(grid, np.random.default_rng(0), 10, mass=1.0, vmax=1e-50).fval[0] > 0.0
+
+
+# -- the particle pairing -----------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31), n=st.integers(0, 300),
+       strided=st.booleans())
+def test_particle_pairing_rounds_as_the_weighted_row_dot_sum(seed, n, strided):
+    # strided: every input a non-contiguous view (row steps, a reversed
+    # Fortran-order pair, a column slice)
+    rng = np.random.default_rng(seed)
+    if strided:
+        w = rng.uniform(0.0, 2.0, 2 * n)[::2]
+        a = rng.standard_normal((2 * n, 3))[::2, :2]
+        b = np.asfortranarray(rng.standard_normal((n, 2)))[:, ::-1]
+        V = rng.standard_normal((n, 4))[:, 1:3]
+    else:
+        w = rng.uniform(0.0, 2.0, n)
+        a, b, V = (rng.standard_normal((n, 2)) for _ in range(3))
+    p = ParticleEnsemble(GRID, rng.uniform(0.1, 0.9, (n, 2)), V, w, np.ones(n))
+    assert p.inner(a, b) == float(np.sum(w * row_dot(a, b)))
+    assert p.inner(a, b) == p.inner(b, a)
+    assert p.kinetic_energy() == 0.5 * float(np.sum(w * row_dot(V, V)))
 
 
 # -- advance ------------------------------------------------------------------
